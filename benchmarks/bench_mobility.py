@@ -1,13 +1,13 @@
 """Per-move invalidation cost: flat in total node count.
 
-Not a paper experiment — the perf gate for the time-varying-geometry
-refactor.  Before per-node position epochs, one ``node.position``
-assignment bumped the global ``_topo_version``: every sender's
-candidate index and every cached mean-loss row died, so continuous
-motion at city scale degenerated back to the dense O(N²) regime.  The
-refactor's contract is that a move costs O(local density) — two grid
-neighborhood queries plus an epoch bump per affected neighbor — no
-matter how many nodes the deployment holds.
+Not a paper experiment — the perf gate for time-varying geometry.  A
+global invalidation scheme (one ``node.position`` assignment kills
+every sender's candidate index and every cached mean-loss row) makes
+continuous motion at city scale degenerate back to the dense O(N²)
+regime.  The medium's contract is that a move costs O(local density) —
+two grid neighborhood queries plus one pending-set insert per nearby
+sender, which that sender patches into its index at its next
+transmission — no matter how many nodes the deployment holds.
 
 ``test_per_move_cost_flat_across_tiers`` measures the raw per-move
 cost on the 30-node field, the 100-node field and the ~1040-node city
@@ -15,7 +15,8 @@ cost on the 30-node field, the 100-node field and the ~1040-node city
 not scale with N: on the *compact* fields every node is a range
 neighbor (local density == N), while a city mover sees only its own
 district (~40–50), so dense-regime behaviour would make the city move
-~10x the 100-node move and the epoch scheme keeps it at or below it.
+~10x the 100-node move and the pending-mover scheme keeps it at or
+below it.
 Recorded in ``BENCH_simulator.json`` as ``mobility_move_cost_us_*``.
 
 ``test_mobile_city_minute`` deploys the city with two waypoint patrols
@@ -93,8 +94,8 @@ def test_per_move_cost_flat_across_tiers(benchmark, record_metric, report):
                        rounds=3, iterations=1)
     # The contract: 10x the nodes must NOT mean 10x the move cost.  The
     # city mover touches ~40-50 district neighbors; the compact fields
-    # touch all 30/100 — so a flat-or-better city move proves per-node
-    # epochs, and a dense-regime regression fails by an order of
+    # touch all 30/100 — so a flat-or-better city move proves per-sender
+    # pending sets, and a dense-regime regression fails by an order of
     # magnitude, far past any hardware jitter.
     assert factor < MAX_CITY_FACTOR, (
         f"city per-move cost is {factor:.1f}x the compact-field move "

@@ -172,7 +172,8 @@ class CommandInterpreter:
                 "observability: stats [prefix] (metrics snapshot, "
                 "e.g. stats mac. or stats medium. for the "
                 "candidate-pruning and geometry gauges — repositions, "
-                "idx.rebuilds, rows.rebuilt) | "
+                "idx.rebuilds, rows.rebuilt (full rebuilds), "
+                "idx.patched (indexes patched after a nearby move)) | "
                 "trace on|off|last|<origin:port:seq> (packet lifecycle) | "
                 "profile on|off|report (event-loop hotspots)"
                 + ("\nneighborhood mode: list blacklist update exit"

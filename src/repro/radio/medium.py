@@ -26,38 +26,46 @@ keeps
   size = the conservative maximum radio range, maintained incrementally
   (attach inserts, a ``Transceiver.position`` assignment moves one
   bucket entry);
-* a per-(sender, channel) *candidate index* — the id-sorted in-range
-  receivers, found by one grid query — so per-transmission work is
-  O(in-range contenders), not O(N), and no pairwise matrix exists at
-  all (rows are materialized per sender, lazily);
+* a per-sender *candidate index* — the id-sorted in-range receivers on
+  the sender's channel, found by one grid query — so per-transmission
+  work is O(in-range contenders), not O(N), and no pairwise matrix
+  exists at all (rows are materialized per sender, lazily);
 * a per-(sender, channel) mean-loss row — deterministic path loss plus
-  static shadowing — invalidated by the propagation model's shadowing
-  epoch, so pinned links take effect;
-
-Time-varying geometry
----------------------
-Invalidation after a move is *per node*, not global.  A
-``Transceiver.position`` assignment moves one grid bucket entry and
-bumps the *neighborhood epoch* of exactly the nodes whose candidate
-membership the move could have changed: those within the conservative
-range bound of the old **or** the new position (two grid queries, so the
-work is O(local density), independent of the total node count — the
-contract ``benchmarks/bench_mobility.py`` holds).  A sender outside both
-disks keeps its cached candidate index *and* its cached mean-loss row;
-an affected sender rebuilds both on its next transmission.  A row
-rebuild whose shadowing links were all drawn before consumes no RNG
-(see :meth:`LogDistancePropagation.shadowing_row`), so per-node
-invalidation cannot shift any stream — continuous mobility stays
-byte-identical between the spatial and dense paths.  The
-``medium.repositions`` counter and the ``medium.idx.rebuilds`` /
-``medium.rows.rebuilt`` gauges (shell: ``stats medium.``) account for
-the moves and the rebuild fallout they cause.
+  static shadowing — invalidated by the propagation model's
+  ``link_epoch``, so pinned links and injected penalties take effect;
 
 and draws fading, reception, RSSI, and LQI as *batched* RNG calls.  A
 numpy Generator fills an array from the same bitstream as repeated scalar
 draws, and the batches run in the same sorted-id order the scalar loops
 used, so seeded runs stay bit-for-bit identical — the determinism tests
 hold golden counters captured before this rewrite.
+
+Time-varying geometry
+---------------------
+A move is *patched* into the caches it touches, not rebuilt.  A
+``Transceiver.position`` assignment moves one grid bucket entry and
+adds the mover to the *pending-mover set* of exactly the senders whose
+candidates it could have changed: those within the conservative range
+bound of the old **or** the new position (two grid queries, so the work
+is O(local density), independent of the total node count — the contract
+``benchmarks/bench_mobility.py`` holds).  At its next transmission a
+sender applies only its pending movers: each is re-tested with the
+grid's exact predicate plus the channel check, so the patched index is
+the one a fresh grid query would build.  If the members are unchanged,
+the row recomputes its distance term and reuses its cached
+shadowing-plus-penalty part; if a mover entered or left, the id list is
+spliced and the row rebuilt.  Patches build a new index object, so an
+in-flight frame keeps its start-of-frame snapshot.  Only the mover
+itself, or a global change (attach, channel hop, range change, a move
+before the grid exists), rebuilds from a grid query.  A row rebuild
+draws shadowing only for links never seen before (see
+:meth:`LogDistancePropagation.shadowing_row`), in id order, exactly as
+a full rebuild would, so patching cannot shift any stream — continuous
+mobility stays byte-identical between the spatial and dense paths.  The
+``medium.repositions`` counter, the ``medium.idx.rebuilds`` /
+``medium.rows.rebuilt`` gauges (full rebuilds) and the
+``medium.idx.patched`` gauge (shell: ``stats medium.``) account for the
+moves and the work they cause.
 
 Pruning vs determinism
 ----------------------
@@ -189,8 +197,8 @@ class Transceiver:
     def position(self, value: tuple[float, float]) -> None:
         self._position = (float(value[0]), float(value[1]))
         # Moving a node changes only the pairwise distances through it;
-        # the medium updates the affected spatial-index buckets and
-        # invalidates just the neighborhoods of the old and new position.
+        # the medium updates the affected spatial-index buckets and marks
+        # the move pending for the senders near the old and new position.
         self.medium._reposition(self.node_id, self._position)
 
     def set_receive_handler(
@@ -233,6 +241,24 @@ class _CandidateIndex:
         self.offset_of = {nid: off for off, nid in enumerate(ids)}
         self.xcvrs = xcvrs
         self.positions = positions
+
+    def moved(self, positions: np.ndarray) -> "_CandidateIndex":
+        """A new snapshot with the same members at updated ``positions``.
+
+        The membership fields are shared, not copied: they are never
+        mutated, and the shared ``ids`` list is how the mean-loss row
+        recognises a same-membership patch (see
+        ``RadioMedium._mean_loss_row``).
+        """
+        new = object.__new__(_CandidateIndex)
+        new.channel = self.channel
+        new.token = self.token
+        new.ids = self.ids
+        new.id_arr = self.id_arr
+        new.offset_of = self.offset_of
+        new.xcvrs = self.xcvrs
+        new.positions = positions
+        return new
 
 
 class _ActiveTransmission:
@@ -328,11 +354,14 @@ class RadioMedium:
         self._gauge_pruned = monitor.registry.gauge(
             "medium.candidates.pruned")
         #: Per-move invalidation fallout: how many candidate indexes and
-        #: mean-loss rows were actually rebuilt.  Gauges, not counters,
-        #: so golden counter fixtures are untouched by the bookkeeping
-        #: (the same choice the candidate gauges made).
+        #: mean-loss rows were rebuilt from scratch, and how many indexes
+        #: were patched in place of a rebuild.  Gauges, not counters, so
+        #: golden counter fixtures are untouched by the bookkeeping (the
+        #: same choice the candidate gauges made).
         self._gauge_idx_rebuilds = monitor.registry.gauge(
             "medium.idx.rebuilds")
+        self._gauge_idx_patched = monitor.registry.gauge(
+            "medium.idx.patched")
         self._gauge_rows_rebuilt = monitor.registry.gauge(
             "medium.rows.rebuilt")
         # Lazily bound handles for the per-receiver counters (created on
@@ -346,14 +375,14 @@ class RadioMedium:
         self._h_lqi = None
         # -- cached vectorized state (see module docstring) -------------
         #: Global geometry epoch: bumped on attach and on any move the
-        #: grid cannot localize (grid not built yet).  The *localized*
-        #: path bumps only the per-node entries in ``_nbr_epoch``.
+        #: grid cannot localize (grid not built yet).  A *localized* move
+        #: only records the mover in ``_pending``.
         self._geom_epoch = 0
-        #: Per-node neighborhood epoch: bumped when a move could have
-        #: changed this node's in-range candidate membership (the mover
-        #: entered or left the node's conservative range disk).  Absent
-        #: means 0 — nodes nothing ever moved near pay one dict miss.
-        self._nbr_epoch: dict[int, int] = {}
+        #: Per-sender pending movers: the nodes that moved within range
+        #: of this sender (old or new position) since its cached
+        #: candidate index was built.  Present exactly for the senders
+        #: that hold a spatial index; applied at their next transmission.
+        self._pending: dict[int, set[int]] = {}
         #: Total repositions ever applied (the dense index token: with
         #: the spatial index off, the shared per-channel index snapshots
         #: every member's position, so any move invalidates it).
@@ -369,11 +398,15 @@ class RadioMedium:
         self._range_key: tuple | None = None
         self._power_key: tuple | None = None
         self._max_tx_dbm = 0.0
-        self._idx_cache: dict[_t.Any, _CandidateIndex] = {}
+        #: Spatial candidate indexes, one per sender (an index on any
+        #: other channel than the sender's is stale: a hop bumps
+        #: ``_chan_version``), and the dense per-channel indexes.
+        self._idx_cache: dict[int, _CandidateIndex] = {}
+        self._dense_idx: dict[int, _CandidateIndex] = {}
         self._pop_cache: dict[int, tuple[tuple[int, int], int]] = {}
         self._row_cache: dict[
             tuple[int, int],
-            tuple[_CandidateIndex, int, np.ndarray, np.ndarray],
+            tuple[_CandidateIndex, int, np.ndarray, np.ndarray, np.ndarray],
         ] = {}
 
     # -- membership --------------------------------------------------------
@@ -431,18 +464,19 @@ class RadioMedium:
         self._grid = None
 
     def _reposition(self, node_id: int, position: tuple[float, float]) -> None:
-        """A node moved: update its spatial-index bucket and invalidate
-        only the neighborhoods the move could have changed.
+        """A node moved: update its spatial-index bucket and tell only the
+        senders whose cached index the move could have touched.
 
-        The candidate membership of a sender ``S`` changes only if the
-        mover crossed ``S``'s conservative range disk — equivalently, if
+        The mover can be (or become) a candidate of a sender ``S`` only if
         ``S`` sits within the range bound of the mover's old *or* new
-        position (range adjacency is symmetric).  Two grid queries find
-        exactly those senders; everyone else keeps their cached index
-        and mean-loss row.  Without a warm grid (nothing has transmitted
-        yet, or a range change just dropped it) there is no cheap
-        neighborhood test, so the move falls back to the global epoch —
-        correct, and free, because no cache is warm in that state.
+        position (the float predicate is symmetric: ``px - sx`` and
+        ``sx - px`` round to the same magnitude).  Two grid queries find
+        exactly those senders, and the mover joins each one's pending
+        set; everyone else keeps their cached index and mean-loss row.
+        Without a warm grid (nothing has transmitted yet, or a range
+        change just dropped it) there is no cheap neighborhood test, so
+        the move falls back to the global epoch — correct, and free,
+        because no cache is warm in that state.
         """
         self._moves += 1
         c = self._c_repositions
@@ -456,15 +490,13 @@ class RadioMedium:
             return
         old = grid.position(node_id)
         grid.move(node_id, position)
-        nbr = self._nbr_epoch
+        pending = self._pending
         radius = self._range_m
-        affected = grid.within(old, radius)
-        for nid in affected:
-            nbr[nid] = nbr.get(nid, 0) + 1
-        seen = set(affected)
-        for nid in grid.within(position, radius):
-            if nid not in seen:
-                nbr[nid] = nbr.get(nid, 0) + 1
+        for near in (grid.within(old, radius), grid.within(position, radius)):
+            for nid in near:
+                movers = pending.get(nid)
+                if movers is not None:
+                    movers.add(node_id)
 
     def _invalidate_channels(self) -> None:
         self._chan_version += 1
@@ -522,45 +554,110 @@ class RadioMedium:
         return grid
 
     def _cand_index(self, sender_id: int, channel: int) -> _CandidateIndex:
-        """The receiver-candidate snapshot for one sender on one channel."""
+        """The receiver-candidate snapshot for one sender on one channel.
+
+        With the spatial index on, a cached index survives moves: the
+        sender's pending movers are patched in (:meth:`_patch_index`).
+        It is rebuilt from a grid query only on first use, when the
+        sender itself moved, or when a global token moved (attach,
+        channel hop, range change, cold move).
+        """
         self._ensure_range()
-        spatial = self.use_spatial_index
-        if spatial:
-            # Per-node invalidation: the token moves only when *this*
-            # sender's neighborhood epoch does (a node crossed its range
-            # disk), never on an unrelated move across the field.
-            token = (self._geom_epoch, self._nbr_epoch.get(sender_id, 0),
-                     self._chan_version, self._range_version, True)
-            key: _t.Any = (sender_id, channel)
-        else:
+        xcvrs_by_id = self._xcvrs
+        if not self.use_spatial_index:
             # Dense: the index is sender-independent, share it per
             # channel — but it snapshots every member's position, so any
             # move anywhere (``_moves``) invalidates it.
-            token = (self._geom_epoch, self._moves,
-                     self._chan_version, -1, False)
-            key = channel
-        idx = self._idx_cache.get(key)
-        if idx is not None and idx.token == token:
+            token = (self._geom_epoch, self._moves, self._chan_version)
+            idx = self._dense_idx.get(channel)
+            if idx is None or idx.token != token:
+                self._ensure_roster()
+                idx = self._new_index(
+                    channel, token,
+                    [nid for nid in self._ids
+                     if xcvrs_by_id[nid].config.channel == channel])
+                self._dense_idx[channel] = idx
+                self._gauge_idx_rebuilds.value += 1
             return idx
-        xcvrs_by_id = self._xcvrs
-        if spatial:
-            grid = self._ensure_grid()
-            near = grid.within(xcvrs_by_id[sender_id]._position,
-                               self._range_m)
-            members = [nid for nid in near
-                       if xcvrs_by_id[nid].config.channel == channel]
-        else:
-            self._ensure_roster()
-            members = [nid for nid in self._ids
-                       if xcvrs_by_id[nid].config.channel == channel]
-        xcvrs = [xcvrs_by_id[nid] for nid in members]
+        token = (self._geom_epoch, self._chan_version, self._range_version)
+        idx = self._idx_cache.get(sender_id)
+        if idx is not None and idx.token == token and idx.channel == channel:
+            movers = self._pending[sender_id]
+            if not movers:
+                return idx
+            if sender_id not in movers:
+                return self._patch_index(sender_id, idx, movers)
+        near = self._ensure_grid().within(xcvrs_by_id[sender_id]._position,
+                                          self._range_m)
+        idx = self._new_index(
+            channel, token,
+            [nid for nid in near
+             if xcvrs_by_id[nid].config.channel == channel])
+        self._idx_cache[sender_id] = idx
+        self._pending[sender_id] = set()
+        self._gauge_idx_rebuilds.value += 1
+        return idx
+
+    def _new_index(self, channel: int, token: tuple,
+                   members: list[int]) -> _CandidateIndex:
+        xcvrs = [self._xcvrs[nid] for nid in members]
         if members:
             positions = np.array([x._position for x in xcvrs], dtype=float)
         else:
             positions = np.zeros((0, 2))
-        idx = _CandidateIndex(channel, token, members, xcvrs, positions)
-        self._idx_cache[key] = idx
-        self._gauge_idx_rebuilds.value += 1
+        return _CandidateIndex(channel, token, members, xcvrs, positions)
+
+    def _patch_index(self, sender_id: int, idx: _CandidateIndex,
+                     movers: set[int]) -> _CandidateIndex:
+        """Apply a sender's pending movers to its cached index.
+
+        Each mover is tested with :meth:`SpatialGrid.within`'s exact
+        predicate (same operands, same order) plus the channel check, so
+        the result equals a fresh grid query.  The old index is never
+        mutated — an in-flight transmission keeps the snapshot it started
+        with.  Same members: a copy with the moved positions (the
+        mean-loss row then recomputes only its distance term).  Changed
+        members: a new spliced index (its row is rebuilt, drawing any
+        never-seen link's shadowing in id order as a full rebuild would).
+        """
+        xcvrs_by_id = self._xcvrs
+        sx, sy = xcvrs_by_id[sender_id]._position
+        r2 = self._range_m * self._range_m
+        channel = idx.channel
+        offset_of = idx.offset_of
+        moved: list[tuple[int, tuple[float, float]]] = []
+        joined: list[int] = []
+        left: set[int] = set()
+        for nid in movers:
+            xcvr = xcvrs_by_id[nid]
+            pos = xcvr._position
+            dx = pos[0] - sx
+            dy = pos[1] - sy
+            inside = (dx * dx + dy * dy <= r2
+                      and xcvr.config.channel == channel)
+            off = offset_of.get(nid)
+            if off is None:
+                if inside:
+                    joined.append(nid)
+            elif inside:
+                moved.append((off, pos))
+            else:
+                left.add(nid)
+        movers.clear()
+        if joined or left:
+            members = [nid for nid in idx.ids if nid not in left]
+            members.extend(joined)
+            members.sort()
+            idx = self._new_index(channel, idx.token, members)
+        elif moved:
+            positions = idx.positions.copy()
+            for off, pos in moved:
+                positions[off] = pos
+            idx = idx.moved(positions)
+        else:
+            return idx  # the movers passed by without entering the disk
+        self._idx_cache[sender_id] = idx
+        self._gauge_idx_patched.value += 1
         return idx
 
     def _channel_population(self, channel: int) -> int:
@@ -581,32 +678,50 @@ class RadioMedium:
         """Deterministic loss + static shadowing from ``src`` to every
         other candidate, plus those candidates' offsets in ``idx``.
 
-        Cached per (sender, channel); the shadowing epoch in the key means
-        a pinned or newly drawn link anywhere rebuilds the row (a rebuild
-        with no missing links consumes no RNG, so caching cannot shift the
-        stream).  Distances materialize from the index's own positions —
+        Cached per (sender, channel) with its shadowing-plus-penalty
+        part.  The propagation model's ``link_epoch`` in the key means a
+        pin or penalty rebuilds the row; lazy draws elsewhere cannot
+        change any value it holds.  An index patched with the same
+        members (it shares ``ids`` with the cached row's index) costs
+        only the distance term: the cached shadowing is reused, with no
+        walk of the shadowing table.  A rebuild draws shadowing only for
+        never-seen links, in id order, so caching cannot shift the
+        stream.  Distances materialize from the index's own positions —
         one small vector per sender, never an all-pairs matrix.
         """
         prop = self.propagation
-        cached = self._row_cache.get((src, idx.channel))
-        if (cached is not None and cached[0] is idx
-                and cached[1] == prop.shadowing_epoch):
-            return cached[2], cached[3]
+        key = (src, idx.channel)
+        cached = self._row_cache.get(key)
+        if cached is not None and cached[1] == prop.link_epoch:
+            if cached[0] is idx:
+                return cached[2], cached[3]
+            if cached[0].ids is idx.ids:
+                sub_offsets, shadow = cached[3], cached[4]
+                mean = prop.deterministic_loss_db(
+                    self._row_distances(src, idx, sub_offsets)) + shadow
+                self._row_cache[key] = (idx, cached[1], mean, sub_offsets,
+                                        shadow)
+                return mean, sub_offsets
         src_off = idx.offset_of[src]
         sub_offsets = np.delete(np.arange(len(idx.ids), dtype=np.intp),
                                 src_off)
         sub_ids = np.delete(idx.id_arr, src_off)
-        deltas = idx.positions[sub_offsets] - idx.positions[src_off]
-        dists = np.sqrt((deltas ** 2).sum(axis=-1))
         # Same association order as the scalar path: (det + shadow),
         # fading added later by the caller.
-        mean = (prop.deterministic_loss_db(dists)
-                + prop.shadowing_row(src, sub_ids))
-        self._row_cache[(src, idx.channel)] = (
-            idx, prop.shadowing_epoch, mean, sub_offsets
-        )
+        dists = self._row_distances(src, idx, sub_offsets)
+        shadow = prop.shadowing_row(src, sub_ids)
+        mean = prop.deterministic_loss_db(dists) + shadow
+        self._row_cache[key] = (idx, prop.link_epoch, mean, sub_offsets,
+                                shadow)
         self._gauge_rows_rebuilt.value += 1
         return mean, sub_offsets
+
+    @staticmethod
+    def _row_distances(src: int, idx: _CandidateIndex,
+                       sub_offsets: np.ndarray) -> np.ndarray:
+        positions = idx.positions
+        deltas = positions[sub_offsets] - positions[idx.offset_of[src]]
+        return np.sqrt((deltas ** 2).sum(axis=-1))
 
     # -- carrier sense ---------------------------------------------------------
 

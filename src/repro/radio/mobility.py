@@ -27,7 +27,7 @@ The contracts mirror :mod:`repro.faults` exactly:
 
 Motion is discretised on each spec's ``update_every`` cadence (default
 1 s): positions move in steps, which is exactly what the medium's
-epoch-based invalidation is built to absorb — each step costs
+pending-mover patching is built to absorb — each step costs
 O(local density), not O(N).
 """
 

@@ -183,7 +183,7 @@ class PartitionedMedium:
             child._invalidate_topology()
 
     def _reposition(self, node_id: int, position: tuple[float, float]) -> None:
-        # Keep the owning child's spatial buckets and per-node epochs
+        # Keep the owning child's spatial buckets and pending movers
         # current, then decide whether the *component boundaries* could
         # have moved.  Only a merge risk (the mover is now within the
         # adjacency radius of a foreign-owned node) forces an immediate

@@ -84,10 +84,12 @@ class LogDistancePropagation:
         #: added on top of path loss and shadowing.  Empty outside fault
         #: plans, so the untouched case costs one falsy check.
         self._penalties: dict[tuple[int, int], float] = {}
-        #: Bumped whenever the shadowing table changes (a new link drawn or
-        #: a value pinned).  The medium keys its cached per-sender
-        #: mean-loss rows on this, so pinned links invalidate them.
-        self.shadowing_epoch = 0
+        #: Bumped whenever an *existing* link's loss can change: a pinned
+        #: shadowing value or an injected penalty.  The medium keys its
+        #: cached per-sender mean-loss rows on this.  A lazy draw does not
+        #: bump it: it fills a link no cached row holds yet (a row draws
+        #: every link it covers when it is built), so no row goes stale.
+        self.link_epoch = 0
         #: The most *favorable* (negative) loss adjustment ever pinned or
         #: injected, in dB — never positive, never relaxes.  The medium's
         #: spatial index folds it into its conservative range bound so a
@@ -147,7 +149,6 @@ class LogDistancePropagation:
                 self._shadow_rng.normal(0.0, self.shadowing_sigma_db)
             )
             self._shadowing[key] = value
-            self.shadowing_epoch += 1
         return value
 
     def set_link_shadowing_db(self, src: int, dst: int, value: float) -> None:
@@ -156,7 +157,7 @@ class LogDistancePropagation:
         self._shadowing[(src, dst)] = float(value)
         if value < self.pinned_floor_db:
             self.pinned_floor_db = float(value)
-        self.shadowing_epoch += 1
+        self.link_epoch += 1
 
     # -- fault-injection overlay ------------------------------------------------
 
@@ -169,8 +170,9 @@ class LogDistancePropagation:
 
         The fault engine's ``link_degrade`` hook.  Penalties live apart
         from the shadowing table so they can ramp, stack and clear
-        without consuming or disturbing any RNG stream; the epoch bump
-        makes the medium rebuild its cached mean-loss rows.
+        without consuming or disturbing any RNG stream; the
+        :attr:`link_epoch` bump makes the medium rebuild its cached
+        mean-loss rows.
         """
         key = (src, dst)
         if value:
@@ -179,7 +181,7 @@ class LogDistancePropagation:
                 self.pinned_floor_db = float(value)
         else:
             self._penalties.pop(key, None)
-        self.shadowing_epoch += 1
+        self.link_epoch += 1
 
     def shadowing_row(self, src: int, dst_ids: np.ndarray) -> np.ndarray:
         """Shadowing of every directed link ``src -> dst_ids[i]``.
@@ -207,7 +209,6 @@ class LogDistancePropagation:
                 value = float(draw)
                 table[(src, dst)] = value
                 out[i] = value
-            self.shadowing_epoch += len(missing)
         if self._penalties:
             penalties = self._penalties
             for i, dst in enumerate(dst_ids.tolist()):

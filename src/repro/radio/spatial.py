@@ -2,11 +2,12 @@
 
 The medium's receiver-candidate pruning needs one query answered fast:
 *which nodes sit within ``radius`` metres of this position?*  A uniform
-grid whose cell size matches the query radius answers it by scanning a
-3×3 cell neighborhood and applying the exact Euclidean filter — O(local
-density) per query instead of O(all nodes), with no rebalancing and
-O(1) incremental updates when a node attaches or moves (only the
-affected buckets change).
+grid whose cell size matches the query radius answers it by scanning the
+cells under the query disk's bounding box (usually 3×3 when the radius
+is one cell) and applying the exact Euclidean filter — O(local density)
+per query instead of O(all nodes), with no rebalancing and O(1)
+incremental updates when a node attaches or moves (only the affected
+buckets change).
 
 Determinism contract: :meth:`SpatialGrid.within` returns node ids
 **sorted ascending** and filters with an *inclusive* ``distance <=
@@ -21,6 +22,16 @@ from __future__ import annotations
 import math
 
 __all__ = ["SpatialGrid"]
+
+#: Relative widening of the scanned bounding box.  A point passing the
+#: float predicate lies within ``radius * (1 + 3 ulp)`` of the query, and
+#: the box edge ``x - reach`` rounds by about one ulp of ``|x| + reach``;
+#: about 8 ulp (~1e-15) would cover both, and 1e-12 leaves a wide margin
+#: while moving the edge by nanometres on city-sized coordinates.
+_GUARD_REL = 1e-12
+#: Absolute widening: a radius whose square underflows to zero still
+#: admits points within ~1.5e-162 of the query.
+_GUARD_ABS = 1e-150
 
 
 class SpatialGrid:
@@ -84,25 +95,32 @@ class SpatialGrid:
         ascending (the medium's draw-order contract).
 
         The containment test is the *float-evaluated* inclusive
-        predicate ``dx*dx + dy*dy <= radius*radius`` — and rounding can
-        let a point a few ulps outside the true disk pass it while its
-        cell sits just past the geometric scan span.  The ``+ 1`` guard
-        ring keeps the scanned cells a strict superset of every point
-        that can pass the predicate (rounding error is ~1 ulp of the
-        radius; the ring adds a whole cell).  Found by the property
-        tests: a node at ``x = -1e-62`` queried from ``(50, 50)`` at
-        radius 50 rounds to distance exactly 50.
+        predicate ``dx*dx + dy*dy <= radius*radius``, and rounding can
+        let a point a few ulps outside the true disk pass it.  The scan
+        covers the cells under the disk's bounding box widened by
+        :data:`_GUARD_REL` of the coordinates' magnitude (the subtraction
+        ``px - x`` rounds relative to them) plus :data:`_GUARD_ABS` (the
+        squares underflow for radii below ~1e-154), so the scanned cells
+        stay a strict superset of every point that can pass the
+        predicate.  Found by the property tests: a node at
+        ``x = -1e-62`` queried from ``(50, 50)`` at radius 50 rounds to
+        distance exactly 50.
         """
         if radius < 0:
             return []
         x, y = float(pos[0]), float(pos[1])
-        span = math.ceil(radius / self.cell_size) + 1
-        cx, cy = self._cell_of((x, y))
+        reach = (radius + (abs(x) + abs(y) + radius) * _GUARD_REL
+                 + _GUARD_ABS)
+        size = self.cell_size
+        x_lo = math.floor((x - reach) / size)
+        x_hi = math.floor((x + reach) / size)
+        y_lo = math.floor((y - reach) / size)
+        y_hi = math.floor((y + reach) / size)
         r2 = radius * radius
         cells = self._cells
         out: list[int] = []
-        for gx in range(cx - span, cx + span + 1):
-            for gy in range(cy - span, cy + span + 1):
+        for gx in range(x_lo, x_hi + 1):
+            for gy in range(y_lo, y_hi + 1):
                 bucket = cells.get((gx, gy))
                 if bucket is None:
                     continue

@@ -99,8 +99,8 @@ def test_mobile_run_indexed_matches_dense_with_pruning_active():
         indexed_counters.pop("medium.interfered_receptions", 0)
     assert dense_counters == indexed_counters
     # Not vacuous: nodes really moved, pruning really ran, and the
-    # moves really took the incremental path (per-node epochs), not a
-    # global invalidation.
+    # moves really took the incremental path (pending-mover patches),
+    # not a global invalidation.
     assert indexed.monitor.counter("mobility.updates") > 50
     assert indexed.monitor.counter("medium.repositions") > 50
     assert indexed.medium.candidates_pruned > 0
@@ -108,6 +108,7 @@ def test_mobile_run_indexed_matches_dense_with_pruning_active():
     rebuilds = registry.gauge("medium.idx.rebuilds").value
     assert 0 < rebuilds < indexed.monitor.counter("medium.repositions") * \
         len(indexed.nodes())
+    assert registry.gauge("medium.idx.patched").value > 0
 
 
 def test_candidate_gauges_and_stats_view():

@@ -1,15 +1,16 @@
 """Cache-invalidation and retention tests for the vectorized medium.
 
-The medium caches the pairwise distance matrix, per-channel receiver
-indexes and per-sender mean-path-loss rows between transmissions.  Every
-mutation path — moving a node, attaching a new one, hopping channels,
-pinning per-link shadowing — must invalidate the right cache, or the
-simulation silently keeps using stale geometry.  These tests warm the
-caches first and then mutate, so a missing invalidation hook fails them.
+The medium caches per-sender receiver-candidate indexes and mean-path-loss
+rows between transmissions.  Every mutation path — moving a node,
+attaching a new one, hopping channels, pinning per-link shadowing or
+injecting a link penalty — must patch or invalidate the right cache, or
+the simulation silently keeps using stale geometry.  These tests warm
+the caches first and then mutate, so a missing hook fails them.
 """
 
 import gc
 
+import numpy as np
 import pytest
 
 from repro.mac.frame import BROADCAST, Frame
@@ -90,6 +91,26 @@ def test_pinned_shadowing_invalidates_mean_loss_row(quiet_world):
     assert before - after == pytest.approx(40.0, abs=1e-9)
 
 
+def test_link_penalty_invalidates_mean_loss_row(quiet_world):
+    a = quiet_world.medium.attach(1, (0.0, 0.0))
+    b = quiet_world.medium.attach(2, (5.0, 0.0))
+    arrivals = _collect(b)
+    quiet_world.env.process(_send_one(quiet_world, a))
+    quiet_world.env.run()
+    before = arrivals[-1].rx_power_dbm  # warm mean-loss row
+
+    quiet_world.propagation.set_link_penalty_db(1, 2, 30.0)
+    quiet_world.env.process(_send_one(quiet_world, a))
+    quiet_world.env.run()
+    assert before - arrivals[-1].rx_power_dbm == pytest.approx(30.0,
+                                                               abs=1e-9)
+
+    quiet_world.propagation.set_link_penalty_db(1, 2, 0.0)  # cleared
+    quiet_world.env.process(_send_one(quiet_world, a))
+    quiet_world.env.run()
+    assert arrivals[-1].rx_power_dbm == before
+
+
 def test_completed_transmissions_release_overlap_links(quiet_world):
     """A long broadcast storm must not chain transmissions in memory.
 
@@ -122,13 +143,15 @@ def test_completed_transmissions_release_overlap_links(quiet_world):
     assert all(not tx.overlapping and not tx.overlap_senders for tx in live)
 
 
-# -- per-node epochs (time-varying geometry) --------------------------------
+# -- pending movers (time-varying geometry) --------------------------------
 #
-# A move must invalidate exactly the senders whose in-range membership
-# could have changed: everyone within the range bound of the mover's old
-# or new position.  Object identity of the cached _CandidateIndex is the
-# strongest observable — "is" proves the far cluster's caches were never
-# touched, not merely rebuilt to equal contents.
+# A move reaches exactly the senders whose in-range membership it could
+# have changed: everyone within the range bound of the mover's old or
+# new position.  Each of them patches its cached index at its next
+# transmission instead of rebuilding it; only the mover itself rebuilds.
+# Object identity of the cached _CandidateIndex is the strongest
+# observable — "is" proves the far cluster's caches were never touched,
+# not merely rebuilt to equal contents.
 
 FAR = 500_000.0  # way beyond any conservative range bound
 
@@ -141,6 +164,19 @@ def _two_clusters(m):
     return a1, a2, b1, b2
 
 
+def fresh_row(m, src, ids, positions):
+    """``src``'s mean-loss row toward the members ``ids`` at
+    ``positions``, computed from scratch (no caches, no draws)."""
+    prop = m.propagation
+    own = positions[ids.index(src)]
+    others = [off for off, nid in enumerate(ids) if nid != src]
+    dists = np.sqrt(((positions[others] - own) ** 2).sum(axis=-1))
+    shadow = np.array([prop._shadowing[(src, ids[off])]
+                       + prop.link_penalty_db(src, ids[off])
+                       for off in others])
+    return prop.deterministic_loss_db(dists) + shadow
+
+
 def test_unrelated_move_keeps_far_senders_caches(quiet_world):
     m = quiet_world.medium
     a1, a2, b1, _ = _two_clusters(m)
@@ -149,15 +185,60 @@ def test_unrelated_move_keeps_far_senders_caches(quiet_world):
     idx_b = m._cand_index(3, ch)
     row_b = m._mean_loss_row(3, idx_b)
     rebuilds = m._gauge_idx_rebuilds.value
+    patched = m._gauge_idx_patched.value
     rows = m._gauge_rows_rebuilt.value
 
     a2.position = (6.0, 0.0)  # drifts inside cluster A only
 
     assert m._cand_index(3, ch) is idx_b          # far sender: untouched
     assert m._mean_loss_row(3, idx_b)[0] is row_b[0]
-    assert m._cand_index(1, ch) is not idx_a      # neighborhood: rebuilt
-    assert m._gauge_idx_rebuilds.value == rebuilds + 1
+    patched_a = m._cand_index(1, ch)              # neighborhood: patched
+    assert patched_a is not idx_a
+    assert patched_a.ids == idx_a.ids == [1, 2]
+    assert patched_a.positions.tolist() == [[0.0, 0.0], [6.0, 0.0]]
+    assert idx_a.positions.tolist() == [[0.0, 0.0], [5.0, 0.0]]  # intact
+    assert m._gauge_idx_rebuilds.value == rebuilds  # no grid query
+    assert m._gauge_idx_patched.value == patched + 1
     assert m._gauge_rows_rebuilt.value == rows    # no row recomputed
+
+
+def test_drift_inside_disk_patches_row_without_rebuilding(world):
+    """Same members, one moved: the row recomputes its distance term and
+    reuses its cached shadowing — equal to a from-scratch row, with no
+    rebuild and no shadowing draw."""
+    m = world.medium
+    a1, a2, _, _ = _two_clusters(m)
+    ch = a1.config.channel
+    row = m._mean_loss_row(1, m._cand_index(1, ch))[0]
+    rows = m._gauge_rows_rebuilt.value
+    stream = world.propagation._shadow_rng.bit_generator.state
+
+    a2.position = (50.0, 0.0)
+    idx = m._cand_index(1, ch)
+    mean, _ = m._mean_loss_row(1, idx)
+    assert mean is not row
+    assert np.array_equal(mean, fresh_row(m, 1, idx.ids, idx.positions))
+    assert m._gauge_rows_rebuilt.value == rows
+    assert world.propagation._shadow_rng.bit_generator.state == stream
+
+
+def test_crossing_into_a_disk_splices_the_index(quiet_world):
+    """A mover entering a sender's disk joins its members in id order;
+    the index is spliced (a patch, not a rebuild) and its row rebuilt."""
+    m = quiet_world.medium
+    a1, _, b1, _ = _two_clusters(m)
+    ch = a1.config.channel
+    m._mean_loss_row(1, m._cand_index(1, ch))
+    rebuilds = m._gauge_idx_rebuilds.value
+    rows = m._gauge_rows_rebuilt.value
+
+    b1.position = (10.0, 0.0)  # node 3 walks into cluster A
+    idx = m._cand_index(1, ch)
+    assert idx.ids == [1, 2, 3]
+    assert m._gauge_idx_rebuilds.value == rebuilds
+    mean, _ = m._mean_loss_row(1, idx)
+    assert np.array_equal(mean, fresh_row(m, 1, idx.ids, idx.positions))
+    assert m._gauge_rows_rebuilt.value == rows + 1
 
 
 def test_mover_sees_its_own_move(quiet_world):
@@ -168,9 +249,28 @@ def test_mover_sees_its_own_move(quiet_world):
     m.attach(2, (FAR, 0.0))
     ch = lone.config.channel
     idx = m._cand_index(1, ch)
+    rebuilds = m._gauge_idx_rebuilds.value
 
     lone.position = (10.0, 0.0)
     assert m._cand_index(1, ch) is not idx
+    assert m._gauge_idx_rebuilds.value == rebuilds + 1
+
+
+def test_lazy_draw_elsewhere_keeps_far_row(world):
+    """Drawing a never-seen link's shadowing changes no value any cached
+    row holds, so a far sender's row survives it."""
+    m = world.medium
+    a1, _, _, _ = _two_clusters(m)
+    ch = a1.config.channel
+    idx_b = m._cand_index(3, ch)
+    row_b = m._mean_loss_row(3, idx_b)[0]
+    rows = m._gauge_rows_rebuilt.value
+
+    m._mean_loss_row(1, m._cand_index(1, ch))   # draws link 1 -> 2
+    world.propagation.link_shadowing_db(2, 1)  # and a lone lazy draw
+
+    assert m._mean_loss_row(3, idx_b)[0] is row_b
+    assert m._gauge_rows_rebuilt.value == rows + 1  # sender 1's only
 
 
 def test_cold_move_falls_back_to_global_epoch(quiet_world):

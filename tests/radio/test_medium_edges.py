@@ -114,3 +114,48 @@ def test_receiver_changing_channel_mid_frame_misses_it(quiet_world):
     # rx_powers were drawn at start-of-frame, so the frame arrives.
     # What matters for the tools: no crash, and deterministic outcome.
     assert len(heard) <= 1
+
+
+def test_receivers_moving_mid_frame_keep_the_start_of_frame_snapshot(
+        quiet_world):
+    """Candidates and received powers are fixed at start-of-frame.  A
+    move patches the sender's cached index into a *new* snapshot, never
+    the one the in-flight frame holds: a receiver that leaves range
+    mid-frame still gets the frame, and one that enters range mid-frame
+    does not — until the next frame."""
+    m = quiet_world.medium
+    env = quiet_world.env
+    a = m.attach(1, (0.0, 0.0))
+    leaver = m.attach(2, (20.0, 0.0))
+    joiner = m.attach(3, (5000.0, 0.0))
+    left_heard = []
+    joined_heard = []
+    leaver.set_receive_handler(left_heard.append)
+    joiner.set_receive_handler(joined_heard.append)
+    ch = a.config.channel
+
+    def tx():
+        yield m.transmit(a, Frame(src=1, dst=BROADCAST, payload=bytes(100)))
+
+    env.process(tx())
+    env.run()  # warm the sender's index: the moves below are patches
+    assert (len(left_heard), len(joined_heard)) == (1, 0)
+    patched = m._gauge_idx_patched.value
+
+    def swap_mid_frame():
+        yield env.timeout(0.001)
+        leaver.position = (5000.0, 0.0)
+        joiner.position = (20.0, 0.0)
+        # What the sender's next transmission would see, patched while
+        # this frame is still on the air.
+        assert m._cand_index(1, ch).ids == [1, 3]
+
+    env.process(tx())
+    env.process(swap_mid_frame())
+    env.run()
+    assert m._gauge_idx_patched.value == patched + 1
+    assert (len(left_heard), len(joined_heard)) == (2, 0)
+
+    env.process(tx())
+    env.run()
+    assert (len(left_heard), len(joined_heard)) == (2, 1)

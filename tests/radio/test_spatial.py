@@ -10,7 +10,7 @@ boundaries, and re-check after ``move`` rewrites buckets.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.radio import SpatialGrid
@@ -61,6 +61,10 @@ def populated(points: list) -> tuple[SpatialGrid, dict]:
 
 @settings(deadline=None)
 @given(points=st.lists(position, max_size=40), query=position, r=radius)
+# Rounds onto the circle from a cell the bare bounding box misses.
+@example(points=[(-1e-62, 50.0)], query=(50.0, 50.0), r=50.0)
+# Squares underflow: radius 0 still admits a point 1e-170 away.
+@example(points=[(-1e-170, 0.0)], query=(0.0, 0.0), r=0.0)
 def test_within_matches_brute_force(points, query, r):
     grid, table = populated(points)
     assert grid.within(query, r) == brute_force(table, query, r)

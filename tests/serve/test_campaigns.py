@@ -7,7 +7,9 @@ plumbing, never a second execution semantics.
 """
 
 import asyncio
+import threading
 
+import repro.campaign
 from repro.campaign import Campaign, run_campaign
 from repro.serve import ServeApp, build_fleet
 
@@ -132,7 +134,19 @@ def test_negative_workers_normalized_to_serial():
     asyncio.run(main())
 
 
-def test_duplicate_running_campaign_is_conflict():
+def test_duplicate_running_campaign_is_conflict(monkeypatch):
+    # The server imports run_campaign when a campaign starts and runs it
+    # in a worker thread (workers=1 keeps the cells in that thread), so a
+    # wrapper that waits on a gate holds the first campaign open until
+    # the duplicate POST has been answered — no bet on the run's length.
+    gate = threading.Event()
+
+    def gated_run_campaign(*args, **kwargs):
+        assert gate.wait(timeout=60.0), "gate never released"
+        return run_campaign(*args, **kwargs)
+
+    monkeypatch.setattr(repro.campaign, "run_campaign", gated_run_campaign)
+
     async def main():
         app = make_app()
         await app.start(auto_tick=False)
@@ -146,6 +160,7 @@ def test_duplicate_running_campaign_is_conflict():
             status, _ = await fetch_json(app.port, "/campaigns", "POST",
                                          slow)
             assert status == 409
+            gate.set()
             record = await poll_until_settled(app.port, "dup")
             assert record["status"] == "done"
             # Settled campaigns may be re-posted (a re-run).
@@ -154,6 +169,7 @@ def test_duplicate_running_campaign_is_conflict():
             assert status == 202
             await poll_until_settled(app.port, "dup")
         finally:
+            gate.set()  # never leave the worker thread parked
             await app.stop()
 
     asyncio.run(main())
