@@ -7,10 +7,13 @@ is the typed store behind the monitor — the monitor's public API is
 unchanged and delegates here — plus the ``stats`` shell command's data
 source.
 
-Percentiles use the nearest-rank method on the exact sample set (sim
-scale makes keeping samples affordable; there is no bucketing error to
-reason about).  An empty histogram reports ``None`` percentiles rather
-than inventing a value.
+Histograms store each distinct sample value with its count, not every
+sample: a live fleet's LQI takes ~60 distinct values over hundreds of
+thousands of receptions.  Percentiles are still exact nearest-rank
+over the full sample set (there is no bucketing error to reason
+about), and a summary costs O(distinct values), so rendering does not
+slow down as a fleet's uptime grows.  An empty histogram reports
+``None`` percentiles rather than inventing a value.
 """
 
 from __future__ import annotations
@@ -73,73 +76,126 @@ class Gauge:
 
 
 class Histogram:
-    """Exact-sample histogram with nearest-rank percentiles."""
+    """Exact histogram with nearest-rank percentiles, kept as counts.
 
-    __slots__ = ("name", "_values", "_sorted")
+    Samples are stored as a value -> count map: ``observe`` is one dict
+    update, memory is O(distinct values), and :meth:`summary` costs
+    O(distinct values) however many samples a long-lived fleet has
+    seen.  Nothing is bucketed, so every statistic equals what the full
+    sample list gives.  ``0.0`` and ``-0.0`` are one key under dict
+    equality and count together under whichever sign arrived first (no
+    producer emits ``-0.0``).
+    """
+
+    __slots__ = ("name", "_counts", "_keys")
 
     def __init__(self, name: str):
         self.name = name
-        self._values: list[float] = []
-        self._sorted = True
+        self._counts: dict[float, int] = {}
+        #: ``_counts``' keys in ascending order.  Keys are only ever
+        #: added, so the cache is stale exactly when it is shorter.
+        self._keys: list[float] = []
 
     def observe(self, value: float) -> None:
-        self._values.append(float(value))
-        self._sorted = False
+        value = float(value)
+        self._counts[value] = self._counts.get(value, 0) + 1
+
+    def _sorted_keys(self) -> list[float]:
+        if len(self._keys) != len(self._counts):
+            self._keys = sorted(self._counts)
+        return self._keys
 
     @property
     def count(self) -> int:
-        return len(self._values)
+        return sum(self._counts.values())
 
     @property
     def total(self) -> float:
-        return math.fsum(self._values)
+        """``math.fsum`` of every sample, rounded once from the exact sum.
+
+        Finite values accumulate exactly as one integer over a
+        power-of-two denominator, and int/int true division rounds
+        correctly, as ``fsum`` does.  Non-finite values go to ``fsum``
+        itself: inf, nan, or its ``ValueError`` for +inf with -inf.
+        """
+        num, den = 0, 1
+        special = []
+        for value, count in self._counts.items():
+            if not math.isfinite(value):
+                special.append(value)
+                continue
+            n, d = value.as_integer_ratio()
+            if d > den:
+                num *= d // den
+                den = d
+            num += n * count * (den // d)
+        return math.fsum(special) if special else num / den
 
     @property
     def mean(self) -> float | None:
-        return self.total / len(self._values) if self._values else None
+        count = self.count
+        return self.total / count if count else None
 
     @property
     def min(self) -> float | None:
-        return min(self._values) if self._values else None
+        return self._sorted_keys()[0] if self._counts else None
 
     @property
     def max(self) -> float | None:
-        return max(self._values) if self._values else None
+        return self._sorted_keys()[-1] if self._counts else None
+
+    def _at_ranks(self, ranks: list[int]) -> list[float]:
+        """The samples at ascending 1-based ``ranks``, in one walk."""
+        counts = self._counts
+        keys = iter(self._sorted_keys())
+        out: list[float] = []
+        seen = 0
+        for rank in ranks:
+            while seen < rank:
+                key = next(keys)
+                seen += counts[key]
+            out.append(key)
+        return out
+
+    @staticmethod
+    def _rank(p: float, count: int) -> int:
+        # At least 1: a tiny p whose p/100 underflows is still the minimum.
+        return max(1, math.ceil(p / 100.0 * count))
 
     def percentile(self, p: float) -> float | None:
         """Nearest-rank percentile ``p`` in [0, 100]; None when empty."""
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile {p} outside 0..100")
-        if not self._values:
+        count = self.count
+        if not count:
             return None
-        if not self._sorted:
-            self._values.sort()
-            self._sorted = True
-        if p == 0.0:
-            return self._values[0]
-        rank = math.ceil(p / 100.0 * len(self._values))
-        return self._values[rank - 1]
+        return self._at_ranks([self._rank(p, count)])[0]
 
     def summary(self) -> dict[str, float | int | None]:
         """count/min/mean/max plus the p50/p90/p99 triple."""
+        count = self.count
         out: dict[str, float | int | None] = {
-            "count": self.count, "min": self.min, "mean": self.mean,
+            "count": count, "min": self.min, "mean": self.mean,
             "max": self.max,
         }
-        for p in SUMMARY_PERCENTILES:
-            out[f"p{p:g}"] = self.percentile(p)
+        ranks = [self._rank(p, count) for p in SUMMARY_PERCENTILES]
+        quantiles = self._at_ranks(ranks) if count else [None] * len(ranks)
+        for p, value in zip(SUMMARY_PERCENTILES, quantiles):
+            out[f"p{p:g}"] = value
         return out
 
     def values(self) -> list[float]:
-        """The raw samples, in observation order is *not* guaranteed
-        (percentile queries sort in place); use for distribution checks."""
-        return list(self._values)
+        """Every sample, in ascending order; use for distribution checks."""
+        counts = self._counts
+        return [key for key in self._sorted_keys()
+                for _ in range(counts[key])]
 
     def __getstate__(self):
-        return (self.name, self._values, self._sorted)
+        return (self.name, self._counts)
 
     def __setstate__(self, state) -> None:
-        self.name, self._values, self._sorted = state
+        self.name, self._counts = state
+        self._keys = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Histogram {self.name} n={self.count}>"

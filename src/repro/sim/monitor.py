@@ -151,7 +151,7 @@ class Monitor:
         self._series[name].append(
             Sample(time=time, value=value, tags=tuple(sorted(tags.items())))
         )
-        self.registry.histogram(name).observe(value)
+        self.histogram_obj(name).observe(value)
 
     def observe(self, name: str, value: float) -> None:
         """Feed a value to histogram ``name`` without keeping a Sample.
@@ -168,11 +168,11 @@ class Monitor:
 
     def histogram(self, name: str) -> Histogram:
         """The histogram behind series/observations named ``name``."""
-        return self.registry.histogram(name)
+        return self.histogram_obj(name)
 
     def percentiles(self, name: str) -> dict[str, float | int | None]:
         """Summary (count/min/mean/max/p50/p90/p99) of ``name``."""
-        return self.registry.histogram(name).summary()
+        return self.histogram_obj(name).summary()
 
     def series(self, name: str) -> list[Sample]:
         """All samples recorded under ``name`` (empty list if none)."""

@@ -2,6 +2,7 @@
 monitor's delegation to the registry."""
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -165,6 +166,20 @@ def test_monitor_record_feeds_histogram():
     assert percentiles["count"] == 4
     assert percentiles["p50"] == 2.0
     assert percentiles["max"] == 4.0
+
+
+def test_monitor_histogram_lookups_share_one_memo():
+    """``record``, ``observe``, ``histogram`` and ``percentiles`` resolve
+    a name through the monitor's memo, not a registry lookup per call."""
+    mon = Monitor()
+    mon.record("rtt", 0.0, 1.0)
+    hist = mon.histogram_obj("rtt")
+    with mock.patch.object(MetricsRegistry, "histogram",
+                           side_effect=AssertionError("registry lookup")):
+        mon.record("rtt", 1.0, 2.0)
+        mon.observe("rtt", 3.0)
+        assert mon.histogram("rtt") is hist
+        assert mon.percentiles("rtt")["count"] == 3
 
 
 def test_monitor_observe_skips_series():

@@ -26,6 +26,10 @@ def test_metric_primitives_roundtrip(protocol):
     hist = Histogram("h")
     for v in (3.0, 1.0, 2.0):
         hist.observe(v)
+    repeats = Histogram("lqi")
+    for v in (105, 98, 105, 105, 98, 71):
+        repeats.observe(v)
+    summary = repeats.summary()  # fills the sorted-key cache
 
     c2 = pickle.loads(pickle.dumps(counter, protocol))
     assert (c2.name, c2.value) == ("c", 41)
@@ -38,6 +42,16 @@ def test_metric_primitives_roundtrip(protocol):
     h2 = pickle.loads(pickle.dumps(hist, protocol))
     assert h2.count == 3 and h2.percentile(50) == 2.0
     assert sorted(h2.values()) == [1.0, 2.0, 3.0]
+
+    # The value -> count state: repeats survive as counts, and the
+    # clone keeps observing (a new distinct value re-sorts its keys).
+    r2 = pickle.loads(pickle.dumps(repeats, protocol))
+    assert r2.name == "lqi"
+    assert repr(r2.summary()) == repr(summary)
+    assert r2.values() == [71.0, 98.0, 98.0, 105.0, 105.0, 105.0]
+    r2.observe(50)
+    assert (r2.count, r2.min, r2.percentile(50)) == (7, 50.0, 98.0)
+    assert repeats.count == 6  # the original is untouched
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
