@@ -14,7 +14,6 @@ from repro.errors import NoSuchNode
 from repro.kernel.filesystem import Namespace
 from repro.kernel.node import SensorNode
 from repro.radio.medium import RadioMedium
-from repro.radio.partition import PartitionedMedium
 from repro.radio.propagation import LogDistancePropagation
 from repro.sim.engine import Environment
 from repro.sim.monitor import Monitor
@@ -31,20 +30,14 @@ class Testbed:
 
     def __init__(self, seed: int = 1, *,
                  propagation_kwargs: dict | None = None,
-                 corrupt_delivery_fraction: float = 0.3,
-                 partitioned: bool = False):
+                 corrupt_delivery_fraction: float = 0.3):
         self.env = Environment()
         self.rng = RngRegistry(seed)
         self.monitor = Monitor()
         self.propagation = LogDistancePropagation(
             self.rng, **(propagation_kwargs or {})
         )
-        #: ``partitioned=True`` swaps in the multi-medium facade: each
-        #: radio-connected component runs on its own RadioMedium (see
-        #: repro.radio.partition).  With uniform transmit power the run
-        #: is bit-for-bit identical to the single-medium one.
-        medium_cls = PartitionedMedium if partitioned else RadioMedium
-        self.medium = medium_cls(
+        self.medium = RadioMedium(
             self.env, self.rng, self.monitor, self.propagation,
             corrupt_delivery_fraction=corrupt_delivery_fraction,
         )

@@ -61,7 +61,7 @@ before the grid exists), rebuilds from a grid query.  A row rebuild
 draws shadowing only for links never seen before (see
 :meth:`LogDistancePropagation.shadowing_row`), in id order, exactly as
 a full rebuild would, so patching cannot shift any stream — continuous
-mobility stays byte-identical between the spatial and dense paths.  The
+mobility stays byte-identical to a per-frame scalar walk.  The
 ``medium.repositions`` counter, the ``medium.idx.rebuilds`` /
 ``medium.rows.rebuilt`` gauges (full rebuilds) and the
 ``medium.idx.patched`` gauge (shell: ``stats medium.``) account for the
@@ -69,19 +69,22 @@ moves and the work they cause.
 
 Pruning vs determinism
 ----------------------
-The spatial bound must never change *what happens*, only skip work that
-cannot matter.  The query radius is the distance at which deterministic
-path loss alone consumes the whole link budget ``max attached tx power −
-SENSITIVITY_DBM`` **plus** ``RANGE_MARGIN_SIGMAS`` standard deviations of
-(shadowing + fading) **plus** any pinned negative loss adjustment
-(:attr:`LogDistancePropagation.pinned_floor_db`).  A receiver outside
-that radius would fail the sensitivity check with overwhelming
-probability, drawing nothing from the reception/corruption/PHY streams —
-exactly as the dense path classifies it ``out of range``.  Candidate
-sets are enumerated sorted by id, so every stream that is consumed is
-consumed in the historical order.  ``use_spatial_index = False`` restores
-the dense enumeration, and the parity tests in
-``tests/integration/test_spatial_parity.py`` hold the two byte-identical.
+The model has one cut-off rule: a frame's energy reaches only the radios
+on its channel inside the sender's conservative range bound at
+start-of-frame (:func:`range_bound_m`).  The bound is the distance at
+which deterministic path loss alone consumes ``max attached tx power −
+SENSITIVITY_DBM`` **plus** a margin of ``RANGE_MARGIN_SIGMAS`` standard
+deviations of (shadowing + fading), floored at
+``RANGE_MARGIN_FLOOR_DB``, **plus** any pinned negative loss adjustment
+(:attr:`LogDistancePropagation.pinned_floor_db`).  A radio beyond it
+would fail the sensitivity check with overwhelming probability, and its
+mean received power sits at least 20 dB under the noise floor, so
+leaving it out of SINR, CCA and ambient-energy sums changes nothing a
+receiver could measure.  Everything else is exact: candidates are
+enumerated sorted by id, so every stream is consumed in the order of a
+per-receiver scalar loop.  ``tests/radio/reference_medium.py`` is that
+loop — the cut-off rule and nothing else, one scalar draw per receiver
+— and the parity suites hold this medium byte-identical to it.
 """
 
 from __future__ import annotations
@@ -113,7 +116,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.mac.frame import Frame
 
 __all__ = ["FrameArrival", "Transceiver", "RadioMedium",
-           "CAPTURE_THRESHOLD_DB", "RANGE_MARGIN_SIGMAS"]
+           "CAPTURE_THRESHOLD_DB", "RANGE_MARGIN_SIGMAS",
+           "RANGE_MARGIN_FLOOR_DB", "range_bound_m"]
 
 #: Minimum SINR for decoding *in the presence of an overlapping frame*.
 #: The analytic PRR curve assumes Gaussian noise; a co-channel 802.15.4
@@ -129,6 +133,27 @@ CAPTURE_THRESHOLD_DB = 4.0
 #: while keeping the bound tight enough that a 1k-node district field
 #: prunes >90% of receivers per transmission.
 RANGE_MARGIN_SIGMAS = 8.0
+
+#: The least stochastic margin the range bound adds, in dB.  With little
+#: or no shadowing and fading the sigma margin shrinks to nothing and the
+#: bound would sit at the sensitivity distance — where a transmitter is
+#: still only 3 dB under the noise floor, loud enough to move an SINR.
+#: This floor keeps the mean power of every pruned transmitter at least
+#: 20 dB under ``NOISE_FLOOR_DBM``.
+RANGE_MARGIN_FLOOR_DB = SENSITIVITY_DBM - NOISE_FLOOR_DBM + 20.0
+
+
+def range_bound_m(propagation: LogDistancePropagation,
+                  max_tx_dbm: float) -> float:
+    """The conservative maximum radio range: beyond it no frame sent at
+    ``max_tx_dbm`` or less reaches any radio (the cut-off rule)."""
+    margin = max(RANGE_MARGIN_SIGMAS * (propagation.shadowing_sigma_db
+                                        + propagation.fading_sigma_db),
+                 RANGE_MARGIN_FLOOR_DB)
+    budget = (max_tx_dbm - SENSITIVITY_DBM + margin
+              - min(0.0, propagation.pinned_floor_db))
+    return propagation.range_for_budget_m(budget)
+
 
 #: ``dbm_sum(NOISE_FLOOR_DBM)`` with no interferers round-trips to exactly
 #: the noise floor; precomputing it keeps the no-interference SINR
@@ -222,11 +247,10 @@ class _CandidateIndex:
     """Snapshot of one sender's receiver candidates on one channel.
 
     ``ids`` is sorted ascending (the medium's draw-order contract),
-    includes the sender, and — with the spatial index on — only nodes
-    within the conservative maximum radio range of the sender.  With the
-    index off it is the full channel membership (the dense historical
-    behavior).  ``positions`` carries the members' coordinates so loss
-    rows materialize without any global matrix.
+    includes the sender, and holds only nodes within the conservative
+    maximum radio range of the sender.  ``positions`` carries the
+    members' coordinates so loss rows materialize without any global
+    matrix.
     """
 
     __slots__ = ("channel", "token", "ids", "id_arr", "offset_of",
@@ -266,12 +290,12 @@ class _ActiveTransmission:
 
     __slots__ = ("sender", "channel", "tx_power_dbm", "start", "end",
                  "index", "rx_list", "overlapping", "overlap_senders",
-                 "pos", "gate_m")
+                 "pos", "gate_m", "move_serial")
 
     def __init__(self, sender: int, channel: int, tx_power_dbm: float,
                  start: float, end: float, index: _CandidateIndex,
                  rx_list: list[float], pos: tuple[float, float],
-                 gate_m: float) -> None:
+                 gate_m: float, move_serial: int) -> None:
         self.sender = sender
         self.channel = channel
         self.tx_power_dbm = tx_power_dbm
@@ -281,10 +305,12 @@ class _ActiveTransmission:
         #: transmissions farther apart than the sum of their radii have
         #: disjoint candidate disks, so neither can interfere with (or
         #: half-duplex-mute) any receiver of the other — the overlap
-        #: bookkeeping skips such pairs entirely.  Dense-index mediums
-        #: use an infinite radius (candidate sets are unbounded).
+        #: bookkeeping skips such pairs entirely, unless a node moved in
+        #: between (it can leave one disk for the other mid-frame), which
+        #: ``move_serial`` — the medium's move count at start — tells.
         self.pos = pos
         self.gate_m = gate_m
+        self.move_serial = move_serial
         #: Candidate membership and received powers, snapshotted at
         #: start-of-frame (a receiver hopping away mid-frame still gets
         #: the frame; one hopping in never does — as before).  Kept as a
@@ -320,7 +346,6 @@ class RadioMedium:
         propagation: LogDistancePropagation,
         *,
         corrupt_delivery_fraction: float = 0.3,
-        use_spatial_index: bool = True,
     ) -> None:
         self.env = env
         self.monitor = monitor
@@ -339,9 +364,6 @@ class RadioMedium:
         #: Fraction of failed receptions delivered as corrupted bytes (so
         #: the stack's CRC checker sees real work) rather than silence.
         self.corrupt_delivery_fraction = float(corrupt_delivery_fraction)
-        #: ``False`` restores the dense all-members candidate enumeration
-        #: (one shared index per channel); the parity tests flip this.
-        self.use_spatial_index = bool(use_spatial_index)
         #: Cumulative receiver-candidate accounting: how many same-channel
         #: receivers were actually evaluated vs skipped by the spatial
         #: bound.  Mirrored into the ``medium.candidates.considered`` /
@@ -372,6 +394,9 @@ class RadioMedium:
         self._c_corrupt = None
         self._c_tx = None
         self._c_repositions = None
+        #: Every reposition ever applied; the overlap gate in
+        #: :meth:`transmit` holds only between frames no move separates.
+        self._move_serial = 0
         self._h_lqi = None
         # -- cached vectorized state (see module docstring) -------------
         #: Global geometry epoch: bumped on attach and on any move the
@@ -383,15 +408,9 @@ class RadioMedium:
         #: candidate index was built.  Present exactly for the senders
         #: that hold a spatial index; applied at their next transmission.
         self._pending: dict[int, set[int]] = {}
-        #: Total repositions ever applied (the dense index token: with
-        #: the spatial index off, the shared per-channel index snapshots
-        #: every member's position, so any move invalidates it).
-        self._moves = 0
         self._chan_version = 0       # bumped on any channel change
         self._power_version = 0      # bumped on any PA-level change
         self._member_epoch = 0       # bumped on attach only
-        self._roster_epoch = -1      # _member_epoch the roster reflects
-        self._ids: list[int] = []
         self._grid: SpatialGrid | None = None
         self._range_m = 0.0
         self._range_version = 0
@@ -400,9 +419,8 @@ class RadioMedium:
         self._max_tx_dbm = 0.0
         #: Spatial candidate indexes, one per sender (an index on any
         #: other channel than the sender's is stale: a hop bumps
-        #: ``_chan_version``), and the dense per-channel indexes.
+        #: ``_chan_version``).
         self._idx_cache: dict[int, _CandidateIndex] = {}
-        self._dense_idx: dict[int, _CandidateIndex] = {}
         self._pop_cache: dict[int, tuple[tuple[int, int], int]] = {}
         self._row_cache: dict[
             tuple[int, int],
@@ -417,15 +435,6 @@ class RadioMedium:
         if node_id in self._xcvrs:
             raise RadioError(f"node {node_id} already attached to the medium")
         xcvr = Transceiver(self, node_id, position, config or RadioConfig())
-        self._adopt(xcvr)
-        return xcvr
-
-    def _adopt(self, xcvr: Transceiver) -> None:
-        """Register an existing transceiver (the facade's partition path
-        hands pre-built transceivers to child mediums)."""
-        node_id = xcvr.node_id
-        if node_id in self._xcvrs:
-            raise RadioError(f"node {node_id} already attached to the medium")
         self._xcvrs[node_id] = xcvr
         xcvr.config._listener = self._invalidate_channels
         xcvr.config._power_listener = self._invalidate_power
@@ -434,6 +443,7 @@ class RadioMedium:
         if self._grid is not None:
             # Keep the grid warm: an attach touches one bucket.
             self._grid.insert(node_id, xcvr._position)
+        return xcvr
 
     def transceiver(self, node_id: int) -> Transceiver:
         """Look up an attached transceiver by node id."""
@@ -456,13 +466,6 @@ class RadioMedium:
 
     # -- cache maintenance -------------------------------------------------
 
-    def _invalidate_topology(self) -> None:
-        """Full topology invalidation (membership or positions changed in
-        a way we could not track incrementally)."""
-        self._geom_epoch += 1
-        self._moves += 1
-        self._grid = None
-
     def _reposition(self, node_id: int, position: tuple[float, float]) -> None:
         """A node moved: update its spatial-index bucket and tell only the
         senders whose cached index the move could have touched.
@@ -478,12 +481,12 @@ class RadioMedium:
         the move falls back to the global epoch — correct, and free,
         because no cache is warm in that state.
         """
-        self._moves += 1
         c = self._c_repositions
         if c is None:
             c = self._c_repositions = self.monitor.counter_obj(
                 "medium.repositions")
         c.value += 1
+        self._move_serial += 1
         grid = self._grid
         if grid is None or node_id not in grid or self._range_m <= 0.0:
             self._geom_epoch += 1
@@ -527,22 +530,11 @@ class RadioMedium:
                 prop.shadowing_sigma_db, prop.fading_sigma_db)
         if rkey != self._range_key:
             self._range_key = rkey
-            budget = (
-                self._max_tx_dbm - SENSITIVITY_DBM
-                + RANGE_MARGIN_SIGMAS * (prop.shadowing_sigma_db
-                                         + prop.fading_sigma_db)
-                - min(0.0, prop.pinned_floor_db)
-            )
-            new_range = prop.range_for_budget_m(budget)
+            new_range = range_bound_m(prop, self._max_tx_dbm)
             if new_range != self._range_m:
                 self._range_m = new_range
                 self._range_version += 1
                 self._grid = None  # cell size is stale
-
-    def _ensure_roster(self) -> None:
-        if self._roster_epoch != self._member_epoch:
-            self._ids = sorted(self._xcvrs)
-            self._roster_epoch = self._member_epoch
 
     def _ensure_grid(self) -> SpatialGrid:
         grid = self._grid
@@ -556,29 +548,14 @@ class RadioMedium:
     def _cand_index(self, sender_id: int, channel: int) -> _CandidateIndex:
         """The receiver-candidate snapshot for one sender on one channel.
 
-        With the spatial index on, a cached index survives moves: the
-        sender's pending movers are patched in (:meth:`_patch_index`).
-        It is rebuilt from a grid query only on first use, when the
-        sender itself moved, or when a global token moved (attach,
-        channel hop, range change, cold move).
+        A cached index survives moves: the sender's pending movers are
+        patched in (:meth:`_patch_index`).  It is rebuilt from a grid
+        query only on first use, when the sender itself moved, or when a
+        global token moved (attach, channel hop, range change, cold
+        move).
         """
         self._ensure_range()
         xcvrs_by_id = self._xcvrs
-        if not self.use_spatial_index:
-            # Dense: the index is sender-independent, share it per
-            # channel — but it snapshots every member's position, so any
-            # move anywhere (``_moves``) invalidates it.
-            token = (self._geom_epoch, self._moves, self._chan_version)
-            idx = self._dense_idx.get(channel)
-            if idx is None or idx.token != token:
-                self._ensure_roster()
-                idx = self._new_index(
-                    channel, token,
-                    [nid for nid in self._ids
-                     if xcvrs_by_id[nid].config.channel == channel])
-                self._dense_idx[channel] = idx
-                self._gauge_idx_rebuilds.value += 1
-            return idx
         token = (self._geom_epoch, self._chan_version, self._range_version)
         idx = self._idx_cache.get(sender_id)
         if idx is not None and idx.token == token and idx.channel == channel:
@@ -767,20 +744,17 @@ class RadioMedium:
                 continue
             power = tx.power_at(rid)
             if power is None:
-                # The sampler was not a candidate at start-of-frame.  If
-                # the sender is beyond the spatial bound, its leakage sits
-                # ≥ the stochastic margin below the sensitivity floor —
-                # inaudible, and skipping it keeps the shadowing stream
-                # untouched.  Otherwise the sampler hopped onto this
-                # channel after the frame started; compute its leakage on
-                # the fly, exactly as the dense path always has.
-                if (self.use_spatial_index
-                        and self.distance(tx.sender, rid) > self.max_range_m):
+                # The sampler was not a candidate at start-of-frame: it
+                # hopped onto this channel, or moved, since.  The cut-off
+                # rule applies to where it is now — beyond the bound the
+                # leakage is inaudible (and skipping it keeps the
+                # shadowing stream untouched); inside, its mean power is
+                # computed on the fly.
+                distance = self.distance(tx.sender, rid)
+                if distance > self.max_range_m:
                     continue
                 power = self.propagation.mean_received_power_dbm(
-                    tx.tx_power_dbm, tx.sender, rid,
-                    self.distance(tx.sender, rid),
-                )
+                    tx.tx_power_dbm, tx.sender, rid, distance)
             powers.append(power)
         floor = NOISE_FLOOR_DBM
         faults = self.faults
@@ -814,8 +788,6 @@ class RadioMedium:
         pruned = self._channel_population(channel) - 1 - count
         self.candidates_considered += count
         self.candidates_pruned += pruned
-        # Incremented, not assigned: partitioned runs share one gauge
-        # across several child mediums, each with its own totals.
         self._gauge_considered.value += count
         self._gauge_pruned.value += pruned
         prop = self.propagation
@@ -829,20 +801,22 @@ class RadioMedium:
         rx_list: list[float] = (tx_power - loss).tolist() if count else []
         rx_list.insert(idx.offset_of[sender_id], float("-inf"))
 
-        gate_m = self.max_range_m if self.use_spatial_index else math.inf
+        gate_m = self._range_m
+        serial = self._move_serial
         tx = _ActiveTransmission(
             sender_id, channel, tx_power, now, now + airtime, idx, rx_list,
-            xcvr._position, gate_m
+            xcvr._position, gate_m, serial
         )
         sx, sy = tx.pos
         for other in self._active:
             # Disjoint candidate disks: no receiver of either frame can
             # see the other, so the cross-links would never be consulted.
-            lim = gate_m + other.gate_m
-            dx = sx - other.pos[0]
-            dy = sy - other.pos[1]
-            if dx * dx + dy * dy > lim * lim:
-                continue
+            if other.move_serial == serial:
+                lim = gate_m + other.gate_m
+                dx = sx - other.pos[0]
+                dy = sy - other.pos[1]
+                if dx * dx + dy * dy > lim * lim:
+                    continue
             other.overlap_senders.add(sender_id)
             tx.overlap_senders.add(other.sender)
             if other.channel == channel:
@@ -1133,9 +1107,9 @@ class RadioMedium:
         # An addressed destination the spatial bound excluded never
         # appears in the loop above; its lifecycle trace still owes the
         # "where did my packet go" answer.  No RNG: the estimate is
-        # deterministic loss only (the dense path's drawn value would
-        # differ by at most the stochastic terms, both irrelevant this
-        # far below sensitivity).
+        # deterministic loss only (a drawn value would differ by at most
+        # the stochastic terms, both irrelevant this far below
+        # sensitivity).
         if (trace_on and not is_broadcast and dst is not None
                 and dst != sender_id and dst not in idx.offset_of):
             dxcvr = self._xcvrs.get(dst)

@@ -15,9 +15,9 @@ the paper's experiments:
   stable property of a deployment that probing can actually characterise;
   per-packet variation comes only from the smaller fading term.
 
-The all-pairs deterministic loss is computed as a vectorised numpy matrix
-(the hpc-parallel guides' "vectorise the hot loop" idiom) because the
-medium recomputes candidate receivers on every transmission.
+The medium evaluates deterministic loss one sender's candidate vector at
+a time; the all-pairs :meth:`~LogDistancePropagation.loss_matrix` serves
+only whole-network planning (``repro.analysis.connectivity``).
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class LogDistancePropagation:
         Inverts :meth:`deterministic_loss_db`; never below the reference
         distance (inside which the loss clamps).  The medium derives its
         spatial-index radius from this with a conservative stochastic
-        margin on top — see ``RadioMedium._ensure_range``.
+        margin on top — see :func:`repro.radio.medium.range_bound_m`.
         """
         d = self.reference_distance_m * 10.0 ** (
             (link_budget_db - self.reference_loss_db)

@@ -104,8 +104,7 @@ def hundred_node_field(seed: int = 1, *, spacing: float = 45.0,
 def thousand_node_city(seed: int = 1, *, districts: int = 5,
                        per_district: int = 40, pitch: float = 1500.0,
                        spacing: float = 45.0, bridges: bool = True,
-                       realistic: bool = True,
-                       partitioned: bool = False) -> Testbed:
+                       realistic: bool = True) -> Testbed:
     """A 1k-node city: clustered districts, sparse inter-district bridges.
 
     The default is 5×5 districts of 40 nodes plus 40 bridge relays —
@@ -117,13 +116,11 @@ def thousand_node_city(seed: int = 1, *, districts: int = 5,
     pruning (>90% of receivers skipped per transmission).
 
     ``bridges=False`` drops the relays, leaving ``districts²`` mutually
-    unreachable radio islands; combined with ``partitioned=True`` each
-    island runs on its own child medium (``repro.radio.partition``).
+    unreachable radio islands.
     """
     return build_city(
         districts, districts, per_district,
         pitch=pitch, spacing=spacing, bridges=bridges, seed=seed,
         propagation_kwargs=(REALISTIC_PROPAGATION if realistic
                             else QUIET_PROPAGATION),
-        partitioned=partitioned,
     )

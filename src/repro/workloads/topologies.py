@@ -108,7 +108,7 @@ def city_positions(districts_x: int, districts_y: int, per_district: int,
     next.  With ``bridges=True`` a relay node sits at the midpoint of
     every adjacent district pair, stitching the city into one connected
     network; with ``bridges=False`` each district is its own radio
-    island (the multi-medium partitioning demo).
+    island, and the medium never enumerates a receiver across the gap.
 
     Order is deterministic: districts row-major, nodes within a district
     row-major, then all bridge relays (horizontal sweeps before vertical).
@@ -221,11 +221,9 @@ def build_city(districts_x: int, districts_y: int, per_district: int, *,
                pitch: float = 1500.0, spacing: float = 45.0,
                bridges: bool = True, seed: int = 1,
                propagation_kwargs: dict | None = None,
-               partitioned: bool = False,
                **node_kwargs: object) -> Testbed:
     """A city testbed (see :func:`city_positions`)."""
-    testbed = Testbed(seed=seed, propagation_kwargs=propagation_kwargs,
-                      partitioned=partitioned)
+    testbed = Testbed(seed=seed, propagation_kwargs=propagation_kwargs)
     positions = city_positions(
         districts_x, districts_y, per_district,
         pitch=pitch, spacing=spacing, rng=testbed.rng, bridges=bridges,

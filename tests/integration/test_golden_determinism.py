@@ -3,9 +3,9 @@
 ``tests/golden/determinism_golden.json`` was captured from the *scalar*
 per-receiver medium before the vectorized rewrite.  These tests prove
 the contract the rewrite was held to: batched RNG draws, the cached
-distance/path-loss matrix, and the pooled-timeout fast path change
-nothing observable — same counters, same packet log, same final clock,
-whether or not tracing is enabled.
+per-sender candidate indexes and mean-loss rows, and the pooled-timeout
+fast path change nothing observable — same counters, same packet log,
+same final clock, whether or not tracing is enabled.
 
 If a future change legitimately alters the simulation (not just its
 speed), recapture the fixture deliberately; never loosen these asserts.
