@@ -9,7 +9,7 @@ first-class object:
   seeds derived by SHA-256 (order- and worker-count-independent);
 * :func:`~repro.campaign.runner.run_campaign` — serial or warm-pool
   execution (:mod:`~repro.campaign.pool`: persistent pre-imported
-  workers, chunked dispatch with work stealing) with per-run timeouts,
+  workers, one cell in flight per worker) with per-run timeouts,
   bounded retries and partial-result reporting;
 * :meth:`Campaign.shard(k, of) <repro.campaign.spec.Campaign.shard>` /
   :func:`~repro.campaign.results.merge_shards` — split a campaign

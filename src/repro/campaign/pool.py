@@ -1,54 +1,29 @@
-"""Persistent warm-worker pool: chunked dispatch with work stealing.
+"""Persistent warm-worker pool: one cell in flight per warm worker.
 
-The spawn-per-campaign pool of PR 3 lost to its own startup cost — four
-fresh interpreters importing ``repro`` (and numpy/scipy underneath it)
-cost more than the 16 runs they were meant to parallelise.  This module
-replaces it with a pool whose workers are **warm**: each worker process
-imports the simulator and the scenario registry *once* at startup, then
-services any number of task batches over its lifetime.  Campaigns, the
-benches and the serve layer all share the same pool through
-:func:`get_warm_pool`, so the import bill is paid once per process
-lifetime, not once per campaign.
+Workers are **warm**: each imports the simulator and the scenario
+registry once, then services every batch of the process's lifetime.
+Campaigns, the benches and the serve layer share one pool through
+:func:`get_warm_pool`, so that import bill is paid once per process.
 
-Scheduling is *chunked dispatch plus work stealing* over a shared task
-deque:
+Each worker is a **slot**, a single-worker
+:class:`~concurrent.futures.ProcessPoolExecutor` never given more than
+one cell at a time; :meth:`WarmPool.run_batch` hands the next cell to
+whichever slot finishes first.  Scheduling changes wall-clock only: a
+cell's outcome is a pure function of its
+:class:`~repro.campaign.spec.RunSpec`, and results are reassembled by index.
 
-* every batch's claim state lives in shared memory — a ``head`` cursor
-  over the task array plus one ``[lo, hi)`` reserved range per worker —
-  guarded by a single cross-process lock (claims are a few integer ops,
-  so one lock is cheaper than fine-grained CAS games in Python);
-* a worker claims a **chunk** of guided size (``remaining / 4·workers``,
-  clamped to ``[1, max_chunk]``) in one lock acquisition, executes it
-  item by item, and leaves the unstarted tail of its range visible;
-* a worker that runs out of fresh chunks **steals from the tail** of the
-  most-loaded peer's reserved range, so one expensive chunk can never
-  serialise the end of a campaign behind a single straggler.
+A worker that *dies* (OOM killer, ``os._exit`` in scenario code) breaks
+only its own slot, so its ``BrokenProcessPool`` names exactly the cell
+it held: that cell settles as a failed result (the runner's retry
+ladder applies) and the slot is replaced.  A shared N-worker executor
+cannot do this: one death terminates all its workers and fails every
+pending future with the same ``BrokenProcessPool``.  The pool never
+runs a cell in the caller, so a cell that kills every worker it touches
+costs failed results, never the calling process.
 
-Results are deterministic by construction: a task's outcome is a pure
-function of its :class:`~repro.campaign.spec.RunSpec`, and the parent
-reassembles results by expansion index, so scheduling order (and
-stealing) changes wall-clock only — the property the sharded==serial
-digest tests pin.
-
-Failure containment: scenario exceptions and timeouts are already data
-(:func:`~repro.campaign.runner.execute_spec` never raises); a worker
-process that *dies* mid-task (OOM killer, ``os._exit`` in scenario
-code) is detected by the parent, its in-flight task is settled as a
-failed result (so the runner's retry ladder applies), its unstarted
-reserved range is reclaimed, and the pool refills the slot before the
-next batch.  If every worker dies the parent finishes the batch
-in-process — a broken pool degrades to serial, never to a hang.
-
-Results travel over one **single-producer pipe per worker**, never a
-shared ``multiprocessing.Queue``: a shared queue serialises every
-producer through one cross-process write lock, and a worker dying with
-that lock held (its feeder thread is killed mid-flush) wedges every
-surviving worker's ``put`` forever.  With per-worker pipes a death can
-only ever break the dead worker's own channel — the parent closes its
-copy of each write end, so reading a dead worker's pipe raises
-``EOFError`` instead of blocking — and the parent multiplexes pipes
-*and* process sentinels through ``multiprocessing.connection.wait``,
-so a crash is observed immediately, not on the next poll timeout.
+Each slot keeps two threads in the parent (its manager and its call
+queue's feeder).  Interpreter exit joins the manager threads before
+:mod:`atexit` runs, so a cell already running finishes first.
 """
 
 from __future__ import annotations
@@ -59,11 +34,11 @@ import multiprocessing
 import os
 import sys
 import threading
-import time
 import traceback
 import typing as _t
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import replace
-from multiprocessing.connection import wait as _wait_connections
 
 from repro.campaign.results import RunResult
 from repro.campaign.spec import RunSpec
@@ -86,13 +61,6 @@ PRELOAD = (
     "repro.faults",
     "repro.diag",
 )
-
-#: Sentinel in the per-worker ``current`` slot: nothing claimed.
-_IDLE = -1
-
-#: Upper bound on one claim, whatever the guided formula says — keeps
-#: the tail of a campaign steal-able instead of locked into one range.
-MAX_CHUNK = 32
 
 
 def resolve_start_method(name: str) -> str | None:
@@ -121,56 +89,16 @@ def resolve_start_method(name: str) -> str | None:
     return name
 
 
-def _chunk_size(remaining: int, n_workers: int,
-                max_chunk: int = MAX_CHUNK) -> int:
-    """Guided self-scheduling: big chunks early (low lock traffic),
-    shrinking toward the end (nothing left to straggle behind)."""
-    return max(1, min(max_chunk, remaining // (4 * n_workers)))
+def _preload(modules: tuple) -> None:
+    """Slot initializer: import the simulator once, before any cell."""
+    for module in modules:
+        try:
+            importlib.import_module(module)
+        except Exception:  # pragma: no cover - a missing optional module
+            pass            # must not kill the worker; runs import lazily
 
 
-def _claim(worker_id: int, n_workers: int, lock, head, batch_n,
-           reserved, current, batch_id: int, shared_batch_id) -> int | None:
-    """Claim the next task position for ``worker_id``, or None when the
-    batch holds no more claimable work.
-
-    Priority under the one lock: own reserved range head, then a fresh
-    guided chunk off the shared cursor, then a steal from the *tail* of
-    the most-loaded peer's range.  ``current[worker_id]`` is set inside
-    the lock so the parent can always tell what a dead worker held.
-    """
-    with lock:
-        if batch_id != shared_batch_id.value:
-            return None  # stale batch (a refilled worker's old queue item)
-        base = 2 * worker_id
-        lo, hi = reserved[base], reserved[base + 1]
-        if lo < hi:
-            reserved[base] = lo + 1
-            current[worker_id] = lo
-            return lo
-        h, n = head.value, batch_n.value
-        if h < n:
-            size = _chunk_size(n - h, n_workers)
-            head.value = h + size
-            reserved[base] = h + 1
-            reserved[base + 1] = h + size
-            current[worker_id] = h
-            return h
-        victim, most = -1, 0
-        for j in range(n_workers):
-            if j == worker_id:
-                continue
-            rem = reserved[2 * j + 1] - reserved[2 * j]
-            if rem > most:
-                victim, most = j, rem
-        if victim >= 0:
-            tail = reserved[2 * victim + 1] - 1
-            reserved[2 * victim + 1] = tail
-            current[worker_id] = tail
-            return tail
-        return None
-
-
-def _execute_task(spec_dict: dict, timeout_s: float | None,
+def _execute_task(spec: RunSpec, timeout_s: float | None,
                   attempt: int, cache) -> RunResult:
     """One warm worker's unit of work: cache probe, execute, cache fill.
 
@@ -180,7 +108,6 @@ def _execute_task(spec_dict: dict, timeout_s: float | None,
     """
     from repro.campaign.runner import execute_spec
 
-    spec = RunSpec.from_dict(spec_dict)
     if cache is not None:
         hit = cache.get(spec)
         if hit is not None:
@@ -191,50 +118,20 @@ def _execute_task(spec_dict: dict, timeout_s: float | None,
     return result
 
 
-def _worker_main(worker_id: int, n_workers: int, batch_queue, result_conn,
-                 lock, head, batch_n, reserved, current, shared_batch_id,
-                 preload: tuple) -> None:
-    """A warm worker: import once, then serve batches until shut down.
+class _Slot(ProcessPoolExecutor):
+    """One warm worker process; the pool gives it one cell at a time."""
 
-    ``result_conn`` is this worker's private pipe to the parent —
-    single producer, no shared locks, so this worker dying can never
-    block a peer's result delivery.
-    """
-    for module in preload:
-        try:
-            importlib.import_module(module)
-        except Exception:  # pragma: no cover - a missing optional module
-            pass            # must not kill the worker; runs import lazily
-    try:
-        result_conn.send(("ready", worker_id, None, None))
-        while True:
-            try:
-                batch = batch_queue.get()
-            except (EOFError, OSError):  # parent went away
-                return
-            if batch is None:
-                return
-            batch_id, tasks, timeout_s, attempt, cache = batch
-            while True:
-                pos = _claim(worker_id, n_workers, lock, head, batch_n,
-                             reserved, current, batch_id, shared_batch_id)
-                if pos is None:
-                    break
-                index, spec_dict = tasks[pos]
-                try:
-                    result = _execute_task(spec_dict, timeout_s, attempt,
-                                           cache)
-                except Exception:  # pragma: no cover - belt and braces
-                    result = RunResult(
-                        spec=RunSpec.from_dict(spec_dict), attempts=attempt,
-                        error=traceback.format_exc(limit=8))
-                result_conn.send(("result", worker_id, batch_id,
-                                  (pos, index, result)))
-                with lock:
-                    current[worker_id] = _IDLE
-            result_conn.send(("done", worker_id, batch_id, None))
-    except (BrokenPipeError, OSError):  # parent went away
-        return
+    def __init__(self, ctx, preload: tuple):
+        super().__init__(1, mp_context=ctx, initializer=_preload,
+                         initargs=(preload,))
+        # Start the worker now, so it imports while the pool is idle.
+        self.ready = self.submit(os.getpid)
+
+    @property
+    def pid(self) -> int | None:
+        """The worker's pid while it lives, else None."""
+        procs = (self._processes or {}).values()  # {pid: Process}
+        return next((proc.pid for proc in procs if proc.is_alive()), None)
 
 
 class WarmPool:
@@ -258,104 +155,45 @@ class WarmPool:
         self.workers = workers
         self.method = method
         self.preload = tuple(preload)
-        ctx = multiprocessing.get_context(method)
+        self._ctx = multiprocessing.get_context(method)
         if method == "forkserver":
             # The forkserver imports the simulator once; every worker
-            # (and every refill after a crash) forks from that warm
+            # (and every replacement after a crash) forks from that warm
             # image instead of re-importing.
-            ctx.set_forkserver_preload(list(self.preload))
-        self._ctx = ctx
-        self._lock = ctx.Lock()
-        self._head = ctx.Value("l", 0, lock=False)
-        self._batch_n = ctx.Value("l", 0, lock=False)
-        self._shared_batch_id = ctx.Value("l", 0, lock=False)
-        self._reserved = ctx.Array("l", [0] * (2 * workers), lock=False)
-        self._current = ctx.Array("l", [_IDLE] * workers, lock=False)
-        self._batch_queues = [ctx.SimpleQueue() for _ in range(workers)]
-        self._readers: list = [None] * workers
-        self._procs: list = [None] * workers
-        self._ready: set[int] = set()
-        self._batch_id = 0
-        # One batch at a time: the claim arrays, batch epoch and result
-        # pipes are shared pool-wide state, so concurrent run_batch
-        # callers (the serve layer runs campaigns on separate threads)
-        # must serialize or they corrupt each other's batches.
+            self._ctx.set_forkserver_preload(list(self.preload))
+        # One batch at a time: a batch assumes its slots start idle, so a
+        # concurrent caller (the serve layer's campaign threads) waits.
         self._batch_lock = threading.Lock()
         self._closed = False
-        for worker_id in range(workers):
-            self._spawn(worker_id)
+        self._slots = [_Slot(self._ctx, self.preload)
+                       for _ in range(workers)]
         atexit.register(self.close)
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _spawn(self, worker_id: int) -> None:
-        old = self._readers[worker_id]
-        if old is not None:  # a refill: drop the dead worker's channel
-            old.close()
-        reader, writer = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(worker_id, self.workers, self._batch_queues[worker_id],
-                  writer, self._lock, self._head, self._batch_n,
-                  self._reserved, self._current, self._shared_batch_id,
-                  self.preload),
-            daemon=True, name=f"repro-warm-worker-{worker_id}",
-        )
-        proc.start()
-        # Close the parent's copy of the write end: once the worker dies
-        # its reader hits EOF (EOFError) instead of blocking forever.
-        writer.close()
-        self._readers[worker_id] = reader
-        self._procs[worker_id] = proc
-
     @property
     def alive(self) -> int:
         """Live worker processes right now."""
-        return sum(1 for p in self._procs if p is not None and p.is_alive())
+        return len(self.pids())
 
     def pids(self) -> list[int]:
         """PIDs of live workers (stable across batches — the warmth)."""
-        return [p.pid for p in self._procs if p is not None and p.is_alive()]
+        return [pid for pid in (slot.pid for slot in self._slots)
+                if pid is not None]
 
     def warm(self, timeout_s: float = 120.0) -> int:
         """Block until workers report their imports done; returns how
         many are warm.  Purely an optimisation hook (benches, serve) —
         ``run_batch`` works regardless."""
-        deadline = time.monotonic() + timeout_s
-        while len(self._ready) < self.workers:
-            remaining = deadline - time.monotonic()
-            pending = {self._readers[w]: w for w, p in enumerate(self._procs)
-                       if w not in self._ready
-                       and p is not None and p.is_alive()}
-            if remaining <= 0 or not pending:
-                break
-            for reader in _wait_connections(list(pending),
-                                            timeout=min(remaining, 0.5)):
-                try:
-                    kind, worker_id, _, _ = reader.recv()
-                except (EOFError, OSError):
-                    continue  # died before warming; _refill handles it
-                if kind == "ready":
-                    self._ready.add(worker_id)
-        return len(self._ready)
+        done, _ = wait([slot.ready for slot in self._slots],
+                       timeout=timeout_s)
+        return sum(1 for future in done if future.exception() is None)
 
     def close(self) -> None:
         """Shut every worker down (idempotent; registered atexit)."""
-        if self._closed:
-            return
         self._closed = True
-        for q in self._batch_queues:
-            try:
-                q.put(None)
-            except (OSError, ValueError):  # pragma: no cover
-                pass
-        deadline = time.monotonic() + 5.0
-        for proc in self._procs:
-            if proc is None:
-                continue
-            proc.join(timeout=max(0.1, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.terminate()
+        for slot in self._slots:
+            slot.shutdown()
 
     @property
     def closed(self) -> bool:
@@ -371,159 +209,50 @@ class WarmPool:
         ``indexed`` pairs an opaque caller index with a spec; workers
         probe/fill ``cache`` themselves (it must be picklable — a
         :class:`~repro.campaign.cache.ResultCache` is).  Every task
-        yields exactly once, whatever workers live or die.
-
-        Thread-safe by serialization: the batch epoch, claim arrays and
-        result pipes are pool-wide shared state, so a cross-thread lock
-        is held from the generator's first step until it is exhausted
-        (or closed) — a second concurrent caller simply blocks until the
-        first batch drains, it never sees the first batch's results or
-        strands it mid-run.
+        yields exactly once, whatever workers live or die.  A lock held
+        from the first step until the generator is exhausted (or closed)
+        makes a concurrent caller wait for this batch to drain.
         """
         with self._batch_lock:
             if self._closed:
                 raise RuntimeError("pool is closed")
-            tasks = [(index, spec.to_dict()) for index, spec in indexed]
-            n = len(tasks)
-            if n == 0:
-                return
-            self._batch_id += 1
-            with self._lock:
-                self._head.value = 0
-                self._batch_n.value = n
-                self._shared_batch_id.value = self._batch_id
-                for j in range(self.workers):
-                    self._reserved[2 * j] = self._reserved[2 * j + 1] = 0
-                    self._current[j] = _IDLE
-            live = {w for w, p in enumerate(self._procs)
-                    if p is not None and p.is_alive()}
-            batch = (self._batch_id, tasks, timeout_s, attempt, cache)
-            for w in live:
-                self._batch_queues[w].put(batch)
-            produced: set[int] = set()
-            waiting_on = set(live)
-            try:
-                while len(produced) < n or waiting_on:
-                    if not live:
-                        yield from self._finish_inline(
-                            tasks, timeout_s, attempt, cache, produced)
-                        return
-                    readers = {self._readers[w]: w for w in live}
-                    sentinels = {self._procs[w].sentinel: w for w in live}
-                    for obj in _wait_connections(
-                            list(readers) + list(sentinels), timeout=0.5):
-                        w = readers.get(obj, sentinels.get(obj))
-                        if w not in live:
-                            continue  # already handled this pass
-                        if obj in sentinels:  # the worker process died
-                            live.discard(w)
-                            waiting_on.discard(w)
-                            yield from self._drain_reader(w, produced)
-                            yield from self._reap(
-                                w, tasks, attempt, produced,
-                                thieves_remain=bool(live))
-                            continue
-                        try:
-                            kind, _, b_id, payload = obj.recv()
-                        except (EOFError, OSError):  # EOF beat the sentinel
-                            live.discard(w)
-                            waiting_on.discard(w)
-                            yield from self._reap(
-                                w, tasks, attempt, produced,
-                                thieves_remain=bool(live))
-                            continue
-                        if kind == "ready":
-                            self._ready.add(w)
-                            continue
-                        if b_id != self._batch_id:
-                            continue  # stale message, pre-refill worker
-                        if kind == "done":
-                            waiting_on.discard(w)
-                            continue
-                        pos, index, result = payload
-                        if pos in produced:
-                            continue  # already settled by crash recovery
-                        produced.add(pos)
-                        yield index, result
-            finally:
-                self._refill()
+            todo = list(indexed)[::-1]
+            idle = list(range(self.workers))[::-1]
+            running: dict[Future, tuple[int, int, RunSpec]] = {}
+            while todo or running:
+                while todo and idle:
+                    n, (index, spec) = idle.pop(), todo.pop()
+                    if self._slots[n].pid is None:  # died while idle
+                        self._replace(n)
+                    try:
+                        future = self._slots[n].submit(
+                            _execute_task, spec, timeout_s, attempt, cache)
+                    except BrokenProcessPool as exc:  # died since then
+                        future = Future()
+                        future.set_exception(exc)
+                    running[future] = (n, index, spec)
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    n, index, spec = running.pop(future)
+                    idle.append(n)
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        self._replace(n)
+                        result = RunResult(
+                            spec=spec, attempts=attempt,
+                            error=f"worker process {n} died mid-run "
+                                  "(killed or crashed hard)")
+                    except Exception:  # raised worker-side, e.g. by cache
+                        result = RunResult(
+                            spec=spec, attempts=attempt,
+                            error=traceback.format_exc(limit=8))
+                    yield index, result
 
-    # -- failure handling ----------------------------------------------------
-
-    def _drain_reader(self, worker_id: int, produced: set[int],
-                      ) -> _t.Iterator[tuple[int, RunResult]]:
-        """Yield the results a dead worker flushed before dying.
-
-        Its write end is closed (the worker is gone and the parent
-        closed its own copy at spawn), so ``recv`` returns buffered
-        messages and then raises ``EOFError`` — it can never block.
-        """
-        reader = self._readers[worker_id]
-        while True:
-            try:
-                kind, _, b_id, payload = reader.recv()
-            except (EOFError, OSError):
-                return
-            if kind != "result" or b_id != self._batch_id:
-                continue
-            pos, index, result = payload
-            if pos not in produced:
-                produced.add(pos)
-                yield index, result
-
-    def _reap(self, worker_id: int, tasks, attempt: int, produced: set[int],
-              *, thieves_remain: bool) -> _t.Iterator[tuple[int, RunResult]]:
-        """Settle a dead worker's in-flight task.
-
-        The task it was executing becomes a failed result (the runner's
-        retry ladder takes it from there).  Its claimed-but-unstarted
-        ``[lo, hi)`` range needs no special handling while peers remain
-        — it is ordinary steal-able work they will drain; only when the
-        pool is empty does the parent sweep it up (``_finish_inline``).
-        """
-        with self._lock:
-            pos = self._current[worker_id]
-            self._current[worker_id] = _IDLE
-            if not thieves_remain:
-                base = 2 * worker_id
-                self._reserved[base] = self._reserved[base + 1] = 0
-        self._ready.discard(worker_id)
-        if 0 <= pos < len(tasks) and pos not in produced:
-            index, spec_dict = tasks[pos]
-            produced.add(pos)
-            yield index, RunResult(
-                spec=RunSpec.from_dict(spec_dict), attempts=attempt,
-                error=f"worker process {worker_id} died mid-run "
-                      "(killed or crashed hard)")
-
-    def _finish_inline(self, tasks, timeout_s, attempt, cache,
-                       produced: set[int]
-                       ) -> _t.Iterator[tuple[int, RunResult]]:
-        """Every worker is gone: finish the batch in the parent.
-
-        Results the dead workers managed to flush before dying still sit
-        in their pipes — drain them first so only truly-unsettled tasks
-        re-execute here.
-        """
-        for worker_id in range(self.workers):
-            yield from self._drain_reader(worker_id, produced)
-        with self._lock:
-            self._head.value = self._batch_n.value
-            for j in range(self.workers):
-                self._reserved[2 * j] = self._reserved[2 * j + 1] = 0
-            remaining = [p for p in range(len(tasks)) if p not in produced]
-            produced.update(remaining)
-        for pos in remaining:
-            index, spec_dict = tasks[pos]
-            yield index, _execute_task(spec_dict, timeout_s, attempt, cache)
-
-    def _refill(self) -> None:
-        """Respawn dead worker slots so the next batch is full strength."""
-        if self._closed:
-            return
-        for worker_id, proc in enumerate(self._procs):
-            if proc is None or not proc.is_alive():
-                self._spawn(worker_id)
+    def _replace(self, n: int) -> None:
+        """Swap slot ``n`` for a fresh warm worker."""
+        self._slots[n].shutdown(wait=False)
+        self._slots[n] = _Slot(self._ctx, self.preload)
 
 
 # -- shared pool registry ----------------------------------------------------

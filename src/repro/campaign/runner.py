@@ -11,10 +11,10 @@ changes wall-clock.
 
 Parallel execution goes through :mod:`repro.campaign.pool`: a
 process-wide pool of **warm** workers that imported the simulator once
-and then service every campaign of the process's lifetime, scheduling
-cells by chunked dispatch with work stealing.  Where no multiprocessing
-context is usable the runner silently degrades to in-process serial
-execution — correctness never depends on the pool.
+and then service every campaign of the process's lifetime, each given
+the next cell as soon as it finishes its last.  Where no
+multiprocessing context is usable the runner silently degrades to
+in-process serial execution — correctness never depends on the pool.
 
 Failure handling is per-run, never campaign-fatal: an exception, a
 timeout, or a worker process death becomes a ``RunResult`` with

@@ -41,6 +41,7 @@ served fleets' determinism.
 from __future__ import annotations
 
 import asyncio
+import math
 import typing as _t
 
 from repro.obs.export import metrics_to_prometheus, prometheus_line
@@ -57,6 +58,11 @@ from repro.serve.http import (
 from repro.serve.hub import EventHub, format_sse
 
 __all__ = ["ServeApp"]
+
+#: Most extra attempts a served campaign may ask for per failing cell —
+#: a bound, so one ``POST /campaigns`` cannot hold a server thread for
+#: days retrying a cell that always fails.
+MAX_CAMPAIGN_RETRIES = 8
 
 
 class ServeApp:
@@ -346,9 +352,12 @@ class ServeApp:
 
         The body mirrors the CLI: ``{"scenario": ..., "name"?, "seed"?,
         "repeats"?, "base_params"?, "grid"?, "workers"?, "shard"?:
-        [k, of], "timeout_s"?, "retries"?}``.  Cells execute in the
-        warm pool's worker processes; only queue plumbing runs in this
-        process, so the served fleets' determinism is untouched.
+        [k, of], "timeout_s"?, "retries"?}``.  ``timeout_s`` is null or
+        a finite number >= 0, and ``retries`` an integer from 0 to
+        :data:`MAX_CAMPAIGN_RETRIES`; anything else is a 400 here, not a
+        failure in every cell later.  Cells execute in the warm pool's
+        worker processes; only queue plumbing runs in this process, so
+        the served fleets' determinism is untouched.
         """
         from repro.campaign import Campaign, default_workers
         from repro.campaign.scenarios import resolve_scenario
@@ -376,8 +385,17 @@ class ServeApp:
                 self.max_campaign_workers,
                 int(payload.get("workers") or default_workers())))
             timeout_s = payload.get("timeout_s")
-            timeout_s = None if timeout_s is None else float(timeout_s)
-            retries = int(payload.get("retries", 1))
+            if timeout_s is not None:
+                timeout_s = float(timeout_s)
+                if not (math.isfinite(timeout_s) and timeout_s >= 0):
+                    raise ValueError(
+                        f"timeout_s must be finite and >= 0, got {timeout_s}")
+            retries = payload.get("retries", 1)
+            if (type(retries) is not int
+                    or not 0 <= retries <= MAX_CAMPAIGN_RETRIES):
+                raise ValueError(
+                    f"retries must be an integer from 0 to "
+                    f"{MAX_CAMPAIGN_RETRIES}, got {retries!r}")
         except HttpError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

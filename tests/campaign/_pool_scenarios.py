@@ -28,7 +28,7 @@ def flaky_once(seed, *, marker_dir, cell=0):
 
 def sleepy(seed, *, duration=0.05):
     """Sleep ``duration`` seconds — a task with a knowable cost — and
-    report which process ran it (stealing/overlap checks)."""
+    report which process ran it (overlap checks)."""
     time.sleep(float(duration))
     return {"slept": float(duration), "pid": os.getpid()}
 

@@ -1,14 +1,19 @@
-"""The warm worker pool: reuse, stealing, crash recovery, cache visibility.
+"""The warm worker pool: reuse, overlap, crash recovery, cache visibility.
 
-These tests share one process-wide pool (``get_warm_pool``) on purpose —
-pool persistence across campaigns *is* the feature under test.  The
+Most of these tests share one process-wide pool (``get_warm_pool``) on
+purpose — pool persistence across campaigns *is* the feature under
+test.  The crash tests build their own pool per start method instead:
+``"auto"`` resolves to ``forkserver`` here but to ``fork`` in a
+stdin-fed script, and a worker death must be contained under both.  The
 synthetic scenarios live in ``tests/campaign/_pool_scenarios.py`` as
 ``module:function`` references so worker processes can import them.
 """
 
 import multiprocessing
 import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -18,7 +23,7 @@ from repro.campaign import (
     get_warm_pool,
     run_campaign,
 )
-from repro.campaign.pool import _chunk_size, _claim, resolve_start_method
+from repro.campaign.pool import WarmPool, resolve_start_method
 
 TINY = Campaign(
     name="tiny", scenario="chain_beacons", seed=5,
@@ -34,69 +39,14 @@ def pool2():
     return pool
 
 
-# -- scheduling arithmetic ---------------------------------------------------
-
-
-def test_chunk_size_is_guided():
-    # Big early chunks shrink toward the tail; never zero, never huge.
-    assert _chunk_size(1000, 4, max_chunk=32) == 32
-    assert _chunk_size(100, 4) == 6
-    assert _chunk_size(7, 4) == 1
-    assert _chunk_size(1, 1) == 1
-
-
-def _claim_state(n_workers, n_tasks):
-    ctx = multiprocessing.get_context()
-    lock = ctx.Lock()
-    head = ctx.Value("l", 0, lock=False)
-    batch_n = ctx.Value("l", n_tasks, lock=False)
-    shared_id = ctx.Value("l", 1, lock=False)
-    reserved = ctx.Array("l", [0] * (2 * n_workers), lock=False)
-    current = ctx.Array("l", [-1] * n_workers, lock=False)
-
-    def claim(worker, batch_id=1):
-        return _claim(worker, n_workers, lock, head, batch_n, reserved,
-                      current, batch_id, shared_id)
-
-    return claim, reserved
-
-
-def test_claim_chunks_then_steals_from_victim_tail():
-    claim, reserved = _claim_state(n_workers=2, n_tasks=32)
-    # Worker 0 claims the first guided chunk [0, 4): executes 0, holds
-    # [1, 4) as its visible, steal-able reserved range.
-    assert claim(0) == 0
-    assert (reserved[0], reserved[1]) == (1, 4)
-    # Worker 1 claims the next chunk [4, 7).
-    assert claim(1) == 4
-    # Worker 1 drains its own range and then the whole shared cursor;
-    # once the cursor is dry its next claim must STEAL from the tail of
-    # worker 0's still-reserved [1, 4) range -> position 3.
-    claimed_by_1 = []
-    while True:
-        pos = claim(1)
-        assert pos is not None, "cursor dry but victim range not stolen"
-        claimed_by_1.append(pos)
-        if pos == 3:
-            break
-    # The steal shrank the victim's range from its tail, not its head.
-    assert (reserved[0], reserved[1]) == (1, 3)
-    # The victim keeps working its (shrunk) range unperturbed.
-    assert claim(0) == 1
-    assert claim(0) == 2
-    # Everything claimed exactly once, nothing left for anyone.
-    all_claims = {0, 4, 1, 2, *claimed_by_1}
-    while (pos := claim(1)) is not None:
-        all_claims.add(pos)
-    assert claim(0) is None
-    assert all_claims == set(range(32))
-    assert len(claimed_by_1) == len(set(claimed_by_1))
-
-
-def test_claim_rejects_stale_batch_epoch():
-    claim, _ = _claim_state(n_workers=2, n_tasks=4)
-    assert claim(0, batch_id=99) is None   # not the live batch
-    assert claim(0, batch_id=1) == 0       # the live batch proceeds
+@pytest.fixture(params=["fork", "forkserver"])
+def crash_pool(request):
+    """A private two-worker pool, so crashes never touch the shared one."""
+    pool = WarmPool(2, request.param)
+    try:
+        yield pool
+    finally:
+        pool.close()
 
 
 # -- the pool end to end -----------------------------------------------------
@@ -188,7 +138,7 @@ def test_uneven_cells_overlap_across_workers():
     pool.warm(timeout_s=180.0)
     durations = [0.3] + [0.05] * 8  # serial sum: 0.7 s
     out = run_campaign(Campaign(
-        name="steal", scenario=f"{SCN}:sleepy", seed=3,
+        name="overlap", scenario=f"{SCN}:sleepy", seed=3,
         grid={"duration": durations}), workers=2, pool=pool)
     assert out.failures == []
     assert len(out.runs) == len(durations)
@@ -198,8 +148,8 @@ def test_uneven_cells_overlap_across_workers():
     assert out.wall_s < 0.6
 
 
-def test_worker_death_is_contained_and_pool_refills():
-    pool = pool2()
+def test_worker_death_is_contained_and_pool_refills(crash_pool):
+    pool = crash_pool
     out = run_campaign(Campaign(
         name="crashy", scenario=f"{SCN}:hard_crash", seed=4,
         grid={"cell": list(range(6))}, base_params={"crash_cell": 2}),
@@ -215,10 +165,10 @@ def test_worker_death_is_contained_and_pool_refills():
     assert pool.alive == 2
 
 
-def test_worker_death_feeds_the_retry_ladder(tmp_path):
+def test_worker_death_feeds_the_retry_ladder(crash_pool, tmp_path):
     """A worker death is a failure like any other: the cell is retried,
     and when the crash was transient the retry succeeds (attempts=2)."""
-    pool = pool2()
+    pool = crash_pool
     out = run_campaign(Campaign(
         name="crash-retry", scenario=f"{SCN}:crash_once", seed=6,
         grid={"cell": list(range(4))},
@@ -231,10 +181,42 @@ def test_worker_death_feeds_the_retry_ladder(tmp_path):
     assert all(r.attempts == 1 for r in out.runs if r is not recovered)
 
 
+def test_every_worker_dying_never_runs_a_cell_in_the_caller(crash_pool):
+    """Every cell kills the worker that runs it.  Each one settles as a
+    failed run and its slot is replaced; none runs in the caller, which
+    it would kill too."""
+    out = run_campaign(Campaign(
+        name="all-crash", scenario=f"{SCN}:hard_crash", seed=4,
+        base_params={"cell": 2, "crash_cell": 2}, repeats=4),
+        workers=2, pool=crash_pool, retries=0)
+    assert len(out.failures) == 4 and out.ok == []
+    assert all("died mid-run" in r.error for r in out.failures)
+    assert crash_pool.alive == 2
+
+
+def test_idle_worker_death_is_replaced_before_the_next_batch():
+    """A worker killed between batches costs no cell: the next batch
+    replaces its slot and keeps the surviving worker."""
+    pool = WarmPool(2, "auto")
+    try:
+        assert pool.warm(timeout_s=180.0) == 2
+        victim, survivor = pool.pids()
+        os.kill(victim, signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while victim in pool.pids() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        out = run_campaign(TINY, workers=2, pool=pool, retries=0)
+        assert out.failures == []
+        assert out.digest() == run_campaign(TINY, workers=1).digest()
+        assert pool.alive == 2
+        assert survivor in pool.pids() and victim not in pool.pids()
+    finally:
+        pool.close()
+
+
 def test_pool_unavailable_context_returns_none():
     assert get_warm_pool(2, "definitely-not-a-start-method") is None
     with pytest.raises(RuntimeError):
-        from repro.campaign.pool import WarmPool
         WarmPool(2, "definitely-not-a-start-method")
 
 

@@ -12,6 +12,7 @@ import threading
 import repro.campaign
 from repro.campaign import Campaign, run_campaign
 from repro.serve import ServeApp, build_fleet
+from repro.serve.app import MAX_CAMPAIGN_RETRIES
 
 from tests.serve.conftest import fetch_json
 
@@ -100,12 +101,37 @@ def test_campaign_validation_and_lookup_errors():
                 {"scenario": "no-such-scenario"},     # unknown scenario
                 dict(BODY, repeats=0),                # invalid repeats
                 dict(BODY, shard=[5, 2]),             # index out of range
+                dict(BODY, timeout_s=float("nan")),   # non-finite timeout
+                dict(BODY, timeout_s=-1),             # negative timeout
+                dict(BODY, timeout_s=float("inf")),
+                dict(BODY, retries=-1),               # retries out of range
+                dict(BODY, retries=MAX_CAMPAIGN_RETRIES + 1),
+                dict(BODY, retries=1_000_000_000),
             ):
                 status, reply = await fetch_json(
                     app.port, "/campaigns", "POST", bad)
                 assert status == 400, (bad, reply)
             status, _ = await fetch_json(app.port, "/campaigns/ghost")
             assert status == 404
+        finally:
+            await app.stop()
+
+    asyncio.run(main())
+
+
+def test_retries_and_timeout_accepted_at_their_bounds():
+    async def main():
+        app = make_app()
+        await app.start(auto_tick=False)
+        try:
+            body = dict(BODY, name="bounded", timeout_s=120,
+                        retries=MAX_CAMPAIGN_RETRIES)
+            status, reply = await fetch_json(
+                app.port, "/campaigns", "POST", body)
+            assert status == 202, reply
+            record = await poll_until_settled(app.port, "bounded")
+            assert record["status"] == "done", record
+            assert record["failed"] == 0
         finally:
             await app.stop()
 
