@@ -12,11 +12,14 @@ import pytest
 
 from repro.analysis import render_table
 from repro.core.deploy import deploy_liteview
-from repro.core.diagnosis import (
-    LinkClass,
-    classify_link,
-    find_hotspots,
-    survey_links,
+from repro.diag import (
+    DiagnosisEngine,
+    LinkProbe,
+    PathProbe,
+    ProbeExecutor,
+    ProbePlan,
+    Thresholds,
+    reduce_link_finding,
 )
 from repro.workloads import Flow, TrafficGenerator, build_chain
 from repro.workloads.scenarios import QUIET_PROPAGATION
@@ -36,21 +39,30 @@ def faulty_deployment():
 
 
 def run_survey(dep):
-    pairs = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
-    return survey_links(dep, pairs, rounds=8)
+    """Ping each chain hop; a failed probe reports no replies."""
+    probes = [LinkProbe(src=a, dst=b, rounds=8)
+              for a, b in [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]]
+    outcomes = ProbeExecutor(dep).run_all(probes)
+    return [o.value if o.ok else p.failure_observation()
+            for p, o in zip(probes, outcomes)]
+
+
+def verdict(link_report):
+    finding = reduce_link_finding(link_report)
+    return finding.kind if finding else "healthy"
 
 
 def test_broken_and_asymmetric_link_detection(benchmark, faulty_deployment,
                                               report):
     reports = benchmark.pedantic(run_survey, args=(faulty_deployment,),
                                  rounds=3, iterations=1)
-    labels = {(r.src, r.dst): classify_link(r) for r in reports}
+    labels = {(r.src, r.dst): verdict(r) for r in reports}
 
     # -- diagnosis assertions ------------------------------------------
-    assert labels[(3, 4)] == LinkClass.BROKEN
-    assert labels[(5, 6)] in (LinkClass.ASYMMETRIC, LinkClass.LOSSY)
+    assert labels[(3, 4)] == "broken_link"
+    assert labels[(5, 6)] in ("asymmetric_link", "lossy_link")
     for pair in ((1, 2), (2, 3), (4, 5)):
-        assert labels[pair] == LinkClass.HEALTHY, pair
+        assert labels[pair] == "healthy", pair
 
     rows = [
         [f"{r.src}->{r.dst}", f"{r.received}/{r.sent}",
@@ -81,8 +93,7 @@ def test_hotspot_detection_under_load(benchmark, report):
 
     # The paper's interactive workflow: probe the idle network first to
     # establish the per-hop RTT baseline ...
-    from repro.core.diagnosis import probe_path
-    quiet = probe_path(dep, 1, 5, rounds=3)
+    quiet = ProbeExecutor(dep).run(PathProbe(src=1, dst=5, rounds=3)).value
     assert quiet is not None and quiet.hops
     baseline = statistics.fmean(h.rtt_ms for h in quiet.hops)
 
@@ -95,23 +106,26 @@ def test_hotspot_detection_under_load(benchmark, report):
     testbed.warm_up(3.0)
 
     # ... and probe again, comparing against the baseline.
+    engine = DiagnosisEngine(dep, thresholds=Thresholds(hotspot_score=1.5))
+
     def run():
-        return find_hotspots(dep, [(1, 5)], rounds=4,
-                             score_threshold=1.5,
-                             baseline_rtt_ms=baseline)
+        return engine.run(ProbePlan(
+            paths=((1, 5),), path_rounds=4,
+            baseline_rtt_ms=baseline)).of_kind("hotspot")
 
     hotspots = benchmark.pedantic(run, rounds=3, iterations=1)
     generator.stop()
 
     assert hotspots, "congested relays must be flagged"
-    flagged = {h.node_id for h in hotspots}
+    flagged = {h.node for h in hotspots}
     # The hot region is the chain's interior (the nodes relaying the
     # cross traffic).
     assert flagged & {2, 3, 4}
 
     report("e7_hotspots", render_table(
         ["node", "mean_hop_rtt_ms", "max_queue", "samples", "score"],
-        [[h.node_id, round(h.mean_hop_rtt_ms, 1), h.max_queue,
-          h.samples, round(h.score, 2)] for h in hotspots],
+        [[h.node, round(h.evidence["mean_hop_rtt_ms"], 1),
+          h.evidence["max_queue"], h.evidence["samples"],
+          round(h.evidence["score"], 2)] for h in hotspots],
         title="E7 — hotspot detection (cross traffic through node 3)",
     ))

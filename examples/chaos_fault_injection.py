@@ -20,13 +20,7 @@ Run with::
 import sys
 
 from repro.core.deploy import deploy_liteview
-from repro.core.diagnosis import (
-    LinkClass,
-    classify_link,
-    probe_path,
-    survey_links,
-)
-from repro.errors import CommandTimeout
+from repro.diag import LinkProbe, PathProbe, ProbeExecutor, reduce_link_finding
 from repro.faults import FaultPlan, FaultSpec, install_faults
 from repro.workloads import build_chain
 from repro.workloads.scenarios import QUIET_PROPAGATION
@@ -62,21 +56,24 @@ def main(seed: int = 21) -> None:
     print("--- act 2: the path to node 8 is now severed at hop "
           f"{INJURED[0]}->{INJURED[1]} ---")
     print(deployment.run("ping 192.168.0.8 round=3 length=16"))
-    try:
-        trace = probe_path(deployment, 1, 8)
+    executor = ProbeExecutor(deployment)
+    outcome = executor.run(PathProbe(src=1, dst=8))
+    if outcome.ok:
+        trace = outcome.value
         last = max(h.probed_node_id for h in trace.hops)
         print(f"traceroute stalls at node {last} "
               f"(reached target: {trace.reached_target})\n")
-    except CommandTimeout:
-        print("traceroute timed out before the break\n")
+    else:
+        print(f"traceroute failed ({outcome.failure}) before the break\n")
 
     print("--- diagnosis: survey every hop of the chain ---")
-    reports = survey_links(deployment,
-                           [(i, i + 1) for i in range(1, 8)],
-                           rounds=6, length=16)
-    for report in reports:
-        label = classify_link(report)
-        marker = "  <-- the injury" if label == LinkClass.BROKEN else ""
+    probes = [LinkProbe(src=i, dst=i + 1, rounds=6, length=16)
+              for i in range(1, 8)]
+    for probe, outcome in zip(probes, executor.run_all(probes)):
+        report = outcome.value if outcome.ok else probe.failure_observation()
+        finding = reduce_link_finding(report)
+        label = finding.kind if finding else "healthy"
+        marker = "  <-- the injury" if label == "broken_link" else ""
         print(f"  link {report.src} -> {report.dst}: "
               f"replies {report.received}/{report.sent}, "
               f"{label}{marker}")

@@ -15,18 +15,20 @@ application, probe again, and compare:
 
 Run with::
 
-    python examples/hotspot_diagnosis.py [seed] [--raw]
-
-``--raw`` keeps the pre-engine workflow: the legacy
-``find_hotspots`` wrapper and its raw per-hop RTT tables.
+    python examples/hotspot_diagnosis.py [seed]
 """
 
 import statistics
 import sys
 
 from repro.core.deploy import deploy_liteview
-from repro.core.diagnosis import find_hotspots, probe_path
-from repro.diag import DiagnosisEngine, ProbePlan, Thresholds
+from repro.diag import (
+    DiagnosisEngine,
+    PathProbe,
+    ProbeExecutor,
+    ProbePlan,
+    Thresholds,
+)
 from repro.workloads import Flow, TrafficGenerator, corridor_chain
 
 
@@ -55,35 +57,13 @@ def diagnose_with_engine(deployment, baseline: float) -> None:
     print(report.explain())
 
 
-def diagnose_raw(deployment, baseline: float) -> None:
-    """The legacy wrapper workflow (pre-``repro.diag``), kept verbatim."""
-    loaded = probe_path(deployment, 1, 5, rounds=4)
-    print("loaded network, per-hop RTT (ms):")
-    for hop, rtt in hop_means(loaded).items():
-        marker = "  <-- inflated" if rtt > 1.5 * baseline else ""
-        print(f"  hop {hop}: {rtt:6.1f}{marker}")
-    print()
-
-    hotspots = find_hotspots(deployment, [(1, 5)], rounds=4,
-                             score_threshold=1.5,
-                             baseline_rtt_ms=baseline)
-    if hotspots:
-        print("hotspots flagged (RTT vs idle baseline):")
-        for h in hotspots:
-            print(f"  node {h.node_id}: mean inbound hop RTT "
-                  f"{h.mean_hop_rtt_ms:.1f} ms "
-                  f"({h.score:.1f}x baseline), "
-                  f"max queue {h.max_queue}")
-    else:
-        print("no hotspots above threshold (try a heavier load)")
-
-
-def main(seed: int = 12, raw: bool = False) -> None:
+def main(seed: int = 12) -> None:
     testbed = corridor_chain(5, seed=seed)
     deployment = deploy_liteview(testbed, warm_up=15.0)
 
     # -- step 1: idle baseline ---------------------------------------------
-    quiet = probe_path(deployment, 1, 5, rounds=3)
+    quiet = ProbeExecutor(deployment).run(
+        PathProbe(src=1, dst=5, rounds=3)).value
     baseline = statistics.fmean(h.rtt_ms for h in quiet.hops)
     print("idle network, per-hop RTT (ms):")
     for hop, rtt in hop_means(quiet).items():
@@ -101,10 +81,7 @@ def main(seed: int = 12, raw: bool = False) -> None:
           "each), crossing in the middle of the chain\n")
 
     # -- step 3: probe under load and compare -------------------------------
-    if raw:
-        diagnose_raw(deployment, baseline)
-    else:
-        diagnose_with_engine(deployment, baseline)
+    diagnose_with_engine(deployment, baseline)
     generator.stop()
 
     print(f"\nbackground flow delivery ratio under load: "
@@ -112,5 +89,4 @@ def main(seed: int = 12, raw: bool = False) -> None:
 
 
 if __name__ == "__main__":
-    argv = [a for a in sys.argv[1:] if a != "--raw"]
-    main(int(argv[0]) if argv else 12, raw="--raw" in sys.argv[1:])
+    main(int(sys.argv[1]) if len(sys.argv) > 1 else 12)

@@ -21,7 +21,7 @@ Run with::
 import sys
 
 from repro.core.deploy import deploy_liteview
-from repro.core.diagnosis import classify_link, survey_links
+from repro.diag import LinkProbe, ProbeExecutor, reduce_link_finding
 from repro.workloads import thirty_node_field
 
 
@@ -38,16 +38,25 @@ def neighbor_pairs(testbed, max_distance=60.0):
     return pairs
 
 
+def survey(deployment, pairs, rounds=10):
+    """Ping every directed pair; a failed probe reports no replies."""
+    probes = [LinkProbe(src=a, dst=b, rounds=rounds) for a, b in pairs]
+    outcomes = ProbeExecutor(deployment).run_all(probes)
+    return [o.value if o.ok else p.failure_observation()
+            for p, o in zip(probes, outcomes)]
+
+
 def print_survey(tag, reports):
     print(f"--- {tag} ---")
     counts = {}
     for r in reports:
-        label = classify_link(r)
+        finding = reduce_link_finding(r)
+        label = finding.kind if finding else "healthy"
         counts[label] = counts.get(label, 0) + 1
         if label != "healthy":
             lqi = ("-" if r.lqi_forward is None
                    else f"{r.lqi_forward:.0f}/{r.lqi_backward:.0f}")
-            print(f"  link {r.src:>2} -> {r.dst:>2}: {label:<11} "
+            print(f"  link {r.src:>2} -> {r.dst:>2}: {label:<15} "
                   f"(replies {r.received}/{r.sent}, LQI fwd/bwd {lqi})")
     print("  totals:", ", ".join(
         f"{v} {k}" for k, v in sorted(counts.items())))
@@ -74,7 +83,7 @@ def main(seed: int = 3) -> None:
     print(f"surveying {len(suspects)} links around the suspect nodes "
           "(10 pings each)\n")
     before = print_survey(
-        "initial survey", survey_links(deployment, suspects, rounds=10)
+        "initial survey", survey(deployment, suspects)
     )
 
     # -- the fix: crank up power around the weak spots ----------------------
@@ -93,7 +102,7 @@ def main(seed: int = 3) -> None:
           "re-running the survey\n")
 
     after = print_survey(
-        "post-fix survey", survey_links(deployment, suspects, rounds=10)
+        "post-fix survey", survey(deployment, suspects)
     )
 
     healthy_gain = after.get("healthy", 0) - before.get("healthy", 0)

@@ -100,11 +100,12 @@ def _preload(modules: tuple) -> None:
 
 def _execute_task(spec: RunSpec, timeout_s: float | None,
                   attempt: int, cache) -> RunResult:
-    """One warm worker's unit of work: cache probe, execute, cache fill.
+    """One cell attempt: cache probe, execute, cache fill.
 
-    The worker threads ``attempt`` onto the result *before* the cache
-    put, so a cached re-read reports the true attempt count (a run that
-    failed once and succeeded on retry caches ``attempts=2``).
+    Warm workers run it, and so does the runner's serial path.
+    ``attempt`` is threaded onto the result *before* the cache put, so
+    a cached re-read reports the true attempt count (a run that failed
+    once and succeeded on retry caches ``attempts=2``).
     """
     from repro.campaign.runner import execute_spec
 

@@ -12,9 +12,11 @@ changes wall-clock.
 Parallel execution goes through :mod:`repro.campaign.pool`: a
 process-wide pool of **warm** workers that imported the simulator once
 and then service every campaign of the process's lifetime, each given
-the next cell as soon as it finishes its last.  Where no
-multiprocessing context is usable the runner silently degrades to
-in-process serial execution — correctness never depends on the pool.
+the next cell as soon as it finishes its last.  With ``workers > 1``
+every cell runs in the pool, so a cell that kills its process never
+kills the caller.  Where no multiprocessing context is usable the
+runner silently degrades to in-process serial execution — correctness
+never depends on the pool.
 
 Failure handling is per-run, never campaign-fatal: an exception, a
 timeout, or a worker process death becomes a ``RunResult`` with
@@ -31,9 +33,9 @@ import threading
 import time
 import traceback
 import typing as _t
-from dataclasses import replace
 
 from repro.campaign.cache import as_cache
+from repro.campaign.pool import _execute_task, get_warm_pool
 from repro.campaign.results import CampaignResult, RunResult
 from repro.campaign.scenarios import resolve_scenario
 from repro.campaign.spec import Campaign, RunSpec
@@ -181,8 +183,7 @@ def run_campaign(campaign: "Campaign | object", *, workers: int | None = 1,
             pending.append((index, spec))
 
     warm_pool = pool
-    if warm_pool is None and workers > 1 and len(pending) > 1:
-        from repro.campaign.pool import get_warm_pool
+    if warm_pool is None and workers > 1 and pending:
         warm_pool = get_warm_pool(workers, mp_context)
 
     attempts_left = retries
@@ -212,23 +213,12 @@ def run_campaign(campaign: "Campaign | object", *, workers: int | None = 1,
 def _run_batch(pending: list[tuple[int, RunSpec]], warm_pool,
                timeout_s: float | None, attempt_no: int, store,
                ) -> _t.Iterator[tuple[int, RunResult]]:
-    """One attempt over ``pending``: warm pool if available, else serial.
-
-    Both paths thread the attempt number onto the result *before* any
-    cache put, so a cached re-read always reports the true attempt
-    count (the pool's workers do the same internally).
-    """
-    if warm_pool is not None and len(pending) > 1:
+    """One attempt over ``pending``: the warm pool if there is one, else
+    each cell in the caller, through the same cell-attempt function the
+    pool's workers run."""
+    if warm_pool is not None:
         yield from warm_pool.run_batch(pending, timeout_s=timeout_s,
                                        attempt=attempt_no, cache=store)
         return
     for index, spec in pending:
-        hit = store.get(spec) if (store is not None
-                                  and attempt_no > 1) else None
-        if hit is not None:   # another process filled it meanwhile
-            yield index, hit
-            continue
-        result = replace(execute_spec(spec, timeout_s), attempts=attempt_no)
-        if result.ok and store is not None:
-            store.put(result)
-        yield index, result
+        yield index, _execute_task(spec, timeout_s, attempt_no, store)

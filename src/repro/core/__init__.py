@@ -6,9 +6,9 @@
 * :mod:`repro.core.workstation` / :mod:`repro.core.interpreter` — the
   client side: base-station mote and shell-style command interpreter
 * :mod:`repro.core.deploy` — one-call toolkit deployment
-* :mod:`repro.core.diagnosis` — broken/asymmetric-link and hotspot
-  workflows from the abstract (back-compat wrappers over
-  :mod:`repro.diag`, the first-class diagnosis subsystem)
+
+The diagnosis workflows from the abstract (broken/asymmetric links,
+hotspots) live in :mod:`repro.diag`.
 """
 
 from repro.core.commands.ping import PingService, install_ping
@@ -22,17 +22,6 @@ from repro.core.controller import (
     install_controller,
 )
 from repro.core.deploy import LiteViewDeployment, deploy_liteview
-from repro.core.diagnosis import (
-    Hotspot,
-    LinkClass,
-    LinkReport,
-    classify_link,
-    classify_links,
-    find_hotspots,
-    probe_path,
-    survey_link,
-    survey_links,
-)
 from repro.core.interpreter import CommandInterpreter
 from repro.core.reliable import ReliableEndpoint
 from repro.core.results import (
@@ -67,13 +56,4 @@ __all__ = [
     "TracerouteHop",
     "LinkObservation",
     "NeighborView",
-    "LinkReport",
-    "LinkClass",
-    "Hotspot",
-    "survey_link",
-    "survey_links",
-    "classify_link",
-    "classify_links",
-    "probe_path",
-    "find_hotspots",
 ]

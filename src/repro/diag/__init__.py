@@ -17,10 +17,6 @@ The subsystem the paper is about, promoted out of ad-hoc helpers:
   injected ground truth (:mod:`repro.faults`);
 * :mod:`repro.diag.render` — operator-facing traffic lights and
   plain-language recommendations (the ``repro.serve`` health view).
-
-The legacy entry points (``survey_link``, ``classify_link``,
-``find_hotspots``, ``probe_path``) live on in
-:mod:`repro.core.diagnosis` as thin wrappers over this package.
 """
 
 from repro.diag.engine import (
@@ -33,7 +29,7 @@ from repro.diag.engine import (
     reduce_link_finding,
 )
 from repro.diag.findings import FINDING_KINDS, DiagnosisReport, Finding
-from repro.diag.observations import ChannelReading, Hotspot, LinkReport
+from repro.diag.observations import ChannelReading, LinkReport
 from repro.diag.online import (
     CusumDetector,
     EwmaDetector,
@@ -82,7 +78,6 @@ __all__ = [
     "WindowStats",
     "merge_findings",
     "LinkReport",
-    "Hotspot",
     "ChannelReading",
     "Probe",
     "ProbeRequest",

@@ -52,11 +52,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Decision thresholds for every reducer, in one place.
-
-    The link thresholds mirror the legacy ``classify_link`` defaults so
-    the back-compat wrappers reproduce historical labels exactly.
-    """
+    """Decision thresholds for every reducer, in one place."""
 
     broken_loss: float = 0.9
     lossy_loss: float = 0.25
@@ -116,10 +112,9 @@ def reduce_link_finding(report: LinkReport,
                         ) -> Finding | None:
     """One link report → at most one link finding.
 
-    Decision order matches the legacy ``classify_link``: broken first,
-    then asymmetry, then lossiness.  A report with no data (``sent ==
-    0``) yields *no* finding — absence of evidence is not a broken
-    link.
+    Decision order: broken first, then asymmetry, then lossiness.  A
+    report with no data (``sent == 0``) yields *no* finding — absence
+    of evidence is not a broken link.
     """
     if not report.has_data:
         return None
@@ -190,10 +185,9 @@ def reduce_hotspot_findings(traces: _t.Iterable["TracerouteResult"],
                             ) -> list[Finding]:
     """Per-hop RTT + queue evidence from traceroutes → hotspot findings.
 
-    Same statistics as the legacy ``find_hotspots``: aggregate each
-    node's inbound hop RTTs and max reported queue, score against
-    ``baseline_rtt_ms`` (or the probe-wide median when absent), and
-    flag nodes past ``hotspot_score`` or with queues at
+    Aggregate each node's inbound hop RTTs and max reported queue,
+    score against ``baseline_rtt_ms`` (or the probe-wide median when
+    absent), and flag nodes past ``hotspot_score`` or with queues at
     ``hotspot_queue`` and above.
     """
     rtts: dict[int, list[float]] = {}
@@ -316,7 +310,7 @@ class DiagnosisEngine:
                 state.dead.setdefault(probe.request().node, outcome)
         return outcome
 
-    def _survey_link(self, state: _RunState, src: int, dst: int,
+    def _probe_link(self, state: _RunState, src: int, dst: int,
                      plan: ProbePlan) -> None:
         probe = LinkProbe(src=src, dst=dst, rounds=plan.rounds,
                           length=plan.length, port=0)
@@ -332,7 +326,7 @@ class DiagnosisEngine:
         state = _RunState()
         surveyed = set(plan.links)
         for src, dst in plan.links:
-            self._survey_link(state, src, dst, plan)
+            self._probe_link(state, src, dst, plan)
         for src, dst in plan.paths:
             outcome = self._run(state, PathProbe(
                 src=src, dst=dst, rounds=plan.path_rounds,
@@ -346,7 +340,7 @@ class DiagnosisEngine:
                 for a, b in zip([src] + hops, hops):
                     if a != b and (a, b) not in surveyed:
                         surveyed.add((a, b))
-                        self._survey_link(state, a, b, plan)
+                        self._probe_link(state, a, b, plan)
         for node in plan.scans:
             outcome = self._run(state, ChannelScanProbe(node=node))
             if outcome.ok:

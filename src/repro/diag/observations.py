@@ -1,15 +1,10 @@
 """Typed observations: what one probe actually measured.
 
 A probe run ends in an *observation* — a plain, comparable record of
-what the toolkit learned about one link, path, node or channel.  The
-observation layer deliberately imports nothing from the rest of the
-package: findings reduction and the legacy ``repro.core.diagnosis``
-wrappers both build on these records, so they must stay dependency-free.
-
-:class:`LinkReport` and :class:`Hotspot` began life in
-``repro.core.diagnosis`` and keep their exact public fields; the legacy
-module re-exports them, so ``from repro.core.diagnosis import
-LinkReport`` keeps working.
+what the toolkit learned about one link or channel.  The observation
+layer deliberately imports nothing from the rest of the package:
+findings reduction builds on these records, so they must stay
+dependency-free.
 """
 
 from __future__ import annotations
@@ -17,7 +12,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
-__all__ = ["LinkReport", "Hotspot", "ChannelReading"]
+__all__ = ["LinkReport", "ChannelReading"]
 
 
 @dataclass(frozen=True)
@@ -38,10 +33,9 @@ class LinkReport:
     def loss_ratio(self) -> float:
         """Probe round-trip loss fraction.
 
-        ``sent == 0`` returns the sentinel 1.0 for backward
-        compatibility, but it means *no data*, not total loss — check
-        :attr:`has_data` (or the ``no_data`` classification label)
-        before treating the value as a measurement.
+        ``sent == 0`` returns the sentinel 1.0, but it means *no
+        data*, not total loss — check :attr:`has_data` before treating
+        the value as a measurement.
         """
         return 1.0 - self.received / self.sent if self.sent else 1.0
 
@@ -79,17 +73,6 @@ class LinkReport:
         return cls(src=src, dst=dst, sent=sent, received=0,
                    mean_rtt_ms=None, lqi_forward=None, lqi_backward=None,
                    rssi_forward=None, rssi_backward=None)
-
-
-@dataclass(frozen=True)
-class Hotspot:
-    """A node whose inbound hops show congestion indicators."""
-
-    node_id: int
-    mean_hop_rtt_ms: float
-    max_queue: int
-    samples: int
-    score: float
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,7 @@
 Every diagnostic the toolkit offers boils down to the same drive loop —
 walk the workstation next to a node, issue one management request over
 the reliable protocol, wait out a response window sized to the command,
-decode the struct-packed reply — and before this module existed that
-loop was copy-pasted across ``repro.core.diagnosis``, the command
-interpreter and several tests, each with its own window arithmetic.
+decode the struct-packed reply.  This module holds the one copy of it.
 
 A :class:`Probe` packages one diagnostic as data:
 
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 import struct
 import typing as _t
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.serialize import (
     decode_neighbor_views,
@@ -234,11 +232,9 @@ class ProbeOutcome:
     probe: Probe
     ok: bool
     value: object = None          # the typed observation when ok
-    decoded: object = None        # the wire-level result when ok
     failure: str | None = None    # "unreachable" | "timeout" | "rejected"
     error: str = ""
     attempts: int = 0
-    exception: BaseException | None = field(default=None, repr=False)
 
     @property
     def unreachable(self) -> bool:
@@ -254,29 +250,26 @@ class ProbeExecutor:
     ``deployment`` is anything with a ``workstation`` attribute (a
     :class:`~repro.core.deploy.LiteViewDeployment`) or a
     :class:`~repro.core.workstation.Workstation` itself.  ``attempts``
-    bounds retries per probe; ``attach`` walks the workstation next to
-    each probe's node first (the paper's site-visit step).
+    bounds retries per probe; each attempt first walks the workstation
+    next to the probe's node (the paper's site-visit step).
     """
 
-    def __init__(self, deployment, *, attempts: int = 1,
-                 attach: bool = True):
+    def __init__(self, deployment, *, attempts: int = 1):
         self.ws: "Workstation" = getattr(deployment, "workstation",
                                          deployment)
         self.testbed = self.ws.testbed
         if attempts < 1:
             raise ValueError(f"attempts must be >= 1, got {attempts}")
         self.attempts = int(attempts)
-        self.attach = bool(attach)
 
     def run(self, probe: Probe) -> ProbeOutcome:
         """Run one probe to completion, retrying inside the budget."""
         monitor = self.testbed.monitor
         tracer = self.testbed.tracer
         request = probe.request()
-        failure, error, exc = None, "", None
+        failure, error = None, ""
         for attempt in range(1, self.attempts + 1):
-            if self.attach:
-                self.ws.attach_near(request.node)
+            self.ws.attach_near(request.node)
             monitor.count("diag.probes")
             if tracer.enabled:
                 tracer.emit("diag.probe", self.testbed.env.now,
@@ -289,7 +282,6 @@ class ProbeExecutor:
                     wait_full_window=request.wait_full_window,
                 )
             except CommandTimeout as caught:
-                exc = caught
                 if isinstance(caught.__cause__, ReliableTransferError):
                     failure, error = "unreachable", str(caught)
                 else:
@@ -302,15 +294,14 @@ class ProbeExecutor:
             decoded = probe.decode(reply.body, self.testbed.namespace)
             return ProbeOutcome(probe=probe, ok=True,
                                 value=probe.observe(decoded),
-                                decoded=decoded, attempts=attempt)
+                                attempts=attempt)
         monitor.count("diag.probe_failures")
         if tracer.enabled:
             tracer.emit("diag.probe_failure", self.testbed.env.now,
                         node=request.node, kind_label=probe.kind,
                         failure=failure)
         return ProbeOutcome(probe=probe, ok=False, failure=failure,
-                            error=error, attempts=self.attempts,
-                            exception=exc)
+                            error=error, attempts=self.attempts)
 
     def run_all(self, probes: _t.Iterable[Probe]) -> list[ProbeOutcome]:
         """Run several probes in order (the site-survey walk)."""

@@ -1,11 +1,9 @@
 """Metrics registry: counters, gauges, and percentile histograms.
 
-The raw-list series :class:`~repro.sim.monitor.Monitor` keeps are fine
-for regenerating the paper's figures, but diagnosis wants *summaries*:
-"what is the p99 ping RTT", "how full do MAC queues get".  The registry
-is the typed store behind the monitor — the monitor's public API is
-unchanged and delegates here — plus the ``stats`` shell command's data
-source.
+Diagnosis wants *summaries*: "what is the p99 ping RTT", "how full do
+MAC queues get".  The registry is the typed store behind
+:class:`~repro.sim.monitor.Monitor`, plus the ``stats`` shell command's
+data source.
 
 Histograms store each distinct sample value with its count, not every
 sample: a live fleet's LQI takes ~60 distinct values over hundreds of

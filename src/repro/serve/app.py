@@ -15,8 +15,8 @@ FleetSupervisor` instances behind the hand-rolled HTTP core:
                                       findings, health transitions and
                                       fault installations
 ``POST /fleets/<name>/faults``        inject a canonical-JSON FaultPlan
-``POST /campaigns``                   launch a campaign on the server's
-                                      warm worker pool (202 + status URL)
+``POST /campaigns``                   launch a campaign (202 + status
+                                      URL)
 ``GET /campaigns``                    all submitted campaigns' status
 ``GET /campaigns/<name>``             one campaign: digest, counts, wall
 ====================================  =======================================
@@ -32,10 +32,13 @@ perturb the simulation.  ``tests/serve`` proves the digest identity.
 
 Campaigns are the one deliberately off-loop workload: ``POST
 /campaigns`` coordinates :func:`~repro.campaign.runner.run_campaign`
-from a worker thread while the actual cells execute in the process-wide
-**warm pool**'s worker processes — separate interpreters with their own
-RNG state, so a campaign can saturate every core without touching the
-served fleets' determinism.
+from a worker thread.  With ``workers > 1`` every cell executes in the
+process-wide **warm pool**'s worker processes — separate interpreters
+with their own RNG state, so a campaign can saturate every core, and a
+cell that kills its process costs one failed run, never the server.
+With ``workers == 1`` the cells run in that thread.  Either way each
+cell builds its own world, so the served fleets' determinism is
+untouched.
 """
 
 from __future__ import annotations
@@ -236,10 +239,9 @@ class ServeApp:
                               for plan in fleet.injected_plans],
                 })
             if parts[2] == "stats" and method == "GET":
-                # Registry-only snapshot: no series copies, no packet
-                # digest — cheap enough to poll every second.
-                snap = fleet.monitor.snapshot(
-                    include_series=False, include_packets=False)
+                # Registry-only snapshot: no packet digest — cheap
+                # enough to poll every second.
+                snap = fleet.monitor.snapshot(include_packets=False)
                 snap["fleet"] = fleet.name
                 snap["sim_time"] = round(fleet.sim_time, 6)
                 return json_response(200, snap)
@@ -355,9 +357,10 @@ class ServeApp:
         [k, of], "timeout_s"?, "retries"?}``.  ``timeout_s`` is null or
         a finite number >= 0, and ``retries`` an integer from 0 to
         :data:`MAX_CAMPAIGN_RETRIES`; anything else is a 400 here, not a
-        failure in every cell later.  Cells execute in the warm pool's
-        worker processes; only queue plumbing runs in this process, so
-        the served fleets' determinism is untouched.
+        failure in every cell later.  With ``workers > 1`` cells execute
+        in the warm pool's worker processes and only queue plumbing runs
+        in this process; ``workers == 1`` runs them in the campaign's
+        thread.
         """
         from repro.campaign import Campaign, default_workers
         from repro.campaign.scenarios import resolve_scenario

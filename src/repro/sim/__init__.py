@@ -10,7 +10,7 @@ evaluation reports.
 
 from repro.sim.engine import Environment, Infinity
 from repro.sim.events import AllOf, AnyOf, Condition, Event, Timeout
-from repro.sim.monitor import Monitor, PacketRecord, Sample
+from repro.sim.monitor import Monitor, PacketRecord
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry, stable_hash
 
@@ -24,7 +24,6 @@ __all__ = [
     "AllOf",
     "Process",
     "Monitor",
-    "Sample",
     "PacketRecord",
     "RngRegistry",
     "stable_hash",

@@ -1,46 +1,26 @@
-"""Counters, time series and packet traces.
+"""Counters, histograms and packet traces.
 
 The evaluation section of the paper reports three kinds of observables:
 delays (Fig. 5), per-hop link-quality readings (Fig. 6) and control-packet
 counts (Fig. 7).  :class:`Monitor` is the single collection point for all
-of them: subsystems increment named counters and append to named series,
+of them: subsystems increment named counters and feed named histograms,
 and the analysis layer reads them back without reaching into protocol
 internals.
 
-Storage lives in a :class:`~repro.obs.metrics.MetricsRegistry`: counters
-are registry counters, and every series sample also feeds a same-named
-histogram, so percentile summaries (p50/p90/p99 of RTT, LQI, queue
-occupancy) come for free via :attr:`Monitor.registry` and the ``stats``
-shell command.  The list-of-samples API below is unchanged — existing
-benches and tests read series exactly as before.
+Storage lives in a :class:`~repro.obs.metrics.MetricsRegistry`, so
+percentile summaries (p50/p90/p99 of RTT, LQI, queue occupancy) come for
+free via :attr:`Monitor.registry` and the ``stats`` shell command.
 """
 
 from __future__ import annotations
 
 import hashlib
 import typing as _t
-from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
-__all__ = ["Monitor", "Sample", "PacketRecord"]
-
-
-@dataclass(frozen=True, slots=True)
-class Sample:
-    """One time-stamped observation in a named series."""
-
-    time: float
-    value: float
-    tags: tuple[tuple[str, object], ...] = ()
-
-    def tag(self, key: str) -> object:
-        """Look up a tag by key (None if absent)."""
-        for k, v in self.tags:
-            if k == key:
-                return v
-        return None
+__all__ = ["Monitor", "PacketRecord"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,12 +45,11 @@ class PacketRecord:
 
 
 class Monitor:
-    """Aggregates counters, series and packet logs for one simulation."""
+    """Aggregates counters, histograms and packet logs for one simulation."""
 
     def __init__(self) -> None:
         #: The typed metrics store behind this facade.
         self.registry = MetricsRegistry()
-        self._series: dict[str, list[Sample]] = defaultdict(list)
         self.packets: list[PacketRecord] = []
         # Hot-path memos of registry lookups (count/observe run per
         # frame); dropped on reset() together with the registry contents.
@@ -143,23 +122,10 @@ class Monitor:
         """Snapshot of all counters (read-only view of the registry)."""
         return self.registry.counters()
 
-    # -- series ----------------------------------------------------------------
-
-    def record(self, name: str, time: float, value: float,
-               **tags: object) -> None:
-        """Append a sample to series ``name`` (and its histogram)."""
-        self._series[name].append(
-            Sample(time=time, value=value, tags=tuple(sorted(tags.items())))
-        )
-        self.histogram_obj(name).observe(value)
+    # -- histograms ------------------------------------------------------------
 
     def observe(self, name: str, value: float) -> None:
-        """Feed a value to histogram ``name`` without keeping a Sample.
-
-        The cheap path for high-rate observables (per-frame queue
-        occupancy) where only the distribution matters, not the
-        individual time-stamped points.
-        """
+        """Feed a value to histogram ``name``."""
         histogram = self._histogram_memo.get(name)
         if histogram is None:
             histogram = self.registry.histogram(name)
@@ -167,24 +133,12 @@ class Monitor:
         histogram.observe(value)
 
     def histogram(self, name: str) -> Histogram:
-        """The histogram behind series/observations named ``name``."""
+        """The histogram behind observations named ``name``."""
         return self.histogram_obj(name)
 
     def percentiles(self, name: str) -> dict[str, float | int | None]:
         """Summary (count/min/mean/max/p50/p90/p99) of ``name``."""
         return self.histogram_obj(name).summary()
-
-    def series(self, name: str) -> list[Sample]:
-        """All samples recorded under ``name`` (empty list if none)."""
-        return list(self._series.get(name, ()))
-
-    def series_values(self, name: str) -> list[float]:
-        """Just the values of series ``name``, in record order."""
-        return [s.value for s in self._series.get(name, ())]
-
-    def series_names(self) -> list[str]:
-        """Names of series that hold at least one sample."""
-        return sorted(k for k, v in self._series.items() if v)
 
     # -- packets ---------------------------------------------------------------
 
@@ -223,8 +177,7 @@ class Monitor:
 
     # -- snapshots -------------------------------------------------------------
 
-    def snapshot(self, *, include_series: bool = True,
-                 include_packets: bool = True) -> dict:
+    def snapshot(self, *, include_packets: bool = True) -> dict:
         """Plain-data dump of everything collected — picklable and
         JSON-ready, for cross-process return from campaign workers.
 
@@ -233,26 +186,19 @@ class Monitor:
         as its count and order-sensitive digest rather than shipped
         record by record.
 
-        The flags exist for frequent pollers (the live fleet server):
-        ``include_series=False`` skips copying every time series and
         ``include_packets=False`` skips the O(packets) digest hash, so
-        a registry-only snapshot stays cheap on a long-lived sim.
+        a frequent poller (the live fleet server) gets a registry-only
+        snapshot that stays cheap on a long-lived sim.
         """
         snap = self.registry.snapshot()
-        if include_series:
-            snap["series"] = {
-                name: [[s.time, s.value] for s in samples]
-                for name, samples in sorted(self._series.items()) if samples
-            }
         snap["n_packets"] = len(self.packets)
         if include_packets:
             snap["packet_sha256"] = self.packet_digest()
         return snap
 
     def reset(self) -> None:
-        """Clear all collected data (counters, series and packet log)."""
+        """Clear all collected data (metrics and packet log)."""
         self.registry.reset()
-        self._series.clear()
         self.packets.clear()
         self._counter_memo.clear()
         self._histogram_memo.clear()

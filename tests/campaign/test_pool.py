@@ -194,6 +194,27 @@ def test_every_worker_dying_never_runs_a_cell_in_the_caller(crash_pool):
     assert crash_pool.alive == 2
 
 
+def test_lone_retry_of_a_crashing_cell_runs_in_the_pool():
+    """The retry batch holds a single cell and still goes to the shared
+    pool, so the repeat crash costs a failed run, not the caller."""
+    out = run_campaign(Campaign(
+        name="lone-retry", scenario=f"{SCN}:hard_crash", seed=4,
+        grid={"cell": [0, 1, 2]}, base_params={"crash_cell": 1}),
+        workers=2, retries=1)
+    (failure,) = out.failures
+    assert failure.spec.params_dict["cell"] == 1
+    assert failure.attempts == 2 and "died mid-run" in failure.error
+    assert len(out.ok) == 2
+
+
+def test_one_cell_campaign_runs_in_the_pool():
+    out = run_campaign(Campaign(
+        name="one-cell", scenario=f"{SCN}:hard_crash", seed=4,
+        base_params={"cell": 0, "crash_cell": 0}), workers=2, retries=0)
+    (failure,) = out.failures
+    assert "died mid-run" in failure.error and out.ok == []
+
+
 def test_idle_worker_death_is_replaced_before_the_next_batch():
     """A worker killed between batches costs no cell: the next batch
     replaces its slot and keeps the surviving worker."""

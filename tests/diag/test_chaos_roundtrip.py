@@ -10,8 +10,13 @@ footprint (the link, the node, the channel), not merely "something".
 import statistics
 
 from repro.core.deploy import deploy_liteview
-from repro.core.diagnosis import probe_path
-from repro.diag import DiagnosisEngine, ProbePlan, score_findings
+from repro.diag import (
+    DiagnosisEngine,
+    PathProbe,
+    ProbeExecutor,
+    ProbePlan,
+    score_findings,
+)
 from repro.faults import FaultPlan, FaultSpec, install_faults
 from repro.workloads import Flow, TrafficGenerator, build_chain, corridor_chain
 from repro.workloads.scenarios import QUIET_PROPAGATION
@@ -116,7 +121,8 @@ def test_clock_drift_surfaces_as_a_spurious_hotspot():
     testbed, deployment, plan = _quiet_chain(
         FaultSpec(kind="clock_drift", at=20.0, nodes=(2,), drift=2.0),
         warm_up=15.0)
-    quiet = probe_path(deployment, 2, 4, rounds=3)
+    quiet = ProbeExecutor(deployment).run(
+        PathProbe(src=2, dst=4, rounds=3)).value
     baseline = statistics.fmean(h.rtt_ms for h in quiet.hops)
     testbed.warm_up(max(0.0, 25.0 - testbed.env.now))
     report, score = _diagnose(

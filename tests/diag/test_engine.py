@@ -82,6 +82,16 @@ def test_thresholds_are_injectable():
     assert report.findings[0].kind == "lossy_link"
 
 
+def test_quiet_network_has_no_strong_hotspots():
+    _, deployment = _chain(seed=4)
+    report = DiagnosisEngine(
+        deployment, thresholds=Thresholds(hotspot_score=3.0),
+    ).run(ProbePlan(paths=((1, 4),)))
+    assert report.probes_failed == 0
+    assert all(f.evidence["max_queue"] <= 1
+               for f in report.of_kind("hotspot"))
+
+
 def test_diag_finding_trace_events_are_emitted():
     testbed, deployment = _chain(specs=(
         FaultSpec(kind="link_degrade", at=16.0, link=(2, 3), loss_db=80.0),

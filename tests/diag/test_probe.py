@@ -14,6 +14,7 @@ from repro.diag import (
     NeighborProbe,
     PathProbe,
     ProbeExecutor,
+    reduce_link_finding,
 )
 from repro.diag.probe import ping_window, scan_window, traceroute_window
 from repro.workloads import build_chain
@@ -155,3 +156,28 @@ def test_run_all_preserves_probe_order(chain):
     outcomes = ProbeExecutor(deployment).run_all(probes)
     assert [o.probe for o in outcomes] == probes
     assert all(o.ok for o in outcomes)
+
+
+def fresh_chain(nodes, seed):
+    testbed = build_chain(nodes, spacing=60.0, seed=seed,
+                          propagation_kwargs=QUIET_PROPAGATION)
+    return testbed, deploy_liteview(testbed, warm_up=15.0)
+
+
+def test_asymmetric_link_detected():
+    testbed, deployment = fresh_chain(3, seed=2)
+    # Degrade only the 2->1 direction (e.g. a weak antenna at 2):
+    # probes arrive fine, replies arrive at low LQI/RSSI.
+    testbed.propagation.set_link_shadowing_db(2, 1, 5.0)
+    outcome = ProbeExecutor(deployment).run(LinkProbe(src=1, dst=2, rounds=8))
+    assert outcome.ok and outcome.value.received >= 1
+    assert outcome.value.lqi_backward < outcome.value.lqi_forward
+    assert reduce_link_finding(outcome.value).kind in (
+        "asymmetric_link", "lossy_link")
+
+
+def test_path_probe_reaches_its_target():
+    _, deployment = fresh_chain(4, seed=4)
+    outcome = ProbeExecutor(deployment).run(PathProbe(src=1, dst=4))
+    assert outcome.ok
+    assert outcome.value.reached_target

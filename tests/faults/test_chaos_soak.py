@@ -8,9 +8,7 @@ names the injured hop.
 """
 
 from repro.core.deploy import deploy_liteview
-from repro.core.diagnosis import probe_path
-from repro.diag import DiagnosisEngine, ProbePlan
-from repro.errors import CommandTimeout
+from repro.diag import DiagnosisEngine, PathProbe, ProbeExecutor, ProbePlan
 from repro.faults import FaultPlan, FaultSpec, install_faults
 from repro.workloads import build_chain
 from repro.workloads.scenarios import QUIET_PROPAGATION
@@ -47,10 +45,8 @@ def test_chaos_soak_commands_return_and_diagnosis_names_injured_hop():
     assert chaos_ping is not None
     assert chaos_ping.received + chaos_ping.lost == 3
 
-    try:
-        chaos_trace = probe_path(dep, 1, 8)
-    except CommandTimeout:
-        chaos_trace = None  # a failed traceroute is a *result* here
+    # A failed traceroute is a *result* here (value None).
+    chaos_trace = ProbeExecutor(dep).run(PathProbe(src=1, dst=8)).value
     if chaos_trace is not None:
         assert len(chaos_trace.hops) <= 7
 
@@ -62,17 +58,13 @@ def test_chaos_soak_commands_return_and_diagnosis_names_injured_hop():
     broken_ping = dep.interpreter.last_result
     assert broken_ping.received == 0 and broken_ping.lost == 3
 
-    try:
-        broken_trace = probe_path(dep, 1, 8)
-    except CommandTimeout:
-        broken_trace = None
+    broken_trace = ProbeExecutor(dep).run(PathProbe(src=1, dst=8)).value
     if broken_trace is not None:
         assert not broken_trace.reached_target
         assert all(h.probed_node_id <= INJURED[0] for h in broken_trace.hops)
 
     # Phase 3 — the diagnosis engine's site-survey walk localises the
-    # injury by name (the same probe pipeline the legacy survey_links
-    # wrapper drives, plus the finding reduction on top).
+    # injury by name.
     report = DiagnosisEngine(dep).run(ProbePlan(
         links=tuple((i, i + 1) for i in range(1, 8)),
         rounds=6, length=16,

@@ -62,6 +62,13 @@ def test_site_survey(capsys):
     assert "healthy links:" in out
 
 
+def test_chaos_fault_injection(capsys):
+    out = run_main("chaos_fault_injection", capsys)
+    assert "link 4 -> 5: replies 0/6, broken_link  <-- the injury" in out
+    assert out.count("<-- the injury") == 1
+    assert "every command returned; nothing hung." in out
+
+
 def test_live_fleet(capsys):
     out = run_main("live_fleet", capsys)
     assert "baseline health:" in out

@@ -157,10 +157,10 @@ def test_monitor_counter_of_non_counter_metric_is_zero():
 
 
 def test_monitor_record_feeds_histogram():
+    """Values recorded with ``observe`` land in the same-named histogram."""
     mon = Monitor()
     for value in (1.0, 2.0, 3.0, 4.0):
-        mon.record("rtt", 0.0, value)
-    assert mon.series_values("rtt") == [1.0, 2.0, 3.0, 4.0]
+        mon.observe("rtt", value)
     assert mon.histogram("rtt").count == 4
     percentiles = mon.percentiles("rtt")
     assert percentiles["count"] == 4
@@ -169,24 +169,29 @@ def test_monitor_record_feeds_histogram():
 
 
 def test_monitor_histogram_lookups_share_one_memo():
-    """``record``, ``observe``, ``histogram`` and ``percentiles`` resolve
-    a name through the monitor's memo, not a registry lookup per call."""
+    """``observe``, ``histogram`` and ``percentiles`` resolve a name
+    through the monitor's memo, not a registry lookup per call."""
     mon = Monitor()
-    mon.record("rtt", 0.0, 1.0)
+    mon.observe("rtt", 1.0)
     hist = mon.histogram_obj("rtt")
     with mock.patch.object(MetricsRegistry, "histogram",
                            side_effect=AssertionError("registry lookup")):
-        mon.record("rtt", 1.0, 2.0)
+        mon.observe("rtt", 2.0)
         mon.observe("rtt", 3.0)
         assert mon.histogram("rtt") is hist
         assert mon.percentiles("rtt")["count"] == 3
 
 
 def test_monitor_observe_skips_series():
+    """``observe`` keeps only the histogram: no per-sample time series is
+    stored, so a snapshot carries the summary and nothing sample by
+    sample."""
     mon = Monitor()
     mon.observe("occupancy", 2.0)
     assert mon.histogram("occupancy").count == 1
-    assert mon.series("occupancy") == []
+    snap = mon.snapshot(include_packets=False)
+    assert "series" not in snap
+    assert snap["histograms"]["occupancy"]["count"] == 1
 
 
 def test_monitor_reset_clears_registry():

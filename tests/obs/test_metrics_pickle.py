@@ -76,7 +76,6 @@ def test_monitor_roundtrip(protocol):
     from repro.sim.monitor import PacketRecord
     monitor = Monitor()
     monitor.count("sent", 3)
-    monitor.record("rtt", time=1.0, value=4.5, hop=2)
     monitor.observe("queue", 1.0)
     monitor.log_packet(PacketRecord(time=0.5, sender=1, receiver=2,
                                     kind="data", port=10, size_bytes=32,
@@ -84,8 +83,6 @@ def test_monitor_roundtrip(protocol):
 
     clone = pickle.loads(pickle.dumps(monitor, protocol))
     assert clone.counter("sent") == 3
-    assert [s.value for s in clone.series("rtt")] == [4.5]
-    assert clone.series("rtt")[0].tag("hop") == 2
     assert clone.percentiles("queue")["count"] == 1
     assert clone.packet_digest() == monitor.packet_digest()
     # The memo caches still function: counting after unpickle works.
@@ -96,10 +93,9 @@ def test_monitor_roundtrip(protocol):
 def test_monitor_snapshot_is_plain_and_picklable():
     monitor = Monitor()
     monitor.count("medium.transmissions", 9)
-    monitor.record("lqi", time=2.0, value=101.0)
+    monitor.observe("lqi", 101.0)
     snap = monitor.snapshot()
     assert snap["counters"] == {"medium.transmissions": 9}
-    assert snap["series"]["lqi"] == [[2.0, 101.0]]
     assert snap["n_packets"] == 0
     assert snap["packet_sha256"] == monitor.packet_digest()
     assert snap["histograms"]["lqi"]["count"] == 1

@@ -199,3 +199,28 @@ def test_duplicate_running_campaign_is_conflict(monkeypatch):
             await app.stop()
 
     asyncio.run(main())
+
+
+def test_one_cell_crashing_campaign_leaves_the_server_running():
+    """``workers > 1`` runs even a lone cell in the warm pool: a cell
+    that kills its process costs one failed run, not the server."""
+    async def main():
+        app = make_app()
+        await app.start(auto_tick=False)
+        try:
+            body = {"scenario": "tests.campaign._pool_scenarios:hard_crash",
+                    "name": "crashy", "seed": 4, "workers": 2,
+                    "retries": 0,
+                    "base_params": {"cell": 0, "crash_cell": 0}}
+            status, reply = await fetch_json(
+                app.port, "/campaigns", "POST", body)
+            assert status == 202, reply
+            record = await poll_until_settled(app.port, "crashy",
+                                              timeout=120.0)
+            assert record["status"] == "done", record
+            assert record["runs"] == 1 and record["failed"] == 1
+            assert "died mid-run" in record["failures"][0]["error"]
+        finally:
+            await app.stop()
+
+    asyncio.run(main())

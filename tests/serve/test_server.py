@@ -210,8 +210,7 @@ def test_stats_endpoint_serves_registry_snapshot():
             assert status == 200
             assert payload["fleet"] == fleet.name
             assert payload["counters"]  # beacon traffic counted
-            assert "series" not in payload  # the cheap snapshot
-            assert "packet_sha256" not in payload
+            assert "packet_sha256" not in payload  # the cheap snapshot
             assert payload["n_packets"] > 0
         finally:
             await app.stop()

@@ -60,17 +60,6 @@ def test_counters_default_zero():
     assert mon.counter("x") == 4
 
 
-def test_series_and_tags():
-    mon = Monitor()
-    mon.record("rtt", 1.0, 4.7, hop=1, power=31)
-    [sample] = mon.series("rtt")
-    assert sample.value == 4.7
-    assert sample.tag("hop") == 1
-    assert sample.tag("missing") is None
-    assert mon.series_values("rtt") == [4.7]
-    assert mon.series_names() == ["rtt"]
-
-
 def test_packet_count_filters():
     mon = Monitor()
     for i, kind in enumerate(("ping", "ping", "beacon")):
@@ -112,11 +101,11 @@ def test_packet_count_empty_log():
 def test_reset_clears_everything():
     mon = Monitor()
     mon.count("x")
-    mon.record("s", 0.0, 1.0)
+    mon.observe("s", 1.0)
     mon.log_packet(PacketRecord(time=0, sender=1, receiver=None,
                                 kind="d", port=None, size_bytes=1,
                                 delivered=True))
     mon.reset()
     assert mon.counter("x") == 0
-    assert mon.series("s") == []
+    assert mon.histogram("s").count == 0
     assert mon.packets == []
