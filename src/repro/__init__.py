@@ -18,6 +18,8 @@ The package reproduces the LiteView toolkit in simulation:
 * :mod:`repro.workloads` — topologies and canned scenarios
 * :mod:`repro.faults` — deterministic fault injection: declarative
   plans of crashes, degraded links, interference, corruption
+* :mod:`repro.plan` — the codec fault and mobility plans share, and
+  its checked decoding of plan input (``PlanError``)
 * :mod:`repro.analysis` — metrics aggregation and table rendering
 
 Quickstart::

@@ -2,7 +2,7 @@
 
 Three subcommands:
 
-``python -m repro shell [--seed N] [--nodes field|chain:K]``
+``python -m repro shell [--seed N] [--nodes SPEC]``
     Build a simulated testbed with LiteView deployed everywhere and drop
     into the shell-style command interpreter.  This is the default: bare
     ``python -m repro [--seed N] [--nodes ...]`` still works.
@@ -25,27 +25,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 
 from repro.errors import ReproError
 
 
-def build_testbed(spec: str, seed: int):
-    from repro.workloads import build_chain, thirty_node_field
-    from repro.workloads.scenarios import QUIET_PROPAGATION
-
-    if spec == "field":
-        return thirty_node_field(seed=seed)
-    if spec.startswith("chain:"):
-        return build_chain(int(spec.split(":", 1)[1]), seed=seed,
-                           propagation_kwargs=QUIET_PROPAGATION)
-    raise SystemExit(f"unknown topology spec {spec!r} "
-                     "(use 'field' or 'chain:K')")
-
-
 def run_shell(args: argparse.Namespace) -> int:
     from repro.core.deploy import deploy_liteview
+    from repro.workloads.scenarios import testbed_from_spec
 
-    testbed = build_testbed(args.nodes, args.seed)
+    try:
+        testbed = testbed_from_spec(args.nodes, seed=args.seed)
+    except ValueError as exc:
+        raise SystemExit(f"--nodes: {exc}") from None
     deployment = deploy_liteview(testbed, warm_up=15.0)
     interpreter = deployment.interpreter
     print(f"LiteView shell on {len(testbed)} nodes (seed {args.seed}). "
@@ -101,6 +93,17 @@ def _parse_shard(text: str) -> tuple[int, int]:
     except ValueError:
         raise SystemExit(
             f"bad --shard {text!r} (expected K/N with 0 <= K < N)") from None
+
+
+def _parse_timeout(text: str) -> float:
+    """``--timeout`` seconds: 0 to the furthest a per-run alarm can be
+    armed (``threading.TIMEOUT_MAX``)."""
+    value = _parse_value(text)
+    if not (isinstance(value, (int, float))
+            and 0 <= value <= threading.TIMEOUT_MAX):
+        raise argparse.ArgumentTypeError(
+            f"expected 0 to {threading.TIMEOUT_MAX:g} seconds, got {text!r}")
+    return float(value)
 
 
 def run_campaign_cli(args: argparse.Namespace) -> int:
@@ -200,7 +203,7 @@ def _parser() -> argparse.ArgumentParser:
     shell = sub.add_parser("shell", help="interactive LiteView shell")
     shell.add_argument("--seed", type=int, default=3)
     shell.add_argument("--nodes", default="field",
-                       help="'field' (30 nodes) or 'chain:K'")
+                       help="topology spec, as for serve (default: field)")
 
     camp = sub.add_parser("campaign", help="run a simulation campaign")
     camp.add_argument("--scenario", help="scenario cell (see --list)")
@@ -222,7 +225,7 @@ def _parser() -> argparse.ArgumentParser:
                       help="swept parameter axis (repeatable)")
     camp.add_argument("--cache", metavar="DIR",
                       help="on-disk result cache directory")
-    camp.add_argument("--timeout", type=float, default=None,
+    camp.add_argument("--timeout", type=_parse_timeout, default=None,
                       help="per-run timeout in seconds")
     camp.add_argument("--retries", type=int, default=1,
                       help="attempts per failing run (default 1)")

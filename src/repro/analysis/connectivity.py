@@ -12,7 +12,8 @@ Everything here is vectorised per the hpc-parallel guides: one
 ``loss_matrix`` evaluation plus elementwise PRR, no Python-level pair
 loops.  Shadowing is included from the model's per-link cache, so
 predictions match what the simulated radio will actually do in
-expectation (fading excluded — it is zero-mean per packet).
+expectation; an undrawn link counts at the model's 0 dB mean, as fading
+does, so planning draws nothing and leaves the run that follows intact.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def received_power_matrix(testbed: "Testbed",
     """Expected rx power (dBm) for every directed pair (i → j).
 
     Row/column order follows ``testbed.nodes()``; the diagonal is NaN
-    (no self-links).  Includes each directed link's static shadowing.
+    (no self-links).  Includes each directed link's static shadowing
+    where it is drawn or pinned, the mean (0 dB) where it is not.
     """
     ids, positions = _positions(testbed)
     n = len(ids)
@@ -58,7 +60,7 @@ def received_power_matrix(testbed: "Testbed",
     for i, a in enumerate(ids):
         for j, b in enumerate(ids):
             if i != j:
-                shadow[i, j] = testbed.propagation.link_shadowing_db(a, b)
+                shadow[i, j] = testbed.propagation.expected_shadowing_db(a, b)
     rx = tx_dbm - (loss + shadow)
     np.fill_diagonal(rx, np.nan)
     return rx

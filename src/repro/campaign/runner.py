@@ -158,8 +158,13 @@ def run_campaign(campaign: "Campaign | object", *, workers: int | None = 1,
     the same cache themselves, so no worker recomputes a cell any
     process already produced.  ``retries`` bounds *extra* attempts for a
     failed run.  ``progress`` is called as ``progress(done, total,
-    result)`` once per settled run, cached hits included.
+    result)`` once per settled run, cached hits included.  ``timeout_s``
+    must be ``None`` or 0 to ``threading.TIMEOUT_MAX`` seconds (0 means
+    no deadline); the per-run alarm cannot be armed any further out.
     """
+    if timeout_s is not None and not 0 <= timeout_s <= threading.TIMEOUT_MAX:
+        raise ValueError(f"timeout_s must be 0 to {threading.TIMEOUT_MAX:g} "
+                         f"seconds, got {timeout_s}")
     if workers is None:
         workers = default_workers()
     specs = campaign.expand()

@@ -116,10 +116,10 @@ class Campaign:
 
     ``fault_plan`` makes chaos a first-class campaign dimension: the
     plan (a :class:`~repro.faults.spec.FaultPlan`, its canonical JSON,
-    or a mapping) is folded into every cell as an ordinary
-    ``fault_plan`` parameter, so derived seeds and cache keys change
-    with the plan automatically and sharded execution stays
-    bit-identical to serial.  ``None`` (the default) adds nothing —
+    or a mapping) is decoded once, here, and its canonical JSON folded
+    into every cell as an ordinary ``fault_plan`` parameter, so derived
+    seeds and cache keys change with the plan automatically and sharded
+    execution stays bit-identical to serial.  ``None`` (the default) adds nothing —
     cell encodings, seeds and caches are exactly the plan-free ones.
     """
 
@@ -146,19 +146,17 @@ class Campaign:
                 "pass the fault plan either as Campaign.fault_plan or as a "
                 "'fault_plan' parameter, not both"
             )
-
-    def _fault_params(self) -> dict:
-        """The injected ``fault_plan`` cell parameter (empty when none)."""
-        if self.fault_plan is None:
-            return {}
-        from repro.faults.spec import FaultPlan
-        return {"fault_plan": FaultPlan.from_param(self.fault_plan).to_param()}
+        if self.fault_plan is not None:
+            from repro.faults.spec import FaultPlan
+            object.__setattr__(self, "fault_plan",
+                               FaultPlan.from_param(self.fault_plan).to_param())
 
     def cells(self) -> list[dict]:
         """The parameter dicts of the grid's cartesian product, in
         deterministic (sorted-name, given-value-order) order."""
         names = sorted(self.grid)
-        fault_params = self._fault_params()
+        fault_params = ({} if self.fault_plan is None
+                        else {"fault_plan": self.fault_plan})
         out = []
         for combo in itertools.product(*(self.grid[n] for n in names)):
             params = dict(self.base_params)

@@ -36,6 +36,7 @@ __all__ = [
     "ParameterError",
     "CommandTimeout",
     "ReliableTransferError",
+    "PlanError",
 ]
 
 
@@ -219,3 +220,12 @@ class ReliableTransferError(ReproError):
         self.pending = pending
         self.total = total
         self.backoff_delays = tuple(backoff_delays)
+
+
+# --------------------------------------------------------------------------
+# Fault and mobility plans
+# --------------------------------------------------------------------------
+
+class PlanError(ReproError, ValueError):
+    """A fault or mobility plan that cannot be decoded, or names a node
+    the world lacks — raised before anything is scheduled."""

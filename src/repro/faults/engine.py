@@ -2,10 +2,12 @@
 
 :func:`install_faults` walks a plan and schedules each spec's
 activation/deactivation through :meth:`Environment.call_at`, so faults
-interleave with traffic in ordinary event order.  The resulting
-:class:`FaultInjector` is also the medium's live fault interface — the
-radio hot path queries it for the injected noise floor and for
-packet-corruption rolls.
+interleave with traffic in ordinary event order.  Each world has one
+:class:`FaultInjector` (``medium.faults``), created by the first active
+plan; every later plan compiles into the same injector, so plans
+installed on one world accumulate.  The injector is also the medium's
+live fault interface — the radio hot path queries it for the injected
+noise floor and for packet-corruption rolls.
 
 Determinism contract (the one the chaos property tests assert):
 
@@ -33,17 +35,15 @@ RAMP_STEPS = 8
 
 
 class FaultInjector:
-    """Live fault state for one run, installed from a plan.
+    """Live fault state for one world, fed by every plan installed on it:
+    :meth:`install` schedules a plan's edges, whose callbacks mutate
+    node/link/queue state; the medium pulls noise offsets and corruption
+    rolls from it."""
 
-    Construction schedules every activation/deactivation; after that the
-    injector is passive — the medium pulls noise offsets and corruption
-    rolls from it, and the scheduled callbacks mutate node/link/queue
-    state at their appointed times.
-    """
-
-    def __init__(self, testbed: "Testbed", plan: FaultPlan):
+    def __init__(self, testbed: "Testbed"):
         self.testbed = testbed
-        self.plan = plan
+        #: Every plan installed so far, in installation order.
+        self.plans: list[FaultPlan] = []
         self.env = testbed.env
         self.monitor = testbed.monitor
         #: Dedicated stream: stochastic faults draw only from here.
@@ -59,7 +59,13 @@ class FaultInjector:
         self.corrupt_active = False
         #: Activation counter per kind, for tests and reports.
         self.activations: dict[str, int] = {}
-        for index, spec in enumerate(plan.specs):
+
+    def install(self, plan: FaultPlan) -> None:
+        """Compile ``plan``'s specs into events.  Spec indices in trace
+        events continue across plans, so each names one spec."""
+        first = sum(len(p) for p in self.plans)
+        self.plans.append(plan)
+        for index, spec in enumerate(plan.specs, start=first):
             self._compile(index, spec)
 
     # -- medium interface ---------------------------------------------------
@@ -190,7 +196,7 @@ class FaultInjector:
             propagation.set_link_penalty_db(src, dst, current + delta_db)
 
     def _shift_noise(self, spec: FaultSpec, delta_db: float) -> None:
-        channel = int(spec.channel)  # type: ignore[arg-type]
+        channel = spec.channel
         value = self._noise.get(channel, 0.0) + delta_db
         if abs(value) < 1e-12:
             self._noise.pop(channel, None)
@@ -229,14 +235,18 @@ def install_faults(testbed: "Testbed",
                    ) -> FaultInjector | None:
     """Install ``plan`` on ``testbed``; returns the injector, or ``None``.
 
-    Accepts any form :meth:`FaultPlan.from_param` does (a plan, its
-    canonical JSON, a mapping, or ``None``).  Inert plans return ``None``
-    and leave the world completely untouched — no events scheduled, no
-    RNG stream created, no medium hook set.
+    Accepts any form :meth:`FaultPlan.from_param` does; raises
+    :class:`~repro.errors.PlanError` for a node the world lacks.  Inert
+    plans return ``None`` and leave the world untouched — no events, no
+    RNG stream, no medium hook.  An active plan compiles into the
+    world's one injector (created by the first), beside earlier plans.
     """
     plan = FaultPlan.from_param(plan)
+    plan.check_scope(testbed)
     if not plan.is_active:
         return None
-    injector = FaultInjector(testbed, plan)
-    testbed.medium.faults = injector
+    injector = testbed.medium.faults
+    if injector is None:
+        injector = testbed.medium.faults = FaultInjector(testbed)
+    injector.install(plan)
     return injector

@@ -7,24 +7,19 @@ entries — dead nodes, degraded links, interference bursts, corrupted
 packets, saturated queues, drifting clocks — that the fault engine
 (:mod:`repro.faults.engine`) compiles into simulator events.
 
-Two contracts live here:
-
-* **Determinism** — a plan is pure data.  All stochastic faults draw
-  from one dedicated RNG stream derived from the run seed, so the same
-  seed and plan reproduce the same injured world bit-for-bit, and a
-  disabled or empty plan leaves every other stream untouched (golden
-  fixtures unchanged).
-* **Campaign integration** — a plan round-trips through canonical JSON
-  (:meth:`FaultPlan.to_param` / :meth:`FaultPlan.from_param`), so whole
-  chaos grids become ordinary campaign parameters: they shard, cache
-  and derive per-run seeds like any other swept value.
+A plan is pure data: stochastic faults draw from one dedicated RNG
+stream, so the same seed and plan reproduce the same injured world
+bit-for-bit.  The codec — canonical JSON, so chaos grids are ordinary
+campaign parameters — and its checked decoding are :mod:`repro.plan`'s.
 """
 
 from __future__ import annotations
 
-import json
-import typing as _t
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
+
+from repro.errors import PlanError
+from repro.plan import Plan, Spec
+from repro.radio.cc2420 import MAX_CHANNEL, MIN_CHANNEL
 
 __all__ = ["FaultSpec", "FaultPlan", "FAULT_KINDS"]
 
@@ -44,7 +39,7 @@ DEFAULT_REBOOT_DOWNTIME = 1.0
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Spec):
     """One timed, scoped fault.
 
     ``kind`` selects the failure mode; the scope and magnitude fields
@@ -92,43 +87,47 @@ class FaultSpec:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
-        """Raise ``ValueError`` unless the spec is internally consistent."""
+        """Raise :class:`PlanError` unless the spec is internally consistent."""
         if self.kind not in FAULT_KINDS:
-            raise ValueError(
+            raise PlanError(
                 f"unknown fault kind {self.kind!r} (one of {FAULT_KINDS})"
             )
         if self.at < 0:
-            raise ValueError(f"fault time must be >= 0, got {self.at}")
+            raise PlanError(f"fault time must be >= 0, got {self.at}")
         if self.duration is not None and self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+            raise PlanError(f"duration must be positive, got {self.duration}")
         if self.ramp_s < 0:
-            raise ValueError(f"ramp_s must be >= 0, got {self.ramp_s}")
+            raise PlanError(f"ramp_s must be >= 0, got {self.ramp_s}")
         kind = self.kind
         if kind in ("node_crash", "node_reboot", "queue_saturate",
                     "clock_drift") and not self.nodes:
-            raise ValueError(f"{kind} requires a non-empty node scope")
+            raise PlanError(f"{kind} requires a non-empty node scope")
         if kind == "link_degrade":
             if self.link is None:
-                raise ValueError("link_degrade requires link=(a, b)")
+                raise PlanError("link_degrade requires link=(a, b)")
             if self.loss_db <= 0:
-                raise ValueError("link_degrade requires loss_db > 0")
+                raise PlanError("link_degrade requires loss_db > 0")
+        if self.channel is not None and not (
+                MIN_CHANNEL <= self.channel <= MAX_CHANNEL):
+            raise PlanError(f"channel must be {MIN_CHANNEL}..{MAX_CHANNEL}, "
+                            f"got {self.channel}")
         if kind == "interference_burst":
             if self.channel is None:
-                raise ValueError("interference_burst requires a channel")
+                raise PlanError("interference_burst requires a channel")
             if self.loss_db <= 0:
-                raise ValueError("interference_burst requires loss_db > 0 "
-                                 "(the noise-floor raise)")
+                raise PlanError("interference_burst requires loss_db > 0 "
+                                "(the noise-floor raise)")
         if kind == "packet_corrupt" and not 0.0 < self.probability <= 1.0:
-            raise ValueError(
+            raise PlanError(
                 f"packet_corrupt requires 0 < probability <= 1, "
                 f"got {self.probability}"
             )
         if kind == "queue_saturate" and (self.capacity is None
                                          or self.capacity < 1):
-            raise ValueError("queue_saturate requires capacity >= 1")
+            raise PlanError("queue_saturate requires capacity >= 1")
         if kind == "clock_drift" and self.drift <= -1.0:
-            raise ValueError("clock_drift requires drift > -1 "
-                             "(a clock cannot run backwards)")
+            raise PlanError("clock_drift requires drift > -1 "
+                            "(a clock cannot run backwards)")
 
     # -- timing ---------------------------------------------------------------
 
@@ -146,97 +145,9 @@ class FaultSpec:
                   else self.duration)
         return None if window is None else self.at + window
 
-    # -- serialisation ---------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """Plain-data form, defaults omitted so encodings stay canonical."""
-        out: dict[str, object] = {"kind": self.kind, "at": self.at}
-        for f in fields(self):
-            if f.name in ("kind", "at"):
-                continue
-            value = getattr(self, f.name)
-            if value == f.default:
-                continue
-            if f.name in ("nodes", "link"):
-                value = list(value)
-            out[f.name] = value
-        return out
+class FaultPlan(Plan):
+    """An ordered collection of faults for one run; an inert one
+    (disabled or empty) installs nothing and consumes no RNG."""
 
-    @classmethod
-    def from_dict(cls, data: _t.Mapping) -> "FaultSpec":
-        kwargs = dict(data)
-        if "nodes" in kwargs:
-            kwargs["nodes"] = tuple(kwargs["nodes"])
-        if kwargs.get("link") is not None:
-            kwargs["link"] = tuple(kwargs["link"])
-        return cls(**kwargs)
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """An ordered collection of faults for one run.
-
-    ``enabled=False`` (or an empty spec list) makes the plan inert: the
-    engine installs nothing, consumes no RNG, and the run is
-    byte-identical to one with no plan at all — the property the
-    chaos-determinism tests assert.
-    """
-
-    name: str = ""
-    specs: tuple[FaultSpec, ...] = ()
-    enabled: bool = True
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "specs", tuple(self.specs))
-
-    @property
-    def is_active(self) -> bool:
-        """Whether installing this plan changes anything."""
-        return self.enabled and bool(self.specs)
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    # -- serialisation ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "enabled": self.enabled,
-            "specs": [s.to_dict() for s in self.specs],
-        }
-
-    @classmethod
-    def from_dict(cls, data: _t.Mapping) -> "FaultPlan":
-        return cls(
-            name=data.get("name", ""),
-            enabled=bool(data.get("enabled", True)),
-            specs=tuple(FaultSpec.from_dict(s)
-                        for s in data.get("specs", ())),
-        )
-
-    def to_param(self) -> str:
-        """Canonical JSON — the campaign-parameter form.
-
-        Sorted keys and fixed separators, so equal plans encode to equal
-        strings and the derived seeds / cache keys are stable.
-        """
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @classmethod
-    def from_param(cls, param: "str | _t.Mapping | FaultPlan | None",
-                   ) -> "FaultPlan":
-        """Decode a campaign parameter back into a plan.
-
-        Accepts the canonical JSON string, an already-decoded mapping, a
-        plan instance (returned as-is), or ``None``/``"null"`` (an inert
-        plan) — the forms a scenario may receive.
-        """
-        if param is None or param == "null":
-            return cls(enabled=False)
-        if isinstance(param, FaultPlan):
-            return param
-        if isinstance(param, str):
-            param = json.loads(param)
-        return cls.from_dict(param)  # type: ignore[arg-type]
+    spec_type = FaultSpec

@@ -23,13 +23,9 @@ from repro.radio.medium import (
 )
 from repro.radio.mobility import (
     MOBILITY_KINDS,
-    LinearDrift,
     MobilityDriver,
-    MobilityModel,
     MobilityPlan,
     MobilitySpec,
-    RandomWaypoint,
-    Waypoint,
     install_mobility,
 )
 from repro.radio.modulation import (
@@ -70,10 +66,6 @@ __all__ = [
     "MOBILITY_KINDS",
     "MobilitySpec",
     "MobilityPlan",
-    "MobilityModel",
-    "LinearDrift",
-    "Waypoint",
-    "RandomWaypoint",
     "MobilityDriver",
     "install_mobility",
     "SpatialGrid",

@@ -151,6 +151,12 @@ class LogDistancePropagation:
             self._shadowing[key] = value
         return value
 
+    def expected_shadowing_db(self, src: int, dst: int) -> float:
+        """src→dst's shadowing if drawn or pinned, else the 0 dB mean: a
+        read that draws nothing, for planners that must not change the
+        world they plan."""
+        return self._shadowing.get((src, dst), 0.0)
+
     def set_link_shadowing_db(self, src: int, dst: int, value: float) -> None:
         """Pin a link's shadowing (used by tests and fault injection —
         e.g. forcing a broken or strongly asymmetric link)."""

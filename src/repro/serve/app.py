@@ -44,9 +44,10 @@ untouched.
 from __future__ import annotations
 
 import asyncio
-import math
+import threading
 import typing as _t
 
+from repro.errors import PlanError
 from repro.obs.export import metrics_to_prometheus, prometheus_line
 from repro.serve.fleet import FleetSupervisor
 from repro.serve.http import (
@@ -54,7 +55,6 @@ from repro.serve.http import (
     Request,
     json_response,
     read_request,
-    response,
     sse_headers,
     text_response,
 )
@@ -338,7 +338,7 @@ class ServeApp:
         payload = request.json()
         try:
             plan = fleet.queue_fault_plan(payload)  # type: ignore[arg-type]
-        except (ValueError, TypeError, KeyError) as exc:
+        except PlanError as exc:
             raise HttpError(400, f"invalid fault plan: {exc}") from exc
         return json_response(202, {
             "fleet": fleet.name,
@@ -354,13 +354,13 @@ class ServeApp:
 
         The body mirrors the CLI: ``{"scenario": ..., "name"?, "seed"?,
         "repeats"?, "base_params"?, "grid"?, "workers"?, "shard"?:
-        [k, of], "timeout_s"?, "retries"?}``.  ``timeout_s`` is null or
-        a finite number >= 0, and ``retries`` an integer from 0 to
-        :data:`MAX_CAMPAIGN_RETRIES`; anything else is a 400 here, not a
-        failure in every cell later.  With ``workers > 1`` cells execute
-        in the warm pool's worker processes and only queue plumbing runs
-        in this process; ``workers == 1`` runs them in the campaign's
-        thread.
+        [k, of], "timeout_s"?, "retries"?, "fault_plan"?}``.  ``timeout_s``
+        is null or 0 to ``threading.TIMEOUT_MAX``, ``retries`` 0 to
+        :data:`MAX_CAMPAIGN_RETRIES`, and ``fault_plan`` must decode;
+        anything else is a 400 here, not a failure in every cell later.
+        With ``workers > 1`` cells execute in the warm pool's worker
+        processes and only queue plumbing runs in this process;
+        ``workers == 1`` runs them in the campaign's thread.
         """
         from repro.campaign import Campaign, default_workers
         from repro.campaign.scenarios import resolve_scenario
@@ -390,9 +390,10 @@ class ServeApp:
             timeout_s = payload.get("timeout_s")
             if timeout_s is not None:
                 timeout_s = float(timeout_s)
-                if not (math.isfinite(timeout_s) and timeout_s >= 0):
+                if not 0 <= timeout_s <= threading.TIMEOUT_MAX:
                     raise ValueError(
-                        f"timeout_s must be finite and >= 0, got {timeout_s}")
+                        f"timeout_s must be 0 to {threading.TIMEOUT_MAX:g} "
+                        f"seconds, got {timeout_s}")
             retries = payload.get("retries", 1)
             if (type(retries) is not int
                     or not 0 <= retries <= MAX_CAMPAIGN_RETRIES):
@@ -477,6 +478,3 @@ class ServeApp:
         finally:
             self.hub.unsubscribe(sub)
 
-
-# Re-exported for callers that only import the app module.
-_ = response

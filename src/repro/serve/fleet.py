@@ -102,10 +102,12 @@ class FleetSupervisor:
         Plans are *queued*, not installed inline: installation compiles
         simulator events, which must happen between advances, never
         while a request handler is running mid-heap.  Returns the
-        decoded plan (raising on malformed input so the HTTP layer can
-        reply 400 before anything is queued).
+        decoded plan, raising :class:`~repro.errors.PlanError` on
+        malformed input or a node the fleet lacks, so the HTTP layer
+        can reply 400 before anything is queued.
         """
         decoded = FaultPlan.from_param(plan)
+        decoded.check_scope(self.testbed)
         self._pending_plans.append(decoded)
         return decoded
 
@@ -224,15 +226,12 @@ def build_fleet(spec: str = "field", *, seed: int = 3,
                 ) -> FleetSupervisor:
     """One-call fleet construction from a topology spec.
 
-    ``spec`` is the shell's vocabulary plus the large scenarios:
-    ``field`` (the paper's 30-node testbed), ``hundred`` (the 10x10
-    grid), ``city`` (the ~1040-node clustered-district scenario, alias
-    ``thousand_node_city``), ``city:K`` (a city sized to roughly ``K``
-    nodes), or ``chain:K``.  The testbed is deployed with LiteView
-    everywhere and warmed up so neighbor/routing state has settled
-    before the first client ever polls.  ``fault_plan`` pre-injures the
-    world at construction (the chaos-demo path); live injuries arrive
-    later via ``POST /fleets/<name>/faults``.
+    ``spec`` is a topology spec (see
+    :func:`~repro.workloads.scenarios.testbed_from_spec`).  The testbed
+    is deployed with LiteView everywhere and warmed up so neighbor/routing
+    state has settled before the first client ever polls.  ``fault_plan``
+    pre-injures the world at construction (the chaos-demo path); live
+    injuries arrive later via ``POST /fleets/<name>/faults``.
 
     ``max_links`` clamps the auto-generated ``/health`` watchlist (an
     even-stride subsample; default :data:`~repro.serve.health.MAX_WATCHLIST`,
@@ -245,36 +244,9 @@ def build_fleet(spec: str = "field", *, seed: int = 3,
     packets, so a passive fleet's packet digest is byte-identical to an
     unserved run of the same spec/seed/horizon.
     """
-    import math
+    from repro.workloads.scenarios import testbed_from_spec
 
-    from repro.workloads import build_chain
-    from repro.workloads.scenarios import (
-        QUIET_PROPAGATION,
-        hundred_node_field,
-        thirty_node_field,
-        thousand_node_city,
-    )
-
-    if spec == "field":
-        testbed = thirty_node_field(seed=seed)
-    elif spec == "hundred":
-        testbed = hundred_node_field(seed=seed)
-    elif spec in ("city", "thousand_node_city"):
-        testbed = thousand_node_city(seed=seed)
-    elif spec.startswith("city:"):
-        # Size the district lattice so districts² × 40 ≈ K nodes.
-        target = int(spec.split(":", 1)[1])
-        if target < 1:
-            raise ValueError(f"city size must be positive, got {target}")
-        side = max(1, round(math.sqrt(target / 40)))
-        testbed = thousand_node_city(seed=seed, districts=side)
-    elif spec.startswith("chain:"):
-        testbed = build_chain(int(spec.split(":", 1)[1]), seed=seed,
-                              propagation_kwargs=QUIET_PROPAGATION)
-    else:
-        raise ValueError(f"unknown fleet spec {spec!r} "
-                         "(use 'field', 'hundred', 'city', 'city:K' "
-                         "or 'chain:K')")
+    testbed = testbed_from_spec(spec, seed=seed)
     deployment = deploy_liteview(testbed, warm_up=warm_up)
     assessor = HealthAssessor(deployment, links=links, rounds=rounds,
                               max_links=max_links, mode=mode)

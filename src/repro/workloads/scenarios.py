@@ -13,10 +13,13 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.kernel.testbed import Testbed
 from repro.workloads.topologies import build_chain, build_city, build_grid
 
 __all__ = [
+    "testbed_from_spec",
     "eight_hop_chain",
     "thirty_node_field",
     "hundred_node_field",
@@ -124,3 +127,28 @@ def thousand_node_city(seed: int = 1, *, districts: int = 5,
         propagation_kwargs=(REALISTIC_PROPAGATION if realistic
                             else QUIET_PROPAGATION),
     )
+
+
+def testbed_from_spec(spec: str, *, seed: int) -> Testbed:
+    """The testbed a topology spec names, for the shell's ``--nodes`` and
+    ``serve SCENARIO`` alike: ``field`` (30 nodes), ``hundred`` (10×10),
+    ``city`` (alias ``thousand_node_city``), ``city:K`` (roughly ``K``
+    nodes) or ``chain:K``; anything else raises ``ValueError``."""
+    if spec == "field":
+        return thirty_node_field(seed=seed)
+    if spec == "hundred":
+        return hundred_node_field(seed=seed)
+    if spec in ("city", "thousand_node_city"):
+        return thousand_node_city(seed=seed)
+    if spec.startswith("city:"):
+        # Size the district lattice so districts² × 40 ≈ K nodes.
+        target = int(spec.split(":", 1)[1])
+        if target < 1:
+            raise ValueError(f"city size must be positive, got {target}")
+        side = max(1, round(math.sqrt(target / 40)))
+        return thousand_node_city(seed=seed, districts=side)
+    if spec.startswith("chain:"):
+        return build_chain(int(spec.split(":", 1)[1]), seed=seed,
+                           propagation_kwargs=QUIET_PROPAGATION)
+    raise ValueError(f"unknown topology spec {spec!r} (use 'field', "
+                     "'hundred', 'city', 'city:K' or 'chain:K')")

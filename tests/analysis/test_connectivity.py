@@ -97,3 +97,36 @@ def test_max_clean_spacing_unreachable():
     with pytest.raises(ValueError):
         max_clean_spacing(0.9999999, power_level=3,
                           reference_loss_db=130.0)
+
+
+def test_planning_does_not_perturb_the_world():
+    """Predicting links before deploying (TUTORIAL §1) draws no
+    shadowing, so the deployed run is byte-identical to one never
+    planned."""
+    from repro.core.deploy import deploy_liteview
+    from repro.workloads import thirty_node_field
+
+    def digest(plan_first):
+        testbed = thirty_node_field(seed=3)
+        if plan_first:
+            prr_matrix(testbed)
+            connected_pairs(testbed)
+        deploy_liteview(testbed, warm_up=20.0)
+        return testbed.monitor.packet_digest(), len(testbed.monitor.packets)
+
+    assert digest(plan_first=True) == digest(plan_first=False)
+
+
+def test_rx_matrix_uses_drawn_shadowing_and_draws_none():
+    tb = build_chain(3, spacing=60.0, seed=3,
+                     propagation_kwargs={"shadowing_sigma_db": 4.0,
+                                         "fading_sigma_db": 0.0})
+    drawn = tb.propagation.link_shadowing_db(1, 2)
+    stream = tb.rng.stream("propagation.shadowing").bit_generator
+    before = stream.state
+    rx = received_power_matrix(tb)
+    # 1->2 carries its drawn shadowing; 2->1 is undrawn, counts at the
+    # 0 dB mean, and planning drew nothing for it.
+    assert rx[0, 1] == pytest.approx(rx[1, 0] - drawn)
+    assert tb.propagation.expected_shadowing_db(2, 1) == 0.0
+    assert stream.state == before

@@ -99,6 +99,27 @@ def test_per_run_timeout_becomes_an_error_result():
     assert "timeout" in out.failures[0].error
 
 
+@pytest.mark.parametrize("timeout_s", [-1.0, float("nan"), float("inf"),
+                                       1e10])
+def test_timeout_beyond_the_alarm_range_rejected_up_front(timeout_s):
+    # setitimer overflows past threading.TIMEOUT_MAX (~9.2e9 s), which
+    # would fail every pooled cell; refuse before anything runs.
+    seen = []
+    with pytest.raises(ValueError, match="timeout_s"):
+        run_campaign(TINY, workers=1, timeout_s=timeout_s,
+                     progress=lambda *a: seen.append(a))
+    assert seen == []
+
+
+def test_cli_timeout_beyond_the_alarm_range_is_a_usage_error(capsys):
+    from repro.__main__ import main
+    with pytest.raises(SystemExit) as exit_info:
+        main(["campaign", "--scenario", "chain_beacons",
+              "--timeout", "1e10"])
+    assert exit_info.value.code == 2
+    assert "--timeout" in capsys.readouterr().err
+
+
 def test_progress_callback_sees_every_run(tmp_path):
     seen = []
     run_campaign(TINY, workers=1, cache=tmp_path,

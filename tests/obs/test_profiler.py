@@ -100,3 +100,29 @@ def test_profiling_does_not_change_sim_results():
         return ticks, env.now
 
     assert run(with_profiler=False) == run(with_profiler=True)
+
+
+def test_run_measures_every_dispatch_in_all_three_forms():
+    """``run(until=<time>)``, ``run(until=<event>)`` and ``run()`` share
+    one dispatch loop, and each hands every event to the profiler."""
+
+    def world():
+        env = Environment()
+        env.process(ticker(env, 1.0, 6), name="tick")
+        return env, env.timeout(4.5)
+
+    env, _ = world()
+    stepped = 0
+    while env.peek() != float("inf"):
+        env.step()
+        stepped += 1
+
+    env, done = world()
+    profiler = SimProfiler().attach(env)
+    env.run(until=1.5)
+    by_time = profiler.calls
+    env.run(until=done)
+    by_event = profiler.calls
+    env.run()
+    assert 0 < by_time < by_event < profiler.calls == stepped
+    assert env.now == 6.0

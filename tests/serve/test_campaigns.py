@@ -104,6 +104,7 @@ def test_campaign_validation_and_lookup_errors():
                 dict(BODY, timeout_s=float("nan")),   # non-finite timeout
                 dict(BODY, timeout_s=-1),             # negative timeout
                 dict(BODY, timeout_s=float("inf")),
+                dict(BODY, timeout_s=1e10),           # past TIMEOUT_MAX
                 dict(BODY, retries=-1),               # retries out of range
                 dict(BODY, retries=MAX_CAMPAIGN_RETRIES + 1),
                 dict(BODY, retries=1_000_000_000),

@@ -58,8 +58,15 @@ def test_hundred_node_field_shape():
 
 
 def test_cli_topology_builder():
-    from repro.__main__ import build_testbed
-    assert len(build_testbed("chain:4", seed=1)) == 4
-    assert len(build_testbed("field", seed=1)) == 30
-    with pytest.raises(SystemExit):
-        build_testbed("bogus", seed=1)
+    """The shell and the fleet server share one topology-spec parser."""
+    from repro.workloads.scenarios import testbed_from_spec
+    assert len(testbed_from_spec("chain:4", seed=1)) == 4
+    assert len(testbed_from_spec("field", seed=1)) == 30
+    assert len(testbed_from_spec("hundred", seed=1)) == 100
+    assert len(testbed_from_spec("city:40", seed=1)) == 40
+    for bogus in ("bogus", "grid:3x3", "star:4", "city:0"):
+        with pytest.raises(ValueError):
+            testbed_from_spec(bogus, seed=1)
+    from repro.__main__ import main
+    with pytest.raises(SystemExit, match="unknown topology spec"):
+        main(["shell", "--nodes", "grid:3x3"])
