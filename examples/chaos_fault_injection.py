@@ -9,7 +9,8 @@ A declarative `FaultPlan` injures an 8-node chain in two acts:
    which the paper's diagnosis workflow then has to localise.
 
 The plan is pure data: the same seed and plan replay bit-for-bit, and
-the plan can be handed to `Campaign(fault_plan=...)` to sweep chaos
+the plan can be passed as a campaign parameter
+(`Campaign(base_params={"fault_plan": PLAN}, ...)`) to sweep chaos
 across a whole grid.  See `docs/FAULTS.md`.
 
 Run with::

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import threading
+import typing as _t
 
 from repro.errors import ReproError
 
@@ -73,14 +73,16 @@ def _parse_value(text: str):
 def _parse_param(text: str) -> tuple[str, object]:
     name, sep, value = text.partition("=")
     if not sep or not name:
-        raise SystemExit(f"bad --param {text!r} (expected name=value)")
+        raise argparse.ArgumentTypeError(
+            f"bad --param {text!r} (expected name=value)")
     return name, _parse_value(value)
 
 
 def _parse_grid(text: str) -> tuple[str, list[object]]:
     name, sep, values = text.partition("=")
     if not sep or not name or not values:
-        raise SystemExit(f"bad --grid {text!r} (expected name=v1,v2,...)")
+        raise argparse.ArgumentTypeError(
+            f"bad --grid {text!r} (expected name=v1,v2,...)")
     return name, [_parse_value(v) for v in values.split(",")]
 
 
@@ -91,45 +93,48 @@ def _parse_shard(text: str) -> tuple[int, int]:
             raise ValueError
         return int(index), int(of)
     except ValueError:
-        raise SystemExit(
+        raise argparse.ArgumentTypeError(
             f"bad --shard {text!r} (expected K/N with 0 <= K < N)") from None
 
 
-def _parse_timeout(text: str) -> float:
-    """``--timeout`` seconds: 0 to the furthest a per-run alarm can be
-    armed (``threading.TIMEOUT_MAX``)."""
-    value = _parse_value(text)
-    if not (isinstance(value, (int, float))
-            and 0 <= value <= threading.TIMEOUT_MAX):
-        raise argparse.ArgumentTypeError(
-            f"expected 0 to {threading.TIMEOUT_MAX:g} seconds, got {text!r}")
-    return float(value)
+def _run_option(name: str) -> _t.Callable[[str], object]:
+    """An argparse type for the run option ``name``: a literal that
+    passes :func:`~repro.campaign.check_run_options`, which holds the
+    option's bound, so a bad value is a usage error naming its flag."""
+    def parse(text: str) -> object:
+        from repro.campaign import check_run_options
+
+        value = _parse_value(text)
+        try:
+            check_run_options(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
 
 
 def run_campaign_cli(args: argparse.Namespace) -> int:
     from repro.analysis import aggregate_cells, render_table
-    from repro.campaign import (Campaign, default_workers, run_campaign,
+    from repro.campaign import (Campaign, check_run_options, run_campaign,
                                 scenario_names)
 
     if args.list:
         print("\n".join(scenario_names()))
         return 0
     if not args.scenario:
-        raise SystemExit("--scenario is required (try --list)")
-
-    campaign = Campaign(
-        name=args.name, scenario=args.scenario, seed=args.seed,
-        base_params=dict(args.param or ()), grid=dict(args.grid or ()),
-        repeats=args.repeats,
-    )
-    target = campaign
-    if args.shard is not None:
-        index, of = args.shard
-        try:
-            target = campaign.shard(index, of)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-    workers = args.workers if args.workers else default_workers()
+        args.usage_error("--scenario is required (try --list)")
+    try:
+        campaign = Campaign(
+            name=args.name, scenario=args.scenario, seed=args.seed,
+            base_params=dict(args.param or ()), grid=dict(args.grid or ()),
+            repeats=args.repeats,
+        )
+        target = (campaign if args.shard is None
+                  else campaign.shard(*args.shard))
+        workers, timeout_s, retries = check_run_options(
+            args.workers, args.timeout, args.retries)
+    except ValueError as exc:
+        args.usage_error(str(exc))
     total = len(target)
     shard_note = ("" if args.shard is None
                   else f", shard {target.index}/{target.of}")
@@ -146,7 +151,7 @@ def run_campaign_cli(args: argparse.Namespace) -> int:
 
     out = run_campaign(
         target, workers=workers, cache=args.cache,
-        timeout_s=args.timeout, retries=args.retries, progress=progress,
+        timeout_s=timeout_s, retries=retries, progress=progress,
     )
 
     rows = [(r.spec.params_dict, {**r.counters, **r.values})
@@ -206,11 +211,12 @@ def _parser() -> argparse.ArgumentParser:
                        help="topology spec, as for serve (default: field)")
 
     camp = sub.add_parser("campaign", help="run a simulation campaign")
+    camp.set_defaults(usage_error=camp.error)
     camp.add_argument("--scenario", help="scenario cell (see --list)")
     camp.add_argument("--name", default="cli")
     camp.add_argument("--seed", type=int, default=0)
     camp.add_argument("--repeats", type=int, default=1)
-    camp.add_argument("--workers", type=int, default=0,
+    camp.add_argument("--workers", type=_run_option("workers"), default=0,
                       help="warm-pool worker processes (default: all "
                            "cores, or the REPRO_WORKERS env var)")
     camp.add_argument("--shard", type=_parse_shard, metavar="K/N",
@@ -225,10 +231,10 @@ def _parser() -> argparse.ArgumentParser:
                       help="swept parameter axis (repeatable)")
     camp.add_argument("--cache", metavar="DIR",
                       help="on-disk result cache directory")
-    camp.add_argument("--timeout", type=_parse_timeout, default=None,
-                      help="per-run timeout in seconds")
-    camp.add_argument("--retries", type=int, default=1,
-                      help="attempts per failing run (default 1)")
+    camp.add_argument("--timeout", type=_run_option("timeout_s"),
+                      default=None, help="per-run timeout in seconds")
+    camp.add_argument("--retries", type=_run_option("retries"), default=1,
+                      help="extra attempts per failing run (default 1)")
     camp.add_argument("--list", action="store_true",
                       help="list built-in scenarios and exit")
 

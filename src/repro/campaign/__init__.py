@@ -11,6 +11,11 @@ first-class object:
   execution (:mod:`~repro.campaign.pool`: persistent pre-imported
   workers, one cell in flight per worker) with per-run timeouts,
   bounded retries and partial-result reporting;
+* the one check of campaign input, for the API, the CLI and ``POST
+  /campaigns`` alike: ``Campaign`` construction (what to run),
+  :func:`~repro.campaign.runner.check_run_options` (how to run it) and
+  :class:`~repro.campaign.runner.CampaignRequest` (both, as one JSON
+  object);
 * :meth:`Campaign.shard(k, of) <repro.campaign.spec.Campaign.shard>` /
   :func:`~repro.campaign.results.merge_shards` — split a campaign
   deterministically across machines and reassemble a result
@@ -33,13 +38,27 @@ from repro.campaign.pool import (
     shutdown_warm_pools,
 )
 from repro.campaign.results import CampaignResult, RunResult, merge_shards
-from repro.campaign.runner import default_workers, execute_spec, run_campaign
+from repro.campaign.runner import (
+    MAX_RETRIES,
+    MAX_WORKERS,
+    CampaignRequest,
+    check_run_options,
+    default_workers,
+    execute_spec,
+    run_campaign,
+)
 from repro.campaign.scenarios import (
     resolve_scenario,
     scenario,
     scenario_names,
 )
-from repro.campaign.spec import Campaign, CampaignShard, RunSpec, derive_seed
+from repro.campaign.spec import (
+    MAX_RUNS,
+    Campaign,
+    CampaignShard,
+    RunSpec,
+    derive_seed,
+)
 
 __all__ = [
     "Campaign",
@@ -51,9 +70,14 @@ __all__ = [
     "merge_shards",
     "ResultCache",
     "code_fingerprint",
+    "MAX_RUNS",
     "run_campaign",
     "execute_spec",
     "default_workers",
+    "check_run_options",
+    "CampaignRequest",
+    "MAX_RETRIES",
+    "MAX_WORKERS",
     "WarmPool",
     "get_warm_pool",
     "shutdown_warm_pools",

@@ -33,17 +33,28 @@ import threading
 import time
 import traceback
 import typing as _t
+from dataclasses import dataclass, field
 
 from repro.campaign.cache import as_cache
 from repro.campaign.pool import _execute_task, get_warm_pool
 from repro.campaign.results import CampaignResult, RunResult
 from repro.campaign.scenarios import resolve_scenario
-from repro.campaign.spec import Campaign, RunSpec
+from repro.campaign.spec import Campaign, CampaignShard, RunSpec
+from repro.plan import check
 
-__all__ = ["run_campaign", "execute_spec", "default_workers"]
+__all__ = ["run_campaign", "execute_spec", "default_workers",
+           "check_run_options", "CampaignRequest", "MAX_RETRIES",
+           "MAX_WORKERS"]
 
 #: Type of the optional progress callback: (done, total, result).
 ProgressFn = _t.Callable[[int, int, RunResult], None]
+
+#: Most extra attempts per failing run: a bound, so one campaign cannot
+#: hold its caller for days retrying a cell that always fails.
+MAX_RETRIES = 8
+
+#: Most worker processes one campaign may ask for; more are clamped.
+MAX_WORKERS = 64
 
 
 def default_workers() -> int:
@@ -63,6 +74,69 @@ def default_workers() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # pragma: no cover - non-Linux fallback
         return max(1, os.cpu_count() or 1)
+
+
+def check_run_options(workers: int | None = None,
+                      timeout_s: float | None = None,
+                      retries: int = 1) -> tuple[int, float | None, int]:
+    """The one check of how a campaign runs, as ``(workers, timeout_s,
+    retries)``.
+
+    :func:`run_campaign` applies it, and ``python -m repro campaign``
+    and ``POST /campaigns`` call it before launching anything.
+    ``workers`` is an integer clamped to 1..:data:`MAX_WORKERS`, where
+    ``None`` or 0 means :func:`default_workers`; ``timeout_s`` is
+    ``None`` or 0 (no deadline) to ``threading.TIMEOUT_MAX`` seconds,
+    the furthest a per-run alarm can be armed; ``retries`` is an integer
+    from 0 to :data:`MAX_RETRIES`.  Anything else raises ``ValueError``.
+    """
+    check(workers, int | None, "workers")
+    check(timeout_s, float | None, "timeout_s")
+    check(retries, int, "retries")
+    if timeout_s is not None:
+        if not 0 <= timeout_s <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout_s must be 0 to "
+                             f"{threading.TIMEOUT_MAX:g} seconds, got "
+                             f"{timeout_s}")
+        timeout_s = float(timeout_s)
+    if not 0 <= retries <= MAX_RETRIES:
+        raise ValueError(f"retries must be 0 to {MAX_RETRIES}, "
+                         f"got {retries}")
+    workers = max(1, min(MAX_WORKERS, workers or default_workers()))
+    return workers, timeout_s, retries
+
+
+@dataclass(frozen=True)
+class CampaignRequest:
+    """A campaign and how to run it, as one JSON object: the body of
+    ``POST /campaigns``.  Decode it with :func:`repro.plan.decode`
+    (unknown keys, a missing ``scenario`` and mistyped values are
+    errors), then :meth:`checked` applies the checks every caller gets.
+    """
+
+    scenario: str
+    name: str = ""  # empty: the scenario
+    seed: int = 0
+    repeats: int = 1
+    base_params: dict[str, object] = field(default_factory=dict)
+    grid: dict[str, list] = field(default_factory=dict)
+    shard: tuple[int, int] | None = None
+    workers: int | None = None
+    timeout_s: float | None = None
+    retries: int = 1
+
+    def checked(self) -> tuple[Campaign | CampaignShard, int,
+                               float | None, int]:
+        """``(target, workers, timeout_s, retries)``: the campaign, or
+        the requested shard of it, and :func:`check_run_options`."""
+        campaign = Campaign(
+            name=self.name or self.scenario, scenario=self.scenario,
+            seed=self.seed, base_params=self.base_params, grid=self.grid,
+            repeats=self.repeats)
+        target = campaign if self.shard is None else campaign.shard(
+            *self.shard)
+        return (target, *check_run_options(self.workers, self.timeout_s,
+                                           self.retries))
 
 
 class _RunTimeout(Exception):
@@ -96,9 +170,9 @@ def _call_with_timeout(fn: _t.Callable[[], object],
 def execute_spec(spec: RunSpec, timeout_s: float | None = None) -> RunResult:
     """Build, run and snapshot one cell — the unit of work a worker does.
 
-    Never raises: scenario exceptions and timeouts come back as a
-    ``RunResult`` with ``error`` set so a single bad cell cannot take
-    down a whole shard.
+    Never raises: scenario exceptions, ``SystemExit`` included, and
+    timeouts come back as a ``RunResult`` with ``error`` set, so a
+    single bad cell cannot take down a whole shard or its caller.
     """
     start = time.perf_counter()
     try:
@@ -108,7 +182,7 @@ def execute_spec(spec: RunSpec, timeout_s: float | None = None) -> RunResult:
     except _RunTimeout:
         return RunResult(spec=spec, wall_s=time.perf_counter() - start,
                          error=f"timeout after {timeout_s:g}s")
-    except Exception:
+    except (Exception, SystemExit):
         return RunResult(spec=spec, wall_s=time.perf_counter() - start,
                          error=traceback.format_exc(limit=8))
 
@@ -146,27 +220,26 @@ def run_campaign(campaign: "Campaign | object", *, workers: int | None = 1,
     """Execute every cell of ``campaign`` and return the ordered results.
 
     ``campaign`` is a :class:`Campaign` or one shard of it
-    (:meth:`Campaign.shard`).  ``workers=None`` uses
-    :func:`default_workers`; ``workers=1`` runs serially in-process (and
-    is the reference the parallel and sharded paths are bit-for-bit
-    compared against); ``workers>1`` dispatches to the process-wide warm
-    pool (``mp_context``: ``"auto"`` picks forkserver where available,
-    else pre-imported spawn), and ``pool`` substitutes an explicit
-    :class:`~repro.campaign.pool.WarmPool`.  ``cache`` is a
+    (:meth:`Campaign.shard`).  ``workers`` (``None`` or 0:
+    :func:`default_workers`) is clamped to 1..:data:`MAX_WORKERS`;
+    ``workers=1`` runs serially in-process (and is the reference the
+    parallel and sharded paths are bit-for-bit compared against);
+    ``workers>1`` dispatches to the process-wide warm pool
+    (``mp_context``: ``"auto"`` picks forkserver where available, else
+    pre-imported spawn), and ``pool`` substitutes an explicit
+    :class:`~repro.campaign.pool.WarmPool`, which runs every cell
+    whatever ``workers`` is.  ``cache`` is a
     :class:`~repro.campaign.cache.ResultCache`, a directory path, or
     None; the parent batch-prefetches hits and the workers probe/fill
     the same cache themselves, so no worker recomputes a cell any
     process already produced.  ``retries`` bounds *extra* attempts for a
-    failed run.  ``progress`` is called as ``progress(done, total,
-    result)`` once per settled run, cached hits included.  ``timeout_s``
-    must be ``None`` or 0 to ``threading.TIMEOUT_MAX`` seconds (0 means
-    no deadline); the per-run alarm cannot be armed any further out.
+    failed run, and ``timeout_s`` each attempt.  ``progress`` is called
+    as ``progress(done, total, result)`` once per settled run, cached
+    hits included.  ``workers``, ``timeout_s`` and ``retries`` pass
+    :func:`check_run_options` before anything runs.
     """
-    if timeout_s is not None and not 0 <= timeout_s <= threading.TIMEOUT_MAX:
-        raise ValueError(f"timeout_s must be 0 to {threading.TIMEOUT_MAX:g} "
-                         f"seconds, got {timeout_s}")
-    if workers is None:
-        workers = default_workers()
+    workers, timeout_s, retries = check_run_options(workers, timeout_s,
+                                                    retries)
     specs = campaign.expand()
     store = as_cache(cache)
     started = time.perf_counter()

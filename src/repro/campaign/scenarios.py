@@ -5,8 +5,8 @@ a world, runs it, and returns either the :class:`~repro.kernel.testbed.
 Testbed` (the runner snapshots its monitor) or a ``(testbed, values)``
 pair where ``values`` is a JSON-able dict of scalar observables.
 Scenarios are addressed by registry name or by a ``"module:function"``
-reference, so worker processes can re-import them after a ``spawn``
-start — never by closure.
+reference to a registered one, so worker processes can re-import them
+after a ``spawn`` start — never by closure.
 
 The built-ins below are the cells the figure benches, the sweep benches
 and the examples share: one traceroute experiment, one RSSI sweep at a
@@ -36,23 +36,33 @@ def scenario(name: str) -> _t.Callable:
 
 
 def resolve_scenario(ref: str) -> _t.Callable:
-    """A scenario by registry name or ``"module:function"`` reference."""
+    """A registered scenario, by registry name or by a
+    ``"module:function"`` reference to one.
+
+    A reference imports its module (which registers its cells), so a
+    worker process can resolve cells registered outside this package;
+    the object it names must then be a registered scenario, not just
+    any callable.  Anything else raises ``ValueError``.
+    """
     fn = _SCENARIOS.get(ref)
     if fn is not None:
         return fn
-    if ":" in ref:
-        module_name, _, qualname = ref.partition(":")
-        module = importlib.import_module(module_name)
-        obj: object = module
+    module_name, sep, qualname = ref.partition(":")
+    if not sep:
+        raise ValueError(
+            f"unknown scenario {ref!r}; registered: {scenario_names()} "
+            "(or a 'module:function' reference to a registered one)")
+    try:
+        obj: object = importlib.import_module(module_name)
         for part in qualname.split("."):
             obj = getattr(obj, part)
-        if not callable(obj):
-            raise TypeError(f"{ref!r} resolved to non-callable {obj!r}")
-        return obj
-    raise KeyError(
-        f"unknown scenario {ref!r}; registered: {scenario_names()} "
-        "(or pass a 'module:function' reference)"
-    )
+    except (Exception, SystemExit) as exc:  # an import runs module code
+        raise ValueError(f"cannot resolve scenario {ref!r}: "
+                         f"{type(exc).__name__}: {exc}") from None
+    if not any(obj is fn for fn in _SCENARIOS.values()):
+        raise ValueError(f"{ref!r} is not a registered scenario "
+                         "(register it with @scenario)")
+    return obj  # type: ignore[return-value]
 
 
 def scenario_names() -> list[str]:

@@ -23,11 +23,21 @@ import json
 import typing as _t
 from dataclasses import dataclass, field
 
+from repro.campaign.scenarios import resolve_scenario
+from repro.errors import PlanError
+from repro.plan import check_fields
+
 __all__ = ["RunSpec", "Campaign", "CampaignShard", "derive_seed",
-           "canonical_params"]
+           "canonical_params", "MAX_RUNS"]
 
 #: Seeds are 63-bit non-negative ints (RngRegistry requires >= 0).
 _SEED_BITS = 63
+
+#: The most runs one campaign may expand to (grid cells x repeats).
+MAX_RUNS = 10_000
+
+#: Parameters whose values are plans (see :class:`Campaign`).
+PLAN_PARAMS = ("fault_plan", "mobility_plan")
 
 
 def canonical_params(params: _t.Mapping[str, object]) -> tuple:
@@ -108,62 +118,67 @@ class Campaign:
     """A declarative set of runs: grid × repeats over one scenario.
 
     ``scenario`` names a registered scenario (see
-    :mod:`repro.campaign.scenarios`) or a ``"module:function"`` dotted
-    reference importable by worker processes.  ``base_params`` apply to
-    every run; ``grid`` maps parameter names to value lists and expands
-    to their cartesian product; each cell is repeated ``repeats`` times
-    with replicate indices ``0..repeats-1``.
+    :mod:`repro.campaign.scenarios`) or a ``"module:function"``
+    reference to one, importable by worker processes.  ``base_params``
+    apply to every run; ``grid`` maps parameter names to value lists and
+    expands to their cartesian product; each cell is repeated
+    ``repeats`` times with replicate indices ``0..repeats-1``.
 
-    ``fault_plan`` makes chaos a first-class campaign dimension: the
-    plan (a :class:`~repro.faults.spec.FaultPlan`, its canonical JSON,
-    or a mapping) is decoded once, here, and its canonical JSON folded
-    into every cell as an ordinary ``fault_plan`` parameter, so derived
-    seeds and cache keys change with the plan automatically and sharded
-    execution stays bit-identical to serial.  ``None`` (the default) adds nothing —
-    cell encodings, seeds and caches are exactly the plan-free ones.
+    Construction is the checked boundary for what to run, for every
+    caller — the API, ``python -m repro campaign`` and ``POST
+    /campaigns``.  Each field must match its annotation
+    (:func:`repro.plan.check_fields`: ``seed`` and ``repeats`` are
+    integers, not bools, and every grid axis is a list); the scenario
+    must resolve; grid axes must be non-empty and disjoint from
+    ``base_params``; and a campaign holds at most :data:`MAX_RUNS` runs.
+    Anything else raises ``ValueError``.
+
+    A ``fault_plan`` or ``mobility_plan`` value in ``base_params`` or
+    ``grid`` — a plan, a mapping or JSON — is decoded here by its plan
+    codec (a :class:`~repro.errors.PlanError` if malformed) and kept as
+    canonical JSON, so every form of one plan gives the same cells,
+    seeds and cache keys.  ``None`` stays ``None``.
     """
 
     name: str
     scenario: str
     seed: int = 0
-    base_params: _t.Mapping[str, object] = field(default_factory=dict)
-    grid: _t.Mapping[str, _t.Sequence[object]] = field(default_factory=dict)
+    base_params: dict[str, object] = field(default_factory=dict)
+    grid: dict[str, list] = field(default_factory=dict)
     repeats: int = 1
-    fault_plan: object = None
 
     def __post_init__(self) -> None:
+        check_fields(self)  # copies base_params and grid
+        resolve_scenario(self.scenario)
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        for axis, values in self.grid.items():
+            if not values:
+                raise ValueError(f"grid axis {axis!r} has no values")
         overlap = set(self.base_params) & set(self.grid)
         if overlap:
             raise ValueError(
                 f"parameters {sorted(overlap)} appear in both base_params "
                 "and grid"
             )
-        if self.fault_plan is not None and (
-                "fault_plan" in self.base_params or "fault_plan" in self.grid):
-            raise ValueError(
-                "pass the fault plan either as Campaign.fault_plan or as a "
-                "'fault_plan' parameter, not both"
-            )
-        if self.fault_plan is not None:
-            from repro.faults.spec import FaultPlan
-            object.__setattr__(self, "fault_plan",
-                               FaultPlan.from_param(self.fault_plan).to_param())
+        if len(self) > MAX_RUNS:
+            raise ValueError(f"campaign expands to {len(self)} runs "
+                             f"(at most {MAX_RUNS})")
+        for name in PLAN_PARAMS:
+            if name in self.base_params:
+                self.base_params[name] = _canonical_plan(
+                    name, self.base_params[name], f"base_params.{name}")
+            if name in self.grid:
+                self.grid[name] = [
+                    _canonical_plan(name, value, f"grid.{name}[{i}]")
+                    for i, value in enumerate(self.grid[name])]
 
     def cells(self) -> list[dict]:
         """The parameter dicts of the grid's cartesian product, in
         deterministic (sorted-name, given-value-order) order."""
         names = sorted(self.grid)
-        fault_params = ({} if self.fault_plan is None
-                        else {"fault_plan": self.fault_plan})
-        out = []
-        for combo in itertools.product(*(self.grid[n] for n in names)):
-            params = dict(self.base_params)
-            params.update(fault_params)
-            params.update(zip(names, combo))
-            out.append(params)
-        return out or [dict(self.base_params) | fault_params]
+        return [{**self.base_params, **dict(zip(names, combo))}
+                for combo in itertools.product(*(self.grid[n] for n in names))]
 
     def expand(self) -> list[RunSpec]:
         """The flat ordered run list: every grid cell × every replicate."""
@@ -206,6 +221,20 @@ class Campaign:
         for values in self.grid.values():
             n_cells *= len(values)
         return n_cells * self.repeats
+
+
+def _canonical_plan(name: str, value: object, path: str) -> object:
+    """Plan parameter ``name`` as canonical JSON, decoded by its plan
+    codec; ``None`` stays ``None``."""
+    if value is None:
+        return None
+    from repro.faults import FaultPlan
+    from repro.radio.mobility import MobilityPlan
+    codec = FaultPlan if name == "fault_plan" else MobilityPlan
+    try:
+        return codec.from_param(value).to_param()
+    except PlanError as exc:
+        raise PlanError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

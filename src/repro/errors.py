@@ -14,23 +14,16 @@ __all__ = [
     "RadioError",
     "InvalidPowerLevel",
     "InvalidChannel",
-    "MacError",
-    "QueueOverflow",
     "PacketError",
     "CrcError",
     "HeaderError",
     "PaddingOverflow",
     "PortError",
     "PortInUse",
-    "NoSuchPort",
-    "RoutingError",
-    "NoRoute",
-    "TtlExpired",
     "KernelError",
     "MemoryBudgetExceeded",
     "NoSuchNode",
     "NoSuchSyscall",
-    "NeighborTableFull",
     "CommandError",
     "UnknownCommand",
     "ParameterError",
@@ -80,18 +73,6 @@ class InvalidChannel(RadioError):
 
 
 # --------------------------------------------------------------------------
-# MAC
-# --------------------------------------------------------------------------
-
-class MacError(ReproError):
-    """Base class for MAC-layer errors."""
-
-
-class QueueOverflow(MacError):
-    """The MAC transmit queue rejected a frame because it is full."""
-
-
-# --------------------------------------------------------------------------
 # Packets and the port-based stack
 # --------------------------------------------------------------------------
 
@@ -119,26 +100,6 @@ class PortInUse(PortError):
     """A subscription already exists for this port."""
 
 
-class NoSuchPort(PortError):
-    """Dispatch attempted to a port with no subscriber."""
-
-
-# --------------------------------------------------------------------------
-# Routing
-# --------------------------------------------------------------------------
-
-class RoutingError(ReproError):
-    """Base class for routing-protocol errors."""
-
-
-class NoRoute(RoutingError):
-    """The protocol could not make forwarding progress toward the target."""
-
-
-class TtlExpired(RoutingError):
-    """A packet exceeded its hop budget."""
-
-
 # --------------------------------------------------------------------------
 # Kernel (LiteOS model)
 # --------------------------------------------------------------------------
@@ -157,10 +118,6 @@ class NoSuchNode(KernelError):
 
 class NoSuchSyscall(KernelError):
     """A thread invoked an unregistered system call."""
-
-
-class NeighborTableFull(KernelError):
-    """The kernel neighbor table has no evictable slot left."""
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,9 @@ checked: :meth:`Plan.from_param` returns a plan or raises
 dataclasses' field annotations are the schema — a ``float`` field takes
 a finite number (not a bool), an ``int`` field only an integer — and
 unknown keys, a missing ``kind`` and non-object plans or specs are
-rejected before the spec's own ``validate()`` runs.
+rejected before the spec's own ``validate()`` runs.  :func:`decode`,
+:func:`check_fields` and :func:`check` are that checker;
+:mod:`repro.campaign` checks campaign input with them too.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import reprlib
 import types
 import typing as _t
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cache
 
 from repro.errors import PlanError
@@ -29,7 +31,7 @@ from repro.errors import PlanError
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.testbed import Testbed
 
-__all__ = ["Spec", "Plan"]
+__all__ = ["Spec", "Plan", "decode", "check_fields", "check"]
 
 
 class Spec:
@@ -49,16 +51,7 @@ class Spec:
     @classmethod
     def from_dict(cls, data: object) -> "Spec":
         """Decode one spec, checking every value against its field type."""
-        if not isinstance(data, _t.Mapping):
-            raise PlanError(f"a spec must be an object, got {_show(data)}")
-        schema = _schema(cls)
-        unknown = set(data) - set(schema)
-        if unknown:
-            raise PlanError(f"unknown spec keys {sorted(map(str, unknown))}")
-        if "kind" not in data:
-            raise PlanError("a spec needs a 'kind'")
-        return cls(**{key: _check(value, schema[key], key)
-                      for key, value in data.items()})
+        return decode(cls, data, "spec")
 
 
 @dataclass(frozen=True)
@@ -117,8 +110,8 @@ class Plan:
                 decoded.append(cls.spec_type.from_dict(spec))
             except PlanError as exc:
                 raise PlanError(f"specs[{index}]: {exc}") from None
-        return cls(name=_check(data.get("name", ""), str, "name"),
-                   enabled=_check(data.get("enabled", True), bool, "enabled"),
+        return cls(name=check(data.get("name", ""), str, "name"),
+                   enabled=check(data.get("enabled", True), bool, "enabled"),
                    specs=tuple(decoded))
 
     def to_param(self) -> str:
@@ -151,7 +144,7 @@ _show = reprlib.repr
 
 @cache
 def _schema(cls: type) -> dict[str, object]:
-    """Field name -> resolved annotation, for one spec class."""
+    """Field name -> resolved annotation, for one dataclass."""
     hints = _t.get_type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls)}
 
@@ -161,13 +154,48 @@ def _plain(value: object) -> object:
     return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
-def _check(value: object, hint: object, path: str) -> object:
-    """``value`` checked against the annotation ``hint``; lists become
-    tuples so a decoded spec equals the one that was encoded."""
+def decode(cls: type, data: object, what: str) -> _t.Any:
+    """The dataclass ``cls`` built from the mapping ``data``: every key
+    must name a field, every field without a default must be given, and
+    each value must pass :func:`check` against its field's annotation.
+    ``what`` names the object in error messages."""
+    if not isinstance(data, _t.Mapping):
+        raise PlanError(f"a {what} must be an object, got {_show(data)}")
+    schema = _schema(cls)
+    unknown = set(data) - set(schema)
+    if unknown:
+        raise PlanError(f"unknown {what} keys {sorted(map(str, unknown))}")
+    for f in fields(cls):
+        if (f.name not in data and f.default is MISSING
+                and f.default_factory is MISSING):
+            raise PlanError(f"a {what} needs a {f.name!r}")
+    return cls(**{key: check(value, schema[key], key)
+                  for key, value in data.items()})
+
+
+def check_fields(obj: object) -> None:
+    """Check every field of the dataclass instance ``obj`` against its
+    annotation, keeping the checked values (a frozen ``obj`` too)."""
+    for name, hint in _schema(type(obj)).items():
+        object.__setattr__(obj, name, check(getattr(obj, name), hint, name))
+
+
+def check(value: object, hint: object, path: str) -> _t.Any:
+    """``value`` checked against the annotation ``hint``, or a
+    :class:`PlanError` naming ``path``.  Lists become tuples where the
+    hint is a tuple, so a decoded spec equals the one that was encoded;
+    a ``dict[K, V]`` hint checks every key and value."""
     if _t.get_origin(hint) in (_t.Union, types.UnionType):  # ``X | None``
         if value is None:
             return None
         (hint,) = [arg for arg in _t.get_args(hint) if arg is not type(None)]
+    if _t.get_origin(hint) is dict:
+        if not isinstance(value, dict):
+            raise PlanError(f"{path}: expected an object, got {_show(value)}")
+        key_hint, value_hint = _t.get_args(hint)
+        return {check(key, key_hint, f"{path} key"):
+                check(item, value_hint, f"{path}.{key}")
+                for key, item in value.items()}
     if _t.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise PlanError(f"{path}: expected a list, got {_show(value)}")
@@ -177,7 +205,7 @@ def _check(value: object, hint: object, path: str) -> object:
         elif len(value) != len(args):
             raise PlanError(f"{path}: expected {len(args)} values, "
                             f"got {len(value)}")
-        return tuple(_check(item, arg, f"{path}[{i}]")
+        return tuple(check(item, arg, f"{path}[{i}]")
                      for i, (item, arg) in enumerate(zip(value, args)))
     if hint in (int, float):
         try:  # an int too large for a float is not finite either

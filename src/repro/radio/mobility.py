@@ -236,7 +236,13 @@ def _random_waypoint(driver: "MobilityDriver", spec: MobilitySpec,
     """Classic random waypoint inside ``spec.area``: pick a uniform
     target and a uniform speed in ``spec.speed``, travel, pause
     ``spec.pause_s``, repeat until ``spec.duration`` is spent.  All
-    draws come from the dedicated mobility stream at activation."""
+    draws come from the dedicated mobility stream at activation.
+
+    Every leg yields at least one update however short it is, so the
+    duration alone does not bound the work (a tiny area crossed at high
+    speed packs thousands of legs into a second): no further leg is
+    drawn once the node holds its share of :data:`MAX_POSITION_UPDATES`.
+    """
     rng = driver.rng
     xmin, ymin, xmax, ymax = spec.area  # type: ignore[misc]
     vmin, vmax = spec.speed  # type: ignore[misc]
@@ -244,7 +250,8 @@ def _random_waypoint(driver: "MobilityDriver", spec: MobilitySpec,
     out: _Itinerary = []
     t = spec.at
     horizon = spec.at + spec.duration
-    while t < horizon - 1e-12:
+    share = MAX_POSITION_UPDATES / len(spec.nodes)
+    while t < horizon - 1e-12 and len(out) < share:
         tx = float(rng.uniform(xmin, xmax))
         ty = float(rng.uniform(ymin, ymax))
         v = float(rng.uniform(vmin, vmax))

@@ -32,23 +32,28 @@ perturb the simulation.  ``tests/serve`` proves the digest identity.
 
 Campaigns are the one deliberately off-loop workload: ``POST
 /campaigns`` coordinates :func:`~repro.campaign.runner.run_campaign`
-from a worker thread.  With ``workers > 1`` every cell executes in the
-process-wide **warm pool**'s worker processes — separate interpreters
-with their own RNG state, so a campaign can saturate every core, and a
-cell that kills its process costs one failed run, never the server.
-With ``workers == 1`` the cells run in that thread.  Either way each
+from a worker thread, and every cell, whatever ``workers`` is, executes
+in the process-wide **warm pool**'s worker processes — separate
+interpreters with their own RNG state, so a campaign can saturate every
+core, a cell's timeout is armed where the cell runs, and a cell that
+exits, crashes or hangs costs one failed run, never the server.  Each
 cell builds its own world, so the served fleets' determinism is
 untouched.
+
+A fleet whose ``advance`` raises stops ticking and is marked
+``failed``, with the error, in ``GET /`` and ``/health``; one
+``fleet_error`` event goes out on the SSE stream, and the other fleets
+and every endpoint carry on.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 import typing as _t
 
 from repro.errors import PlanError
 from repro.obs.export import metrics_to_prometheus, prometheus_line
+from repro.plan import decode
 from repro.serve.fleet import FleetSupervisor
 from repro.serve.http import (
     HttpError,
@@ -62,10 +67,11 @@ from repro.serve.hub import EventHub, format_sse
 
 __all__ = ["ServeApp"]
 
-#: Most extra attempts a served campaign may ask for per failing cell —
-#: a bound, so one ``POST /campaigns`` cannot hold a server thread for
-#: days retrying a cell that always fails.
-MAX_CAMPAIGN_RETRIES = 8
+#: Per-SSE-client cap on transport write buffering.  Together with the
+#: hub's bounded queue this bounds the total memory a stalled client can
+#: pin: beyond kernel socket buffers plus this, its pump parks and the
+#: hub sheds events for it.
+SSE_WRITE_HIGH = 16 * 1024
 
 
 class ServeApp:
@@ -84,11 +90,6 @@ class ServeApp:
         #: Wall-clock pause between ticks and simulated seconds per tick.
         self.tick_s = tick_s
         self.step_s = step_s
-        #: Per-SSE-client cap on transport write buffering.  Together
-        #: with the hub's bounded queue this bounds the total memory a
-        #: stalled client can pin: beyond kernel socket buffers plus
-        #: this, its pump parks and the hub sheds events for it.
-        self.sse_write_high = 16 * 1024
         self._server: asyncio.base_events.Server | None = None
         self._tasks: set[asyncio.Task] = set()
         self._running = False
@@ -97,8 +98,6 @@ class ServeApp:
         #: Campaign submissions by name: status records served by
         #: ``GET /campaigns[/name]`` and mutated only on this loop.
         self.campaigns: dict[str, dict] = {}
-        #: Worker processes a ``POST /campaigns`` may ask for (clamped).
-        self.max_campaign_workers = 64
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -148,9 +147,16 @@ class ServeApp:
         return task
 
     async def _ticker(self, fleet: FleetSupervisor) -> None:
-        """Advance one fleet forever: sim cadence, then yield to I/O."""
+        """Advance one fleet forever: sim cadence, then yield to I/O.
+
+        A raising ``advance`` fails this fleet only: it stops ticking
+        and reports the error (:meth:`FleetSupervisor.fail`)."""
         while self._running:
-            fleet.advance(self.step_s)
+            try:
+                fleet.advance(self.step_s)
+            except Exception as exc:  # noqa: BLE001 - reported, not raised
+                fleet.fail(exc)
+                return
             await asyncio.sleep(self.tick_s)
 
     # -- connection handling -------------------------------------------------
@@ -335,6 +341,9 @@ class ServeApp:
         return "".join(chunks)
 
     def _inject(self, fleet: FleetSupervisor, request: Request) -> bytes:
+        if fleet.error is not None:  # no tick would ever install it
+            raise HttpError(409, f"fleet {fleet.name!r} has failed: "
+                                 f"{fleet.error}")
         payload = request.json()
         try:
             plan = fleet.queue_fault_plan(payload)  # type: ignore[arg-type]
@@ -350,68 +359,30 @@ class ServeApp:
     # -- campaigns -----------------------------------------------------------
 
     def _launch_campaign(self, request: Request) -> bytes:
-        """``POST /campaigns``: validate, record, and launch off-loop.
+        """``POST /campaigns``: check, record, and launch off-loop.
 
-        The body mirrors the CLI: ``{"scenario": ..., "name"?, "seed"?,
-        "repeats"?, "base_params"?, "grid"?, "workers"?, "shard"?:
-        [k, of], "timeout_s"?, "retries"?, "fault_plan"?}``.  ``timeout_s``
-        is null or 0 to ``threading.TIMEOUT_MAX``, ``retries`` 0 to
-        :data:`MAX_CAMPAIGN_RETRIES`, and ``fault_plan`` must decode;
-        anything else is a 400 here, not a failure in every cell later.
-        With ``workers > 1`` cells execute in the warm pool's worker
-        processes and only queue plumbing runs in this process;
-        ``workers == 1`` runs them in the campaign's thread.
+        The body is a :class:`~repro.campaign.runner.CampaignRequest`:
+        ``{"scenario": ..., "name"?, "seed"?, "repeats"?, "base_params"?,
+        "grid"?, "shard"?: [k, of], "workers"?, "timeout_s"?,
+        "retries"?}``.  It passes the checks every campaign caller gets
+        before anything launches; any failure is a 400 here, not a
+        failure in every cell later.
         """
-        from repro.campaign import Campaign, default_workers
-        from repro.campaign.scenarios import resolve_scenario
+        from repro.campaign import CampaignRequest
 
-        payload = request.json()
-        if not isinstance(payload, dict):
-            raise HttpError(400, "body must be a JSON object")
         try:
-            scenario = payload["scenario"]
-            resolve_scenario(scenario)
-            name = str(payload.get("name", scenario))
-            campaign = Campaign(
-                name=name, scenario=scenario,
-                seed=int(payload.get("seed", 0)),
-                base_params=dict(payload.get("base_params") or {}),
-                grid=dict(payload.get("grid") or {}),
-                repeats=int(payload.get("repeats", 1)),
-                fault_plan=payload.get("fault_plan"),
-            )
-            target: object = campaign
-            if payload.get("shard") is not None:
-                index, of = payload["shard"]
-                target = campaign.shard(int(index), int(of))
-            workers = max(1, min(
-                self.max_campaign_workers,
-                int(payload.get("workers") or default_workers())))
-            timeout_s = payload.get("timeout_s")
-            if timeout_s is not None:
-                timeout_s = float(timeout_s)
-                if not 0 <= timeout_s <= threading.TIMEOUT_MAX:
-                    raise ValueError(
-                        f"timeout_s must be 0 to {threading.TIMEOUT_MAX:g} "
-                        f"seconds, got {timeout_s}")
-            retries = payload.get("retries", 1)
-            if (type(retries) is not int
-                    or not 0 <= retries <= MAX_CAMPAIGN_RETRIES):
-                raise ValueError(
-                    f"retries must be an integer from 0 to "
-                    f"{MAX_CAMPAIGN_RETRIES}, got {retries!r}")
-        except HttpError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
+            body = decode(CampaignRequest, request.json(), "campaign")
+            target, workers, timeout_s, retries = body.checked()
+        except ValueError as exc:
             raise HttpError(400, f"invalid campaign: {exc}") from exc
+        name = target.name
         running = self.campaigns.get(name)
         if running is not None and running["status"] == "running":
             raise HttpError(409, f"campaign {name!r} is already running")
         record = {
-            "name": name, "status": "running", "scenario": scenario,
-            "seed": campaign.seed, "total": len(target),
-            "workers": workers,
-            "shard": list(getattr(target, "shard_key", ()) or ()) or None,
+            "name": name, "status": "running", "scenario": body.scenario,
+            "seed": body.seed, "total": len(target), "workers": workers,
+            "shard": list(body.shard) if body.shard else None,
         }
         self.campaigns[name] = record
         self._spawn(self._run_campaign(record, target, workers, timeout_s,
@@ -423,13 +394,20 @@ class ServeApp:
 
     async def _run_campaign(self, record: dict, target, workers: int,
                             timeout_s: float | None, retries: int) -> None:
-        """Coordinate one campaign in a thread; publish the verdict."""
-        from repro.campaign import run_campaign
+        """Coordinate one campaign in a thread, its cells in the warm
+        pool; publish the verdict."""
+        from repro.campaign import get_warm_pool, run_campaign
+
+        def coordinate():
+            pool = get_warm_pool(workers)
+            if pool is None:
+                raise RuntimeError("no usable multiprocessing start method,"
+                                   " and served cells run only in workers")
+            return run_campaign(target, workers=workers, timeout_s=timeout_s,
+                                retries=retries, pool=pool)
 
         try:
-            out = await asyncio.to_thread(
-                run_campaign, target, workers=workers, timeout_s=timeout_s,
-                retries=retries)
+            out = await asyncio.to_thread(coordinate)
         except Exception as exc:  # noqa: BLE001 - reported, not raised
             record.update(status="failed",
                           error=f"{type(exc).__name__}: {exc}")
@@ -461,8 +439,7 @@ class ServeApp:
         """
         sub = self.hub.subscribe()
         try:
-            writer.transport.set_write_buffer_limits(
-                high=self.sse_write_high)
+            writer.transport.set_write_buffer_limits(high=SSE_WRITE_HIGH)
             writer.write(sse_headers())
             writer.write(b": repro.serve event stream\n\n")
             await writer.drain()

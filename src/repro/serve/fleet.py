@@ -67,6 +67,8 @@ class FleetSupervisor:
         self._seen_findings: set[str] = set()
         self.injected_plans: list[FaultPlan] = []
         self.ticks = 0
+        #: Why the fleet stopped ticking (see :meth:`fail`), else None.
+        self.error: str | None = None
         #: Rendered at assessment time; ``/health`` serves this string
         #: without touching the sim.
         self.health_payload: dict = self.assessor.health(fleet=self.name)
@@ -91,7 +93,25 @@ class FleetSupervisor:
             "mode": getattr(self.assessor, "mode", "active"),
             "status": str(self.health_payload.get("status", "pending")),
             "injected_plans": len(self.injected_plans),
+            "error": self.error,
         }
+
+    def fail(self, exc: Exception) -> None:
+        """Mark the fleet ``failed`` because ``advance`` raised ``exc``.
+
+        The server stops ticking it; the error shows in :meth:`describe`
+        and :attr:`health_payload`, and one ``fleet_error`` event is
+        published.
+        """
+        self.error = f"{type(exc).__name__}: {exc}"
+        self.health_payload = {**self.health_payload, "status": "failed",
+                               "error": self.error}
+        self.hub.publish({
+            "type": "fleet_error",
+            "fleet": self.name,
+            "sim_time": round(self.env.now, 6),
+            "error": self.error,
+        })
 
     # -- external inputs -----------------------------------------------------
 

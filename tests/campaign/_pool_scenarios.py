@@ -1,16 +1,25 @@
-"""Synthetic scenario callables for pool/runner tests.
+"""Synthetic scenario cells for pool/runner tests.
 
-Referenced by ``"tests.campaign._pool_scenarios:<name>"`` module:function
-specs so warm-pool worker processes can re-import them; none of them
-build a testbed — they return plain value dicts, which ``execute_spec``
-accepts — because what the tests exercise is the machinery *around* a
-run, not the simulator.
+Each is registered with ``@scenario`` under its own
+``"tests.campaign._pool_scenarios:<name>"`` reference, the form the
+tests name them by, so warm-pool worker processes resolve them by
+re-importing this module.  None of them build a testbed — they return
+plain value dicts, which ``execute_spec`` accepts — because what the
+tests exercise is the machinery *around* a run, not the simulator.
 """
 
 import os
 import time
 
+from repro.campaign import scenario
 
+
+def _cell(fn):
+    """Register ``fn`` under its ``module:function`` reference."""
+    return scenario(f"{__name__}:{fn.__name__}")(fn)
+
+
+@_cell
 def flaky_once(seed, *, marker_dir, cell=0):
     """Fail the first attempt, succeed ever after.
 
@@ -26,6 +35,7 @@ def flaky_once(seed, *, marker_dir, cell=0):
     raise RuntimeError("first attempt fails by design")
 
 
+@_cell
 def sleepy(seed, *, duration=0.05):
     """Sleep ``duration`` seconds — a task with a knowable cost — and
     report which process ran it (overlap checks)."""
@@ -33,6 +43,7 @@ def sleepy(seed, *, duration=0.05):
     return {"slept": float(duration), "pid": os.getpid()}
 
 
+@_cell
 def hard_crash(seed, *, cell=0, crash_cell=0):
     """Kill the whole worker process for one cell (no exception, no
     cleanup — the way an OOM kill looks to the parent)."""
@@ -41,6 +52,7 @@ def hard_crash(seed, *, cell=0, crash_cell=0):
     return {"cell": cell}
 
 
+@_cell
 def crash_once(seed, *, marker_dir, cell=0, crash_cell=0):
     """Kill the worker on the *first* attempt at one cell only.
 
@@ -56,6 +68,14 @@ def crash_once(seed, *, marker_dir, cell=0, crash_cell=0):
     return {"cell": cell, "recovered": int(cell) == int(crash_cell)}
 
 
+@_cell
 def echo_pid(seed, **params):
     """Report which process ran the cell (warm-pool reuse checks)."""
     return {"pid": os.getpid(), **{k: v for k, v in params.items()}}
+
+
+@_cell
+def exits(seed, *, code=56):
+    """Raise ``SystemExit`` the way a scenario calling ``sys.exit``
+    would; it must cost one failed run, never the caller."""
+    raise SystemExit(code)

@@ -11,9 +11,14 @@ import pickle
 import pytest
 
 from repro.campaign import (
+    MAX_RETRIES,
+    MAX_WORKERS,
     Campaign,
     ResultCache,
     RunResult,
+    RunSpec,
+    check_run_options,
+    default_workers,
     execute_spec,
     run_campaign,
     scenario_names,
@@ -111,6 +116,59 @@ def test_timeout_beyond_the_alarm_range_rejected_up_front(timeout_s):
     assert seen == []
 
 
+@pytest.mark.parametrize("options", [
+    {"retries": MAX_RETRIES + 1}, {"retries": -1}, {"retries": True},
+    {"retries": 1.0}, {"workers": 2.0}, {"workers": False},
+    {"timeout_s": "5"},
+])
+def test_run_options_out_of_bounds_rejected_up_front(options):
+    seen = []
+    with pytest.raises(ValueError):
+        run_campaign(TINY, **{"workers": 1, **options},
+                     progress=lambda *a: seen.append(a))
+    assert seen == []
+
+
+def test_workers_clamp():
+    """The check alone (no pool starts): None and 0 mean the default,
+    and any count lands in 1..MAX_WORKERS."""
+    assert check_run_options(None)[0] == check_run_options(0)[0] == \
+        min(MAX_WORKERS, default_workers())
+    assert check_run_options(-3)[0] == 1
+    assert check_run_options(10 ** 6)[0] == MAX_WORKERS
+    assert check_run_options(2, 5, MAX_RETRIES) == (2, 5.0, MAX_RETRIES)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cell_raising_system_exit_is_a_failed_run(workers):
+    out = run_campaign(Campaign(
+        name="exits", scenario="tests.campaign._pool_scenarios:exits",
+        seed=1), workers=workers, retries=0)
+    (run,) = out.failures
+    assert "SystemExit: 56" in run.error
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--retries", "9"], "--retries"),
+    (["--scenario", "sys:exit"], "not a registered scenario"),
+    (["--grid", "nodes=3", "--grid", "seconds=x", "--repeats", "100000"],
+     "at most"),
+])
+def test_cli_campaign_input_errors_are_usage_errors(argv, message, capsys,
+                                                    monkeypatch):
+    import repro.campaign
+    from repro.__main__ import main
+
+    def never(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(repro.campaign, "run_campaign", never)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["campaign", "--scenario", "chain_beacons", *argv])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_timeout_beyond_the_alarm_range_is_a_usage_error(capsys):
     from repro.__main__ import main
     with pytest.raises(SystemExit) as exit_info:
@@ -135,10 +193,11 @@ def test_progress_callback_sees_every_run(tmp_path):
 
 
 def test_unknown_scenario_is_a_per_run_error():
-    out = run_campaign(Campaign(name="x", scenario="nope", seed=0),
-                       workers=1, retries=0)
-    assert len(out.failures) == 1
-    assert "unknown scenario" in out.failures[0].error
+    # Campaign refuses an unknown scenario up front (test_spec.py); a
+    # spec that reaches a worker anyway still settles as a failed run.
+    result = execute_spec(RunSpec(scenario="nope"))
+    assert not result.ok
+    assert "unknown scenario" in result.error
 
 
 def test_builtin_scenarios_registered():

@@ -22,11 +22,12 @@ GRID33 = Campaign(
 
 CHAOS = Campaign(
     name="chaos-shard", scenario="chain_beacons", seed=7,
-    base_params={"seconds": 5.0}, grid={"nodes": [3, 4]}, repeats=2,
-    fault_plan=FaultPlan(name="shard-chaos", specs=(
-        FaultSpec(kind="link_degrade", at=2.0, duration=6.0, link=(1, 2),
-                  loss_db=40.0),
-    )),
+    base_params={"seconds": 5.0, "fault_plan": FaultPlan(
+        name="shard-chaos", specs=(
+            FaultSpec(kind="link_degrade", at=2.0, duration=6.0,
+                      link=(1, 2), loss_db=40.0),
+        ))},
+    grid={"nodes": [3, 4]}, repeats=2,
 )
 
 

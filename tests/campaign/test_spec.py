@@ -1,8 +1,11 @@
-"""Campaign expansion and the deterministic seed-derivation contract."""
+"""Campaign expansion, the seed-derivation contract, and the checks
+construction owns for every caller (API, CLI and ``POST /campaigns``)."""
 
 import pytest
 
-from repro.campaign import Campaign, RunSpec, derive_seed
+from repro.campaign import MAX_RUNS, Campaign, RunSpec, derive_seed
+
+ECHO = "tests.campaign._pool_scenarios:echo_pid"
 
 
 def test_grid_times_repeats_expansion_order():
@@ -26,9 +29,9 @@ def test_grid_times_repeats_expansion_order():
 def test_seed_depends_only_on_identity_not_order():
     """The seed of a cell is the same whatever else the campaign sweeps —
     so shard order and worker count can never change any run's world."""
-    small = Campaign(name="a", scenario="s", seed=9, grid={"p": [1]},
+    small = Campaign(name="a", scenario=ECHO, seed=9, grid={"p": [1]},
                      repeats=1)
-    large = Campaign(name="b", scenario="s", seed=9,
+    large = Campaign(name="b", scenario=ECHO, seed=9,
                      grid={"p": [5, 3, 1, 2]}, repeats=4)
     seed_small = small.expand()[0].seed
     matching = [s for s in large.expand()
@@ -61,7 +64,7 @@ def test_seed_values_pinned():
 
 
 def test_seeds_are_valid_and_distinct():
-    camp = Campaign(name="c", scenario="s", seed=123,
+    camp = Campaign(name="c", scenario=ECHO, seed=123,
                     grid={"x": list(range(8))}, repeats=8)
     seeds = [s.seed for s in camp.expand()]
     assert len(set(seeds)) == len(seeds)
@@ -69,12 +72,74 @@ def test_seeds_are_valid_and_distinct():
 
 
 def test_base_and_grid_params_must_not_overlap():
-    with pytest.raises(ValueError):
-        Campaign(name="c", scenario="s", base_params={"x": 1},
+    with pytest.raises(ValueError, match="both"):
+        Campaign(name="c", scenario=ECHO, base_params={"x": 1},
                  grid={"x": [1, 2]})
 
 
 def test_runspec_roundtrips_through_dict():
-    spec = Campaign(name="c", scenario="s", seed=2,
+    spec = Campaign(name="c", scenario=ECHO, seed=2,
                     grid={"x": [1]}, repeats=1).expand()[0]
     assert RunSpec.from_dict(spec.to_dict()) == spec
+
+
+# -- the checks construction owns ----------------------------------------------
+
+
+@pytest.mark.parametrize("scenario", [
+    "nope",                                    # not registered
+    "sys:exit",                                # a callable, not a scenario
+    "tests.campaign._pool_scenarios:os",       # not even a callable
+    "no_such_module:cell",                     # nothing to import
+    ":cell",
+])
+def test_scenario_must_be_a_registered_cell(scenario):
+    with pytest.raises(ValueError, match="scenario"):
+        Campaign(name="c", scenario=scenario)
+
+
+def test_module_function_refs_resolve_to_registered_cells():
+    # Registry name and module:function reference both name one cell.
+    Campaign(name="c", scenario="repro.campaign.scenarios:chain_beacons")
+    Campaign(name="c", scenario=ECHO)
+
+
+@pytest.mark.parametrize("fields", [
+    # An empty axis: len() would be 0, expand() one run with no axis.
+    {"grid": {"nodes": [3], "seconds": []}},
+    {"grid": {"nodes": "345"}},                # a string is no axis
+    {"grid": {"nodes": 3}},
+    {"grid": [3, 4]},
+    {"base_params": [("nodes", 3)]},
+    {"repeats": True},
+    {"repeats": 0},
+    {"repeats": 2.0},
+    {"repeats": 10 ** 9},
+    {"seed": 1.5},
+    {"seed": False},
+    {"name": None},
+])
+def test_malformed_campaign_is_a_value_error(fields):
+    with pytest.raises(ValueError):
+        Campaign(**{"name": "c", "scenario": "chain_beacons", **fields})
+
+
+def test_run_count_bound_is_inclusive():
+    assert len(Campaign(name="c", scenario=ECHO,
+                        grid={"x": list(range(100))},
+                        repeats=MAX_RUNS // 100)) == MAX_RUNS
+    with pytest.raises(ValueError, match="at most"):
+        Campaign(name="c", scenario=ECHO, grid={"x": list(range(100))},
+                 repeats=MAX_RUNS // 100 + 1)
+
+
+def test_plan_decoding_leaves_the_callers_parameters_alone():
+    plan = {"specs": [{"kind": "node_crash", "at": 1.0, "nodes": [2]}]}
+    base, grid = {"fault_plan": plan}, {"nodes": [3]}
+    camp = Campaign(name="c", scenario="chain_beacons", base_params=base,
+                    grid=grid)
+    assert isinstance(camp.base_params["fault_plan"], str)
+    assert base == {"fault_plan": plan}
+    grid["spacing"] = [1.0]
+    assert camp.cells() == [{"fault_plan": camp.base_params["fault_plan"],
+                             "nodes": 3}]

@@ -1,5 +1,7 @@
 """Fault plans as first-class campaign parameters."""
 
+import json
+
 import pytest
 
 from repro.campaign import Campaign, run_campaign
@@ -15,8 +17,8 @@ CHAOS_PLAN = FaultPlan(name="campaign-chaos", specs=(
 
 CHAOS = Campaign(
     name="chaos-tiny", scenario="chain_beacons", seed=5,
-    base_params={"seconds": 5.0}, grid={"nodes": [3, 4]}, repeats=1,
-    fault_plan=CHAOS_PLAN,
+    base_params={"seconds": 5.0, "fault_plan": CHAOS_PLAN},
+    grid={"nodes": [3, 4]}, repeats=1,
 )
 
 PLAIN = Campaign(
@@ -41,11 +43,22 @@ def test_fault_plan_perturbs_derived_seeds():
         5, "chain_beacons", {"seconds": 5.0, "nodes": 3}, 0)
 
 
-def test_fault_plan_field_conflicts_with_explicit_param():
-    with pytest.raises(ValueError):
-        Campaign(name="x", scenario="chain_beacons",
-                 base_params={"fault_plan": "null"},
-                 fault_plan=CHAOS_PLAN)
+@pytest.mark.parametrize("form", [
+    CHAOS_PLAN, CHAOS_PLAN.to_dict(), CHAOS_PLAN.to_param(),
+    json.dumps(CHAOS_PLAN.to_dict(), indent=2),
+])
+def test_every_plan_form_derives_the_same_seeds(form):
+    """A plan object, a mapping and any JSON spelling decode to one
+    canonical parameter and so derive one set of seeds.  The pinned
+    seed is the one this campaign derived when the plan was a separate
+    ``Campaign`` field, so caches and fixtures keyed by it stay valid."""
+    campaign = Campaign(
+        name="chaos-tiny", scenario="chain_beacons", seed=5,
+        base_params={"seconds": 5.0, "fault_plan": form},
+        grid={"nodes": [3, 4]}, repeats=1)
+    assert [s.seed for s in campaign.expand()] == \
+        [s.seed for s in CHAOS.expand()]
+    assert campaign.expand()[0].seed == 8262613346839898385
 
 
 def test_chaos_campaign_is_reproducible_serially():
@@ -69,9 +82,10 @@ def test_chaos_campaign_caches_like_any_other(tmp_path):
     # A different plan is a different cache key.
     other = Campaign(
         name="chaos-tiny", scenario="chain_beacons", seed=5,
-        base_params={"seconds": 5.0}, grid={"nodes": [3, 4]}, repeats=1,
-        fault_plan=FaultPlan(name="other", specs=(
-            FaultSpec(kind="node_crash", at=1.0, nodes=(2,)),)),
+        base_params={"seconds": 5.0, "fault_plan": FaultPlan(
+            name="other", specs=(
+                FaultSpec(kind="node_crash", at=1.0, nodes=(2,)),))},
+        grid={"nodes": [3, 4]}, repeats=1,
     )
     assert run_campaign(other, workers=1, cache=tmp_path).n_cached == 0
 
@@ -79,10 +93,10 @@ def test_chaos_campaign_caches_like_any_other(tmp_path):
 def test_chaos_scenario_reports_fault_observables():
     fast = Campaign(
         name="chaos-cell", scenario="chaos_chain", seed=3,
-        base_params={"nodes": 4, "rounds": 2},
-        fault_plan=FaultPlan(name="mid-break", specs=(
-            FaultSpec(kind="link_degrade", at=15.0, link=(2, 3),
-                      loss_db=80.0),)),
+        base_params={"nodes": 4, "rounds": 2, "fault_plan": FaultPlan(
+            name="mid-break", specs=(
+                FaultSpec(kind="link_degrade", at=15.0, link=(2, 3),
+                          loss_db=80.0),))},
     )
     out = run_campaign(fast, workers=1)
     assert out.failures == []

@@ -200,6 +200,23 @@ def test_mobility_naming_a_missing_node_schedules_nothing():
     assert testbed.rng.names() == streams
 
 
+@pytest.mark.parametrize("duration", [0.01, 1000.0])
+def test_random_waypoint_legs_stop_at_the_node_share(duration):
+    """Every leg yields an update however short it is: a 1 mm area
+    crossed at 1000 m/s packs some 19k legs into 0.01 s, which the bound
+    counts as 0.01 updates, and 1000 s of it would be some 2e9.  No leg
+    is drawn once the node holds its share of the bound, so the spec
+    activates and plays out in bounded time, within the bound."""
+    testbed = chain4()
+    driver = install_mobility(testbed, {"specs": [{
+        "kind": "random_waypoint", "at": 1.0, "duration": duration,
+        "nodes": [1], "area": [0, 0, 0.001, 0.001], "speed": [1000, 1000],
+    }]})
+    testbed.run(until=2.0)  # every leg is microseconds long
+    assert driver.activations == {"random_waypoint": 1}
+    assert 0 < driver.updates[1] <= MAX_POSITION_UPDATES
+
+
 # -- one injector per world -------------------------------------------------------
 
 
@@ -286,15 +303,24 @@ def test_campaign_decodes_its_fault_plan_once():
 
     for bad in ("[1]", {"specs": 7}, fault(kind="node_crash", nodes=[1],
                                             when=3.0)):
-        with pytest.raises(PlanError):
-            Campaign(name="c", scenario="chain_beacons", fault_plan=bad)
+        with pytest.raises(PlanError, match="base_params.fault_plan"):
+            Campaign(name="c", scenario="chain_beacons",
+                     base_params={"fault_plan": bad})
+        with pytest.raises(PlanError, match="mobility_plan"):
+            Campaign(name="c", scenario="mobile_city_survey",
+                     grid={"mobility_plan": [None, bad]})
     plan = FaultPlan.from_param(DEGRADE)
     for form in (plan, DEGRADE, plan.to_param()):
         campaign = Campaign(name="c", scenario="chain_beacons",
-                            grid={"nodes": [3, 4]}, fault_plan=form)
-        assert campaign.fault_plan == plan.to_param()
+                            base_params={"fault_plan": form},
+                            grid={"nodes": [3, 4]})
+        assert campaign.base_params["fault_plan"] == plan.to_param()
         assert [cell["fault_plan"] for cell in campaign.cells()] == [
             plan.to_param()] * 2
+        swept = Campaign(name="c", scenario="chain_beacons",
+                         grid={"fault_plan": [None, form]})
+        assert [cell["fault_plan"] for cell in swept.cells()] == [
+            None, plan.to_param()]
 
 
 def test_campaign_with_a_malformed_fault_plan_answers_400():
@@ -311,10 +337,12 @@ def test_campaign_with_a_malformed_fault_plan_answers_400():
         await app.start(auto_tick=False)
         try:
             for plan in plans:
+                body = dict(base, base_params=dict(base["base_params"],
+                                                   fault_plan=plan))
                 status, reply = await fetch_json(
-                    app.port, "/campaigns", "POST",
-                    dict(base, fault_plan=plan))
+                    app.port, "/campaigns", "POST", body)
                 assert status == 400, (plan, reply)
+                assert "base_params.fault_plan" in reply["error"], reply
             assert app.campaigns == {}
         finally:
             await app.stop()

@@ -1,20 +1,23 @@
 """Campaigns over HTTP: launch, poll, digest parity with local runs.
 
-``POST /campaigns`` coordinates the campaign off the event loop (cells
-execute in warm-pool worker processes), so the served digest must be
-identical to calling :func:`run_campaign` directly — the serve layer is
-plumbing, never a second execution semantics.
+``POST /campaigns`` coordinates the campaign off the event loop (every
+cell executes in warm-pool worker processes, whatever ``workers`` is),
+so the served digest must be identical to calling :func:`run_campaign`
+directly — the serve layer is plumbing, never a second execution
+semantics — and no cell can end the server.
 """
 
 import asyncio
+import os
 import threading
 
 import repro.campaign
-from repro.campaign import Campaign, run_campaign
+from repro.campaign import MAX_RETRIES, Campaign, run_campaign
 from repro.serve import ServeApp, build_fleet
-from repro.serve.app import MAX_CAMPAIGN_RETRIES
 
 from tests.serve.conftest import fetch_json
+
+SCN = "tests.campaign._pool_scenarios"
 
 BODY = {
     "scenario": "chain_beacons", "name": "served", "seed": 9,
@@ -99,19 +102,36 @@ def test_campaign_validation_and_lookup_errors():
             for bad in (
                 {},                                   # no scenario
                 {"scenario": "no-such-scenario"},     # unknown scenario
+                {"scenario": "sys:exit"},             # callable, no scenario
+                {"scenario": "sys:exit", "workers": 1},
+                {"scenario": "sys:exit", "workers": 2},
+                ["chain_beacons"],                    # not an object
                 dict(BODY, repeats=0),                # invalid repeats
+                dict(BODY, repeats=True),
+                dict(BODY, repeats=1_000_000_000),    # past MAX_RUNS
+                dict(BODY, seed=1.5),
+                dict(BODY, grid={"nodes": "345"}),    # a string is no axis
+                dict(BODY, grid={"nodes": [3], "seconds": []}),
+                dict(BODY, repeat=2),                 # an unknown key
+                dict(BODY, fault_plan=None),          # plans: base_params
                 dict(BODY, shard=[5, 2]),             # index out of range
+                dict(BODY, shard=[0]),
+                dict(BODY, workers=True),
                 dict(BODY, timeout_s=float("nan")),   # non-finite timeout
                 dict(BODY, timeout_s=-1),             # negative timeout
                 dict(BODY, timeout_s=float("inf")),
                 dict(BODY, timeout_s=1e10),           # past TIMEOUT_MAX
                 dict(BODY, retries=-1),               # retries out of range
-                dict(BODY, retries=MAX_CAMPAIGN_RETRIES + 1),
+                dict(BODY, retries=MAX_RETRIES + 1),
                 dict(BODY, retries=1_000_000_000),
             ):
                 status, reply = await fetch_json(
                     app.port, "/campaigns", "POST", bad)
                 assert status == 400, (bad, reply)
+                assert reply["error"].startswith("invalid campaign: ")
+            assert app.campaigns == {}  # nothing launched
+            status, _ = await fetch_json(app.port, "/")
+            assert status == 200
             status, _ = await fetch_json(app.port, "/campaigns/ghost")
             assert status == 404
         finally:
@@ -126,7 +146,7 @@ def test_retries_and_timeout_accepted_at_their_bounds():
         await app.start(auto_tick=False)
         try:
             body = dict(BODY, name="bounded", timeout_s=120,
-                        retries=MAX_CAMPAIGN_RETRIES)
+                        retries=MAX_RETRIES)
             status, reply = await fetch_json(
                 app.port, "/campaigns", "POST", body)
             assert status == 202, reply
@@ -162,10 +182,10 @@ def test_negative_workers_normalized_to_serial():
 
 
 def test_duplicate_running_campaign_is_conflict(monkeypatch):
-    # The server imports run_campaign when a campaign starts and runs it
-    # in a worker thread (workers=1 keeps the cells in that thread), so a
-    # wrapper that waits on a gate holds the first campaign open until
-    # the duplicate POST has been answered — no bet on the run's length.
+    # The server imports run_campaign when a campaign starts and calls
+    # it from a coordinator thread, so a wrapper that waits on a gate
+    # holds the first campaign open until the duplicate POST has been
+    # answered — no bet on the run's length.
     gate = threading.Event()
 
     def gated_run_campaign(*args, **kwargs):
@@ -225,3 +245,59 @@ def test_one_cell_crashing_campaign_leaves_the_server_running():
             await app.stop()
 
     asyncio.run(main())
+
+
+def served_run(body, monkeypatch=None):
+    """POST ``body``, wait for its status to settle, and return the
+    record plus the server's own ``CampaignResult`` (via a spy)."""
+    outs = []
+    if monkeypatch is not None:
+        def spy(*args, **kwargs):
+            outs.append(run_campaign(*args, **kwargs))
+            return outs[-1]
+        monkeypatch.setattr(repro.campaign, "run_campaign", spy)
+
+    async def main():
+        app = make_app()
+        await app.start(auto_tick=False)
+        try:
+            status, reply = await fetch_json(
+                app.port, "/campaigns", "POST", body)
+            assert status == 202, reply
+            record = await poll_until_settled(app.port, body["name"],
+                                              timeout=120.0)
+            status, _ = await fetch_json(app.port, "/")
+            assert status == 200  # the server outlived the cell
+            return record
+        finally:
+            await app.stop()
+
+    return asyncio.run(main()), outs
+
+
+def test_one_worker_crashing_cell_leaves_the_server_running():
+    record, _ = served_run({
+        "scenario": f"{SCN}:hard_crash", "name": "crashy1", "seed": 4,
+        "workers": 1, "retries": 0,
+        "base_params": {"cell": 0, "crash_cell": 0}})
+    assert record["status"] == "done", record
+    assert record["runs"] == 1 and record["failed"] == 1
+    assert "died mid-run" in record["failures"][0]["error"]
+
+
+def test_one_worker_timeout_is_enforced():
+    record, _ = served_run({
+        "scenario": f"{SCN}:sleepy", "name": "sleepy1", "seed": 4,
+        "workers": 1, "timeout_s": 1, "retries": 0,
+        "base_params": {"duration": 30.0}})
+    assert record["status"] == "done", record
+    assert record["failed"] == 1
+    assert "timeout after 1s" in record["failures"][0]["error"]
+
+
+def test_one_worker_cells_run_outside_the_server(monkeypatch):
+    record, (out,) = served_run({
+        "scenario": f"{SCN}:echo_pid", "name": "pid1", "seed": 4,
+        "workers": 1}, monkeypatch)
+    assert record["status"] == "done" and record["failed"] == 0, record
+    assert out.runs[0].values["pid"] != os.getpid()

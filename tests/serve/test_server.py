@@ -259,3 +259,64 @@ def test_sse_stream_delivers_trace_health_and_finding_events():
             await app.stop()
 
     asyncio.run(main())
+
+
+def test_raising_advance_fails_only_that_fleet():
+    """A tick that raises stops that fleet's ticker and reports it as
+    ``failed``, with the error, in ``GET /`` and ``/health`` — once,
+    as one ``fleet_error`` event — while the other fleet keeps ticking
+    and the server keeps answering.  A fault plan for the failed fleet,
+    which no tick would install, is a 409."""
+    async def main():
+        good, bad = (build_fleet("chain:3", name=name, seed=7,
+                                 assess_every=20.0, warm_up=5.0,
+                                 publish_trace=False)
+                     for name in ("good", "bad"))
+        app = ServeApp([good, bad], tick_s=0.001, step_s=0.5)
+        ticked = asyncio.Event()
+        good_advance, bad_calls = good.advance, []
+
+        def counted_advance(sim_seconds):
+            good_advance(sim_seconds)
+            ticked.set()
+
+        def broken_advance(sim_seconds):
+            bad_calls.append(sim_seconds)
+            raise RuntimeError("the sim fell over")
+
+        good.advance, bad.advance = counted_advance, broken_advance
+        sub = app.hub.subscribe()
+        await app.start()
+        try:
+            while (event := await asyncio.wait_for(sub.get(), 30))[
+                    "type"] != "fleet_error":
+                pass
+            assert event["fleet"] == "bad"
+            assert event["error"] == "RuntimeError: the sim fell over"
+            ticked.clear()
+            await asyncio.wait_for(ticked.wait(), 30)  # good still ticks
+
+            status, index = await fetch_json(app.port, "/")
+            assert status == 200
+            cards = {card["name"]: card for card in index["fleets"]}
+            assert cards["bad"]["status"] == "failed"
+            assert cards["bad"]["error"] == event["error"]
+            assert cards["good"]["error"] is None
+            status, health = await fetch_json(app.port, "/health")
+            assert status == 200
+            assert health["fleets"]["bad"]["status"] == "failed"
+            assert health["fleets"]["bad"]["error"] == event["error"]
+            assert health["fleets"]["good"]["status"] != "failed"
+            status, _, _ = await fetch(app.port, "/metrics")
+            assert status == 200
+            status, reply = await fetch_json(
+                app.port, "/fleets/bad/faults", "POST", LINK_DEGRADE)
+            assert status == 409 and "has failed" in reply["error"]
+            assert len(bad_calls) == 1
+            later = [sub.queue.get_nowait()["type"]
+                     for _ in range(sub.queue.qsize())]
+            assert "fleet_error" not in later
+        finally:
+            await app.stop()
+
+    asyncio.run(main())
