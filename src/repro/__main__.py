@@ -117,6 +117,7 @@ def run_campaign_cli(args: argparse.Namespace) -> int:
     from repro.analysis import aggregate_cells, render_table
     from repro.campaign import (Campaign, check_run_options, run_campaign,
                                 scenario_names)
+    from repro.campaign.scenarios import import_scenario_module
 
     if args.list:
         print("\n".join(scenario_names()))
@@ -124,6 +125,8 @@ def run_campaign_cli(args: argparse.Namespace) -> int:
     if not args.scenario:
         args.usage_error("--scenario is required (try --list)")
     try:
+        # A `module:function` scenario is the user's own code: import it.
+        import_scenario_module(args.scenario)
         campaign = Campaign(
             name=args.name, scenario=args.scenario, seed=args.seed,
             base_params=dict(args.param or ()), grid=dict(args.grid or ()),

@@ -12,11 +12,12 @@ changes wall-clock.
 Parallel execution goes through :mod:`repro.campaign.pool`: a
 process-wide pool of **warm** workers that imported the simulator once
 and then service every campaign of the process's lifetime, each given
-the next cell as soon as it finishes its last.  With ``workers > 1``
-every cell runs in the pool, so a cell that kills its process never
-kills the caller.  Where no multiprocessing context is usable the
-runner silently degrades to in-process serial execution — correctness
-never depends on the pool.
+the next cell as soon as it finishes its last.  With ``workers > 1``,
+or a per-run ``timeout_s`` (armed only in a worker), every cell runs in
+the pool, so a cell that kills its process never kills the caller.
+Where no multiprocessing context is usable the runner silently degrades
+to in-process serial execution without deadlines — correctness never
+depends on the pool.
 
 Failure handling is per-run, never campaign-fatal: an exception, a
 timeout, or a worker process death becomes a ``RunResult`` with
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 from repro.campaign.cache import as_cache
 from repro.campaign.pool import _execute_task, get_warm_pool
 from repro.campaign.results import CampaignResult, RunResult
-from repro.campaign.scenarios import resolve_scenario
+from repro.campaign.scenarios import import_scenario_module, resolve_scenario
 from repro.campaign.spec import Campaign, CampaignShard, RunSpec
 from repro.plan import check
 
@@ -139,46 +140,47 @@ class CampaignRequest:
                                            self.retries))
 
 
-class _RunTimeout(Exception):
-    """Raised inside a worker when the per-run SIGALRM deadline fires."""
+class _RunTimeout(BaseException):
+    """Raised inside a worker when the per-run SIGALRM deadline fires; a
+    ``BaseException``, so no ``except Exception`` in a cell (or around
+    its import) swallows it."""
 
 
-def _call_with_timeout(fn: _t.Callable[[], object],
-                       timeout_s: float | None) -> object:
-    """Run ``fn`` under a SIGALRM deadline where the platform allows.
+def _raise_timeout(signum, frame) -> None:
+    raise _RunTimeout()
 
-    Warm-pool workers execute tasks on their main thread, so the alarm
-    is available there; on platforms (or threads) without SIGALRM the
-    run simply executes unbounded rather than failing.
+
+def _run_cell(spec: RunSpec, timeout_s: float | None) -> object:
+    """Import a reference's module, resolve the cell and run it, all
+    under a ``SIGALRM`` deadline where ``timeout_s`` sets one.
+
+    Only warm-pool workers pass a deadline, on their main thread, so the
+    alarm never touches a caller's own handler or timer.
     """
-    if (not timeout_s or not hasattr(signal, "SIGALRM")
-            or threading.current_thread() is not threading.main_thread()):
-        return fn()
-
-    def _alarm(signum, frame):
-        raise _RunTimeout()
-
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
+    armed = bool(timeout_s) and hasattr(signal, "SIGALRM")
+    if armed:
+        signal.signal(signal.SIGALRM, _raise_timeout)
+        signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
-        return fn()
+        import_scenario_module(spec.scenario)
+        return resolve_scenario(spec.scenario)(spec.seed, **spec.params_dict)
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+        if armed:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
 
 
 def execute_spec(spec: RunSpec, timeout_s: float | None = None) -> RunResult:
     """Build, run and snapshot one cell — the unit of work a worker does.
 
-    Never raises: scenario exceptions, ``SystemExit`` included, and
-    timeouts come back as a ``RunResult`` with ``error`` set, so a
-    single bad cell cannot take down a whole shard or its caller.
+    ``timeout_s`` bounds all of the cell, import included; pass it only
+    on a main thread, as warm workers do.  Never raises: scenario
+    exceptions, ``SystemExit`` included, and timeouts come back as a
+    ``RunResult`` with ``error`` set, so a single bad cell cannot take
+    down a whole shard or its caller.
     """
     start = time.perf_counter()
     try:
-        fn = resolve_scenario(spec.scenario)
-        outcome = _call_with_timeout(
-            lambda: fn(spec.seed, **spec.params_dict), timeout_s)
+        outcome = _run_cell(spec, timeout_s)
     except _RunTimeout:
         return RunResult(spec=spec, wall_s=time.perf_counter() - start,
                          error=f"timeout after {timeout_s:g}s")
@@ -224,7 +226,8 @@ def run_campaign(campaign: "Campaign | object", *, workers: int | None = 1,
     :func:`default_workers`) is clamped to 1..:data:`MAX_WORKERS`;
     ``workers=1`` runs serially in-process (and is the reference the
     parallel and sharded paths are bit-for-bit compared against);
-    ``workers>1`` dispatches to the process-wide warm pool
+    ``workers>1``, or any ``timeout_s``, dispatches to the process-wide
+    warm pool
     (``mp_context``: ``"auto"`` picks forkserver where available, else
     pre-imported spawn), and ``pool`` substitutes an explicit
     :class:`~repro.campaign.pool.WarmPool`, which runs every cell
@@ -261,7 +264,7 @@ def run_campaign(campaign: "Campaign | object", *, workers: int | None = 1,
             pending.append((index, spec))
 
     warm_pool = pool
-    if warm_pool is None and workers > 1 and pending:
+    if warm_pool is None and (workers > 1 or timeout_s) and pending:
         warm_pool = get_warm_pool(workers, mp_context)
 
     attempts_left = retries
@@ -293,10 +296,10 @@ def _run_batch(pending: list[tuple[int, RunSpec]], warm_pool,
                ) -> _t.Iterator[tuple[int, RunResult]]:
     """One attempt over ``pending``: the warm pool if there is one, else
     each cell in the caller, through the same cell-attempt function the
-    pool's workers run."""
+    pool's workers run, without a deadline."""
     if warm_pool is not None:
         yield from warm_pool.run_batch(pending, timeout_s=timeout_s,
                                        attempt=attempt_no, cache=store)
         return
     for index, spec in pending:
-        yield index, _execute_task(spec, timeout_s, attempt_no, store)
+        yield index, _execute_task(spec, None, attempt_no, store)

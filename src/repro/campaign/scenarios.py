@@ -18,9 +18,11 @@ for throughput/scaling work.
 from __future__ import annotations
 
 import importlib
+import sys
 import typing as _t
 
-__all__ = ["scenario", "resolve_scenario", "scenario_names"]
+__all__ = ["scenario", "resolve_scenario", "import_scenario_module",
+           "scenario_names"]
 
 _SCENARIOS: dict[str, _t.Callable] = {}
 
@@ -39,10 +41,11 @@ def resolve_scenario(ref: str) -> _t.Callable:
     """A registered scenario, by registry name or by a
     ``"module:function"`` reference to one.
 
-    A reference imports its module (which registers its cells), so a
-    worker process can resolve cells registered outside this package;
-    the object it names must then be a registered scenario, not just
-    any callable.  Anything else raises ``ValueError``.
+    A reference resolves only through a module this process has already
+    imported (:func:`import_scenario_module` imports one), so resolving
+    never runs module code, and the object it names must be a registered
+    scenario, not just any callable.  Anything else raises
+    ``ValueError``.
     """
     fn = _SCENARIOS.get(ref)
     if fn is not None:
@@ -52,22 +55,39 @@ def resolve_scenario(ref: str) -> _t.Callable:
         raise ValueError(
             f"unknown scenario {ref!r}; registered: {scenario_names()} "
             "(or a 'module:function' reference to a registered one)")
-    try:
-        obj: object = importlib.import_module(module_name)
-        for part in qualname.split("."):
-            obj = getattr(obj, part)
-    except (Exception, SystemExit) as exc:  # an import runs module code
-        raise ValueError(f"cannot resolve scenario {ref!r}: "
-                         f"{type(exc).__name__}: {exc}") from None
+    obj: object = sys.modules.get(module_name)
+    for part in qualname.split("."):
+        obj = getattr(obj, part, None)
     if not any(obj is fn for fn in _SCENARIOS.values()):
         raise ValueError(f"{ref!r} is not a registered scenario "
-                         "(register it with @scenario)")
+                         "(register it with @scenario in a module this "
+                         "process has imported)")
     return obj  # type: ignore[return-value]
+
+
+def import_scenario_module(ref: str) -> None:
+    """Import the module a ``"module:function"`` reference names, so its
+    cells register; a failing import raises ``ValueError``."""
+    module_name, sep, _ = ref.partition(":")
+    try:
+        if sep:
+            importlib.import_module(module_name)
+    except (Exception, SystemExit) as exc:  # an import runs module code
+        raise ValueError(f"cannot import scenario module {module_name!r}: "
+                         f"{type(exc).__name__}: {exc}") from None
 
 
 def scenario_names() -> list[str]:
     """Registered scenario names, sorted."""
     return sorted(_SCENARIOS)
+
+
+def _quiet_chain(nodes: int, spacing: float, seed: int):
+    """A chain without shadowing or fading: most cells' world."""
+    from repro.workloads import build_chain
+    from repro.workloads.scenarios import QUIET_PROPAGATION
+    return build_chain(int(nodes), spacing=spacing, seed=seed,
+                       propagation_kwargs=QUIET_PROPAGATION)
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +134,7 @@ def chain_beacons(seed: int, *, nodes: int = 5, seconds: float = 20.0,
     """
     from repro.core.deploy import deploy_liteview
     from repro.faults import install_faults
-    from repro.workloads import build_chain
-    from repro.workloads.scenarios import QUIET_PROPAGATION
-    testbed = build_chain(int(nodes), spacing=spacing, seed=seed,
-                          propagation_kwargs=QUIET_PROPAGATION)
+    testbed = _quiet_chain(nodes, spacing, seed)
     install_faults(testbed, fault_plan)
     deploy_liteview(testbed, warm_up=seconds)
     return testbed, {
@@ -139,10 +156,7 @@ def chaos_chain(seed: int, *, nodes: int = 8, fault_plan: object = None,
     """
     from repro.core.deploy import deploy_liteview
     from repro.faults import install_faults
-    from repro.workloads import build_chain
-    from repro.workloads.scenarios import QUIET_PROPAGATION
-    testbed = build_chain(int(nodes), spacing=spacing, seed=seed,
-                          propagation_kwargs=QUIET_PROPAGATION)
+    testbed = _quiet_chain(nodes, spacing, seed)
     injector = install_faults(testbed, fault_plan)
     dep = deploy_liteview(testbed, warm_up=15.0)
     target = int(nodes)
@@ -183,10 +197,7 @@ def diagnosis_sweep(seed: int, *, nodes: int = 8, fault_plan: object = None,
     from repro.core.deploy import deploy_liteview
     from repro.diag import DiagnosisEngine, ProbePlan, score_findings
     from repro.faults import FaultPlan, install_faults
-    from repro.workloads import build_chain
-    from repro.workloads.scenarios import QUIET_PROPAGATION
-    testbed = build_chain(int(nodes), spacing=spacing, seed=seed,
-                          propagation_kwargs=QUIET_PROPAGATION)
+    testbed = _quiet_chain(nodes, spacing, seed)
     plan = FaultPlan.from_param(fault_plan)
     install_faults(testbed, plan)
     dep = deploy_liteview(testbed, warm_up=15.0)
@@ -231,8 +242,6 @@ def _detection_fault(kind: str, nodes: int, at: float):
     raise ValueError(f"unknown fault kind {kind!r}")
 
 
-
-
 @scenario("detection_sweep")
 def detection_sweep(seed: int, *, fault_kind: str = "link_degrade",
                     nodes: int = 8, modes: object = ("active", "passive",
@@ -272,8 +281,6 @@ def detection_sweep(seed: int, *, fault_kind: str = "link_degrade",
     )
     from repro.diag.online import PROBE_PACKET_KINDS
     from repro.faults import FaultPlan, install_faults
-    from repro.workloads import build_chain
-    from repro.workloads.scenarios import QUIET_PROPAGATION
     if isinstance(modes, str):
         modes = tuple(m.strip() for m in modes.split(",") if m.strip())
     spec = _detection_fault(fault_kind, nodes, float(at))
@@ -282,8 +289,7 @@ def detection_sweep(seed: int, *, fault_kind: str = "link_degrade",
     for mode in modes:
         if mode not in ("active", "passive", "hybrid"):
             raise ValueError(f"unknown mode {mode!r}")
-        testbed = build_chain(int(nodes), spacing=spacing, seed=seed,
-                              propagation_kwargs=QUIET_PROPAGATION)
+        testbed = _quiet_chain(nodes, spacing, seed)
         plan = FaultPlan(name=f"sweep-{fault_kind}", specs=(spec,))
         install_faults(testbed, plan)
         online = None
@@ -498,10 +504,7 @@ def fig7_overhead(seed: int, *, hops: int = 8, probes: int = 3,
     """
     from repro.analysis import packets_between
     from repro.core.deploy import deploy_liteview
-    from repro.workloads import build_chain
-    from repro.workloads.scenarios import QUIET_PROPAGATION
-    testbed = build_chain(hops + 1, spacing=60.0, seed=seed,
-                          propagation_kwargs=QUIET_PROPAGATION)
+    testbed = _quiet_chain(hops + 1, 60.0, seed)
     dep = deploy_liteview(testbed, warm_up=15.0)
     service = dep.traceroute_services[1]
     costs: list[int] = []
@@ -545,8 +548,6 @@ def protocol_ping(seed: int, *, protocol: str = "geographic",
         TreeRouting,
         WellKnownPorts,
     )
-    from repro.workloads import build_chain
-    from repro.workloads.scenarios import QUIET_PROPAGATION
     ports = {
         "geographic": WellKnownPorts.GEOGRAPHIC,
         "dsdv": WellKnownPorts.DSDV,
@@ -556,8 +557,7 @@ def protocol_ping(seed: int, *, protocol: str = "geographic",
     if protocol not in ports:
         raise ValueError(f"unknown protocol {protocol!r} "
                          f"(one of {sorted(ports)})")
-    testbed = build_chain(chain, spacing=60.0, seed=seed,
-                          propagation_kwargs=QUIET_PROPAGATION)
+    testbed = _quiet_chain(chain, 60.0, seed)
     target = chain
     for node in testbed.nodes():
         node.install_protocol(GeographicForwarding)
@@ -603,10 +603,7 @@ def lqi_ablation(seed: int, *, min_lqi: float = 90.0, rounds: int = 20,
     from repro.analysis import packets_between
     from repro.core.commands.ping import install_ping
     from repro.net import GeographicForwarding
-    from repro.workloads import build_chain
-    from repro.workloads.scenarios import QUIET_PROPAGATION
-    testbed = build_chain(chain, spacing=spacing, seed=seed,
-                          propagation_kwargs=QUIET_PROPAGATION)
+    testbed = _quiet_chain(chain, spacing, seed)
     testbed.install_protocol_everywhere(
         GeographicForwarding, min_lqi=min_lqi
     )

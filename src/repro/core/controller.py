@@ -14,20 +14,29 @@ collide") within the interpreter's fixed response window.
 
 from __future__ import annotations
 
-import struct
 import typing as _t
+from functools import partial
 
 from repro.core.commands.ping import PingService
 from repro.core.commands.traceroute import TracerouteService
 from repro.core.reliable import ReliableEndpoint
 from repro.core.results import NeighborView
 from repro.core.serialize import (
+    encode_events,
     encode_neighbor_views,
     encode_ping_result,
+    encode_radio_state,
+    encode_scan_rows,
+    encode_threads,
     encode_trace_result,
 )
-from repro.core.wire import MsgType
-from repro.errors import ReliableTransferError, ReproError
+from repro.core.wire import (
+    REQUEST_LAYOUTS,
+    MsgType,
+    decode_request,
+    encode_reply,
+)
+from repro.errors import HeaderError, ReliableTransferError, ReproError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.node import SensorNode
@@ -75,18 +84,18 @@ class RuntimeController:
     # -- request intake ------------------------------------------------------
 
     def _on_request(self, origin: int, message: bytes) -> None:
-        if len(message) < 3:
+        try:
+            request = decode_request(message)
+        except HeaderError:
             self.node.monitor.count("controller.malformed_requests")
             return
         self.node.monitor.count("controller.requests")
         self.node.threads.spawn(
-            "controller-request", self._serve(origin, message)
+            "controller-request", self._serve(origin, *request)
         )
 
-    def _serve(self, origin: int, message: bytes):
-        msg_type = message[0]
-        request_id = struct.unpack_from(">H", message, 1)[0]
-        body = message[3:]
+    def _serve(self, origin: int, msg_type: int, request_id: int,
+               body: bytes):
         if self.response_backoff > 0:
             yield self.node.env.timeout(
                 float(self._rng.uniform(0.0, self.response_backoff))
@@ -96,7 +105,8 @@ class RuntimeController:
             if handler is None:
                 status, reply = Status.UNSUPPORTED, b""
             else:
-                outcome = handler(body)
+                # A body too short for the type's layout is a HeaderError.
+                outcome = handler(**REQUEST_LAYOUTS[msg_type].decode(body))
                 # Handlers returning generators need to be driven (the
                 # run-command handlers wait for the command to finish).
                 if hasattr(outcome, "send"):
@@ -107,10 +117,9 @@ class RuntimeController:
             # become error replies; they must never kill the controller.
             self.node.monitor.count("controller.errors")
             status, reply = Status.ERROR, str(exc).encode()[:48]
-        payload = (bytes([MsgType.REPLY])
-                   + struct.pack(">HB", request_id, status) + reply)
         try:
-            yield from self.endpoint.send(origin, payload)
+            yield from self.endpoint.send(
+                origin, encode_reply(request_id, status, reply))
         except ReliableTransferError:
             # The workstation fell out of reach mid-exchange; an
             # unanswered reply must not crash the controller thread.
@@ -120,79 +129,56 @@ class RuntimeController:
             action()
 
     def _handlers(self) -> dict:
+        """Each request type's handler; it takes the body's fields
+        (:data:`~repro.core.wire.REQUEST_LAYOUTS`) as keywords."""
         return {
             MsgType.GET_RADIO: self._get_radio,
             MsgType.SET_POWER: self._set_power,
             MsgType.SET_CHANNEL: self._set_channel,
             MsgType.NEIGHBOR_LIST: self._neighbor_list,
-            MsgType.BLACKLIST_ADD: self._blacklist_add,
-            MsgType.BLACKLIST_REMOVE: self._blacklist_remove,
+            MsgType.BLACKLIST_ADD: partial(self._blacklist, True),
+            MsgType.BLACKLIST_REMOVE: partial(self._blacklist, False),
             MsgType.SET_BEACON: self._set_beacon,
-            MsgType.RUN_PING: self._run_ping,
-            MsgType.RUN_TRACEROUTE: self._run_traceroute,
+            MsgType.RUN_PING: partial(self._run_command, "ping",
+                                      PingService, encode_ping_result),
+            MsgType.RUN_TRACEROUTE: partial(
+                self._run_command, "traceroute", TracerouteService,
+                encode_trace_result),
             MsgType.SCAN_CHANNELS: self._run_scan,
             MsgType.GET_EVENTS: self._get_events,
             MsgType.GET_THREADS: self._get_threads,
             MsgType.KILL_THREAD: self._kill_thread,
         }
 
-    def _get_threads(self, body: bytes) -> tuple[int, bytes]:
+    def _get_threads(self) -> tuple[int, bytes]:
         """List live kernel threads — the process-level visibility the
         paper contrasts against variable-poking management tools."""
-        threads = self.node.syscalls.invoke("thread_table")
-        reply = bytearray([len(threads)])  # type: ignore[arg-type]
-        for info in threads:  # type: ignore[union-attr]
-            name = info.name.encode("utf-8")[:20]
-            reply += struct.pack(
-                ">HI", info.tid,
-                min(0xFFFFFFFF, int(info.started_at * 1000)),
-            )
-            reply.append(len(name))
-            reply += name
-        return Status.OK, bytes(reply)
+        return Status.OK, encode_threads(
+            self.node.syscalls.invoke("thread_table"))  # type: ignore[arg-type]
 
-    def _kill_thread(self, body: bytes) -> tuple[int, bytes]:
+    def _kill_thread(self, tid: int) -> tuple[int, bytes]:
         """Kill a command thread by tid (process-level control)."""
-        if len(body) < 2:
-            return Status.ERROR, b"missing tid"
-        tid = struct.unpack(">H", body[:2])[0]
-        killed = self.node.syscalls.invoke("thread_kill", tid)
-        if not killed:
+        if not self.node.syscalls.invoke("thread_kill", tid):
             return Status.ERROR, b"no such thread"
         return Status.OK, b""
 
-    def _get_events(self, body: bytes) -> tuple[int, bytes]:
+    def _get_events(self, limit: int) -> tuple[int, bytes]:
         """Dump the kernel event log (most recent first on the wire)."""
-        limit = body[0] if body else 16
-        events = self.node.syscalls.invoke("event_log", limit)
-        reply = bytearray([len(events)])  # type: ignore[arg-type]
-        for event in events:  # type: ignore[union-attr]
-            code = event.code.encode("utf-8")[:24]
-            detail = event.detail.encode("utf-8")[:32]
-            reply += struct.pack(">I", min(0xFFFFFFFF,
-                                           int(event.time * 1000)))
-            reply.append(len(code))
-            reply += code
-            reply.append(len(detail))
-            reply += detail
-        return Status.OK, bytes(reply)
+        return Status.OK, encode_events(
+            self.node.syscalls.invoke("event_log", limit))  # type: ignore[arg-type]
 
     # -- radio configuration ---------------------------------------------------
 
-    def _radio_state(self) -> bytes:
+    def _get_radio(self) -> tuple[int, bytes]:
         state = self.node.syscalls.invoke("radio_get")
-        return bytes([state["power_level"], state["channel"]])
+        return Status.OK, encode_radio_state(state["power_level"],
+                                             state["channel"])
 
-    def _get_radio(self, body: bytes) -> tuple[int, bytes]:
-        return Status.OK, self._radio_state()
+    def _set_power(self, power: int) -> tuple[int, bytes]:
+        self.node.syscalls.invoke("radio_set_power", power)
+        return self._get_radio()
 
-    def _set_power(self, body: bytes) -> tuple[int, bytes]:
-        if len(body) < 1:
-            return Status.ERROR, b"missing power level"
-        self.node.syscalls.invoke("radio_set_power", body[0])
-        return Status.OK, self._radio_state()
-
-    def _set_channel(self, body: bytes) -> tuple[int, bytes]:
+    def _set_channel(self, channel: int) -> tuple[int, bytes]:
         """Switch channels — but only after the reply has gone out.
 
         Retuning immediately would transmit the acknowledgement on the
@@ -200,9 +186,6 @@ class RuntimeController:
         deferred switch is how real reconfiguration tools avoid cutting
         the branch they sit on.
         """
-        if len(body) < 1:
-            return Status.ERROR, b"missing channel"
-        channel = body[0]
         # Validate eagerly so errors still reach the user ...
         from repro.radio.cc2420 import MAX_CHANNEL, MIN_CHANNEL
         if not MIN_CHANNEL <= channel <= MAX_CHANNEL:
@@ -213,13 +196,14 @@ class RuntimeController:
         # ... but apply only once the reply is on its way.
         self._post_reply = lambda: self.node.syscalls.invoke(
             "radio_set_channel", channel)
-        return Status.OK, bytes([self.node.radio.power_level, channel])
+        return Status.OK, encode_radio_state(self.node.radio.power_level,
+                                             channel)
 
     # -- neighborhood management ------------------------------------------------
 
-    def _neighbor_views(self) -> list[NeighborView]:
+    def _neighbor_list(self, usable: int) -> tuple[int, bytes]:
         entries = self.node.syscalls.invoke("neighbor_table")
-        return [
+        return Status.OK, encode_neighbor_views([
             NeighborView(
                 node_id=e.node_id, lqi=int(round(e.lqi)),
                 rssi=int(round(e.rssi)),
@@ -227,93 +211,51 @@ class RuntimeController:
                 enabled=e.enabled,
             )
             for e in entries
-        ]
+        ])
 
-    def _neighbor_list(self, body: bytes) -> tuple[int, bytes]:
-        return Status.OK, encode_neighbor_views(self._neighbor_views())
-
-    def _blacklist_add(self, body: bytes) -> tuple[int, bytes]:
-        if len(body) < 2:
-            return Status.ERROR, b"missing neighbor id"
-        self.node.neighbors.blacklist(struct.unpack(">H", body[:2])[0])
+    def _blacklist(self, add: bool, neighbor: int) -> tuple[int, bytes]:
+        table = self.node.neighbors
+        (table.blacklist if add else table.unblacklist)(neighbor)
         return Status.OK, b""
 
-    def _blacklist_remove(self, body: bytes) -> tuple[int, bytes]:
-        if len(body) < 2:
-            return Status.ERROR, b"missing neighbor id"
-        self.node.neighbors.unblacklist(struct.unpack(">H", body[:2])[0])
-        return Status.OK, b""
-
-    def _set_beacon(self, body: bytes) -> tuple[int, bytes]:
-        if len(body) < 4:
-            return Status.ERROR, b"missing interval"
-        interval_ms = struct.unpack(">I", body[:4])[0]
-        self.node.neighbors.set_beacon_interval(interval_ms / 1000.0)
+    def _set_beacon(self, freq: int) -> tuple[int, bytes]:
+        self.node.neighbors.set_beacon_interval(freq / 1000.0)
         return Status.OK, b""
 
     # -- command execution ----------------------------------------------------------
 
-    def _run_ping(self, body: bytes):
-        """Start the ping command as a process and ship its result back.
+    def _run_command(self, name: str, service_type: type,
+                     encode: _t.Callable, target: int, **params: int):
+        """Start ping or traceroute as a process and ship its result back.
 
         The parameters travel through the kernel parameter buffer — the
         mechanism the paper added because "the LiteOS operating system
         does not provide a mechanism for passing parameters to processes
         by default".
         """
-        if len(body) < 5:
-            return Status.ERROR, b"bad ping parameters"
-        target, rounds, length, port = struct.unpack(">HBBB", body[:5])
-        service = self.node.services.get("ping")
-        if not isinstance(service, PingService):
-            return Status.ERROR, b"ping not installed"
-        self.node.params.stage(
-            f"{target} round={rounds} length={length} port={port}"
-        )
+        service = self.node.services.get(name)
+        if not isinstance(service, service_type):
+            return Status.ERROR, f"{name} not installed".encode()
+        self.node.params.stage(" ".join(
+            [str(target), *(f"{key}={value}" for key, value in params.items())]
+        ))
         argv = self.node.syscalls.invoke("get_parameters").split(" ")
-        kv = dict(item.split("=", 1) for item in argv[1:])
-        thread = self.node.threads.spawn("ping", service.ping(
-            int(argv[0]), rounds=int(kv["round"]),
-            length=int(kv["length"]), routing_port=int(kv["port"]),
+        kv = {key: int(value)
+              for key, value in (item.split("=", 1) for item in argv[1:])}
+        thread = self.node.threads.spawn(name, getattr(service, name)(
+            int(argv[0]), rounds=kv["round"], length=kv["length"],
+            routing_port=kv["port"],
         ))
         result = yield thread.process
-        return Status.OK, encode_ping_result(result)
+        return Status.OK, encode(result)
 
-    def _run_scan(self, body: bytes):
+    def _run_scan(self, first: int, count: int, samples: int, dwell: int):
         """Run a channel scan and report per-channel peak RSSI."""
         from repro.core.commands.scan import channel_scan
-        from repro.core.wire import pack_signed
 
-        if len(body) < 5:
-            return Status.ERROR, b"bad scan parameters"
-        first, count, samples, dwell_ms = struct.unpack(">BBBH", body[:5])
         thread = self.node.threads.spawn("channel-scan", channel_scan(
             self.node, first=first, count=count, samples=samples,
-            dwell=dwell_ms / 1000.0,
+            dwell=dwell / 1000.0,
         ))
-        results = yield thread.process
-        reply = bytearray([len(results)])
-        for channel, reading in results:
-            reply.append(channel)
-            reply.append(pack_signed(reading))
-        return Status.OK, bytes(reply)
-
-    def _run_traceroute(self, body: bytes):
-        """Start the traceroute command and ship its result back."""
-        if len(body) < 5:
-            return Status.ERROR, b"bad traceroute parameters"
-        target, rounds, length, port = struct.unpack(">HBBB", body[:5])
-        service = self.node.services.get("traceroute")
-        if not isinstance(service, TracerouteService):
-            return Status.ERROR, b"traceroute not installed"
-        self.node.params.stage(
-            f"{target} round={rounds} length={length} port={port}"
-        )
-        argv = self.node.syscalls.invoke("get_parameters").split(" ")
-        kv = dict(item.split("=", 1) for item in argv[1:])
-        thread = self.node.threads.spawn("traceroute", service.traceroute(
-            int(argv[0]), rounds=int(kv["round"]),
-            length=int(kv["length"]), routing_port=int(kv["port"]),
-        ))
-        result = yield thread.process
-        return Status.OK, encode_trace_result(result)
+        rows = yield thread.process
+        return Status.OK, encode_scan_rows(rows)

@@ -59,7 +59,6 @@ def deploy_liteview(
     workstation_position: tuple[float, float] = (0.0, -10.0),
     controller_kwargs: dict | None = None,
     warm_up: float = 0.0,
-    gc_freeze: bool | None = None,
 ) -> LiteViewDeployment:
     """Install LiteView on every node of ``testbed``.
 
@@ -68,11 +67,10 @@ def deploy_liteview(
     ``warm_up`` optionally runs the simulation so beacons settle before
     the first command.
 
-    ``gc_freeze`` freezes the fully wired world out of the cyclic
-    garbage collector (``None`` = automatically for testbeds of
-    ``GC_FREEZE_THRESHOLD`` or more nodes).  Any previously frozen
-    world is thawed first, so repeated large deployments in one
-    process do not pin dead testbeds in memory.
+    A testbed of ``GC_FREEZE_THRESHOLD`` or more nodes is frozen, fully
+    wired, out of the cyclic garbage collector.  Any previously frozen
+    world is thawed first, so repeated large deployments in one process
+    do not pin dead testbeds in memory.
     """
     nodes = testbed.nodes()
     ping_services: dict[int, PingService] = {}
@@ -95,9 +93,7 @@ def deploy_liteview(
         traceroute_services=traceroute_services,
         controllers=controllers,
     )
-    if gc_freeze is None:
-        gc_freeze = len(nodes) >= GC_FREEZE_THRESHOLD
-    if gc_freeze:
+    if len(nodes) >= GC_FREEZE_THRESHOLD:
         # Thaw whatever an earlier deployment froze (a dropped world
         # must stay collectable), sweep dead cycles once, then move
         # everything alive — dominated by this deployment's static

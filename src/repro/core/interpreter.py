@@ -17,12 +17,17 @@ Shell session, matching the paper's samples::
 
 from __future__ import annotations
 
-import struct
 import typing as _t
+from functools import partial
 
 from repro.core.results import PingResult, TracerouteResult
-from repro.core.wire import MsgType
-from repro.core.workstation import Workstation
+from repro.core.serialize import (
+    decode_events,
+    decode_radio_state,
+    decode_threads,
+)
+from repro.core.wire import REQUEST_LAYOUTS, MsgType
+from repro.core.workstation import Reply, Workstation
 from repro.errors import (
     CommandError,
     CommandTimeout,
@@ -35,6 +40,21 @@ from repro.obs.profiler import SimProfiler
 
 __all__ = ["CommandInterpreter"]
 
+#: The request that sets each radio parameter ``power``/``channel``.
+_RADIO_SETTERS = {"power": MsgType.SET_POWER, "channel": MsgType.SET_CHANNEL}
+
+
+class _Refused(CommandError):
+    """The node answered with an error reply; printed as ``error:``."""
+
+
+def _parse_int(name: str, text: str) -> int:
+    """The one parse of an integer on a shell line."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"{name}={text!r} is not an integer") from None
+
 
 def _parse_kv(tokens: list[str], defaults: dict[str, int]) -> dict[str, int]:
     """Parse the paper's ``key=value`` command parameters."""
@@ -45,11 +65,29 @@ def _parse_kv(tokens: list[str], defaults: dict[str, int]) -> dict[str, int]:
         key, _, raw = token.partition("=")
         if key not in values:
             raise ParameterError(f"unknown parameter {key!r}")
-        try:
-            values[key] = int(raw)
-        except ValueError:
-            raise ParameterError(f"{key}={raw!r} is not an integer") from None
+        values[key] = _parse_int(key, raw)
     return values
+
+
+def _reply_body(reply: Reply) -> bytes:
+    """A reply's body, or :class:`_Refused` carrying the node's error."""
+    if not reply.ok:
+        raise _Refused(reply.body.decode(errors="replace"))
+    return reply.body
+
+
+def _radio_request(name: str, values: list[str]) -> tuple[int, bytes]:
+    """A radio read for no value; else the setter of ``name`` with it."""
+    if not values:
+        return MsgType.GET_RADIO, b""
+    msg = _RADIO_SETTERS[name]
+    return msg, REQUEST_LAYOUTS[msg].encode(
+        **{name: _parse_int(name, values[0])})
+
+
+def _radio_line(body: bytes) -> str:
+    power, channel = decode_radio_state(body)
+    return f"Power = {power}, Channel = {channel}"
 
 
 class CommandInterpreter:
@@ -87,7 +125,7 @@ class CommandInterpreter:
             raise UnknownCommand(f"unknown command {name!r}")
         try:
             return handler(args)
-        except CommandTimeout as exc:
+        except (CommandTimeout, _Refused) as exc:
             return f"error: {exc}"
 
     def session(self, lines: _t.Iterable[str]) -> str:
@@ -108,11 +146,12 @@ class CommandInterpreter:
             "cd": self._cmd_cd,
             "ls": self._cmd_ls,
             "attach": self._cmd_attach,
-            "ping": self._cmd_ping,
-            "traceroute": self._cmd_traceroute,
+            "ping": partial(self._cmd_run, "ping", 0),
+            "traceroute": partial(self._cmd_run, "traceroute",
+                                  WellKnownPorts.GEOGRAPHIC),
             "diagnose": self._cmd_diagnose,
-            "power": self._cmd_power,
-            "channel": self._cmd_channel,
+            "power": partial(self._cmd_radio, "power"),
+            "channel": partial(self._cmd_radio, "channel"),
             "scan": self._cmd_scan,
             "group": self._cmd_group,
             "events": self._cmd_events,
@@ -186,6 +225,11 @@ class CommandInterpreter:
             raise CommandError("no current node: cd to a node first")
         return self.cwd
 
+    def _call(self, msg_type: int, **fields: int) -> bytes:
+        """Send one request to the current node; the reply body."""
+        body = REQUEST_LAYOUTS[msg_type].encode(**fields)
+        return _reply_body(self.ws.call(self._current(), msg_type, body))
+
     def _probe_call(self, probe):
         """Issue a probe's wire request from the *current* position.
 
@@ -199,55 +243,35 @@ class CommandInterpreter:
             window=request.window,
             wait_full_window=request.wait_full_window,
         )
-        if not reply.ok:
-            return None, f"error: {reply.body.decode(errors='replace')}"
-        return probe.decode(reply.body, self.testbed.namespace), ""
+        return probe.decode(_reply_body(reply), self.testbed.namespace)
 
-    def _cmd_ping(self, args: list[str]) -> str:
-        if not args:
-            raise ParameterError("usage: ping <node> [round=] [length=] [port=]")
-        target = self.testbed.namespace.resolve(args[0])
-        params = _parse_kv(args[1:], {"round": 1, "length": 32, "port": 0})
-        from repro.diag.probe import LinkProbe
-        result, error = self._probe_call(LinkProbe(
-            src=self._current(), dst=target, rounds=params["round"],
-            length=params["length"], port=params["port"],
-        ))
-        if result is None:
-            return error
-        self.last_result = result
-        return result.render()
-
-    def _cmd_traceroute(self, args: list[str]) -> str:
+    def _run_params(self, name: str, args: list[str], rounds: int,
+                    port: int) -> tuple[int, dict[str, int]]:
+        """A run command's target and parameters, checked before sending."""
         if not args:
             raise ParameterError(
-                "usage: traceroute <node> [round=] [length=] [port=]"
-            )
+                f"usage: {name} <node> [round=] [length=] [port=]")
         target = self.testbed.namespace.resolve(args[0])
-        params = _parse_kv(args[1:], {
-            "round": 1, "length": 32, "port": WellKnownPorts.GEOGRAPHIC,
-        })
-        from repro.diag.probe import PathProbe
-        result, error = self._probe_call(PathProbe(
+        params = _parse_kv(args[1:], dict(round=rounds, length=32, port=port))
+        REQUEST_LAYOUTS[MsgType.RUN_PING].encode(target=target, **params)
+        return target, params
+
+    def _cmd_run(self, name: str, port: int, args: list[str]) -> str:
+        """``ping``/``traceroute`` run on the current node, by probe."""
+        target, params = self._run_params(name, args, 1, port)
+        from repro.diag.probe import LinkProbe, PathProbe
+        probe = LinkProbe if name == "ping" else PathProbe
+        self.last_result = self._probe_call(probe(
             src=self._current(), dst=target, rounds=params["round"],
             length=params["length"], port=params["port"],
         ))
-        if result is None:
-            return error
-        self.last_result = result
-        return result.render()
+        return self.last_result.render()
 
     def _cmd_diagnose(self, args: list[str]) -> str:
         """Automated verdicts: trace the path, survey its hop links,
         name what's wrong (``repro.diag`` engine behind the shell)."""
-        if not args:
-            raise ParameterError(
-                "usage: diagnose <node> [round=] [length=] [port=]"
-            )
-        target = self.testbed.namespace.resolve(args[0])
-        params = _parse_kv(args[1:], {
-            "round": 5, "length": 32, "port": WellKnownPorts.GEOGRAPHIC,
-        })
+        target, params = self._run_params("diagnose", args, 5,
+                                          WellKnownPorts.GEOGRAPHIC)
         src = self._current()
         from repro.diag.engine import DiagnosisEngine
         report = DiagnosisEngine(self.ws).diagnose(
@@ -260,38 +284,21 @@ class CommandInterpreter:
         self.ws.attach_near(src)
         return report.explain()
 
-    def _cmd_power(self, args: list[str]) -> str:
-        if args:
-            reply = self.ws.call(self._current(), MsgType.SET_POWER,
-                                 bytes([int(args[0])]))
-        else:
-            reply = self.ws.call(self._current(), MsgType.GET_RADIO)
-        if not reply.ok:
-            return f"error: {reply.body.decode(errors='replace')}"
-        return f"Power = {reply.body[0]}, Channel = {reply.body[1]}"
-
-    def _cmd_channel(self, args: list[str]) -> str:
-        if args:
-            reply = self.ws.call(self._current(), MsgType.SET_CHANNEL,
-                                 bytes([int(args[0])]))
-        else:
-            reply = self.ws.call(self._current(), MsgType.GET_RADIO)
-        if not reply.ok:
-            return f"error: {reply.body.decode(errors='replace')}"
-        return f"Power = {reply.body[0]}, Channel = {reply.body[1]}"
+    def _cmd_radio(self, name: str, args: list[str]) -> str:
+        """``power``/``channel``: read the radio state, or set ``name``."""
+        request = _radio_request(name, args)
+        return _radio_line(_reply_body(self.ws.call(self._current(), *request)))
 
     def _cmd_scan(self, args: list[str]) -> str:
         """Survey ambient energy across channels on the current node."""
         params = _parse_kv(args, {"first": 11, "count": 16, "samples": 4,
                                   "dwell": 10})
         from repro.diag.probe import ChannelScanProbe
-        rows, error = self._probe_call(ChannelScanProbe(
+        rows = self._probe_call(ChannelScanProbe(
             node=self._current(), first=params["first"],
             count=params["count"], samples=params["samples"],
             dwell_ms=params["dwell"],
         ))
-        if rows is None:
-            return error
         lines = ["channel  peak RSSI"]
         for channel, reading in rows:
             bar = "#" * max(0, (reading + 60) // 3)
@@ -300,57 +307,28 @@ class CommandInterpreter:
 
     def _cmd_ps(self, args: list[str]) -> str:
         """List the current node's live kernel threads."""
-        reply = self.ws.call(self._current(), MsgType.GET_THREADS)
-        if not reply.ok:
-            return f"error: {reply.body.decode(errors='replace')}"
-        count = reply.body[0]
-        offset = 1
-        lines = ["tid  started_s  name"]
-        for _ in range(count):
-            tid, started_ms = struct.unpack_from(">HI", reply.body, offset)
-            offset += 6
-            name_len = reply.body[offset]
-            offset += 1
-            name = reply.body[offset:offset + name_len].decode()
-            offset += name_len
-            lines.append(f"{tid:>3}  {started_ms / 1000:9.3f}  {name}")
-        if count == 0:
+        threads = decode_threads(self._call(MsgType.GET_THREADS))
+        if not threads:
             return "no live threads"
-        return "\n".join(lines)
+        return "\n".join(["tid  started_s  name", *(
+            f"{tid:>3}  {started_s:9.3f}  {name}"
+            for tid, started_s, name in threads)])
 
     def _cmd_kill(self, args: list[str]) -> str:
         """Kill one of the current node's threads by tid."""
-        if len(args) != 1 or not args[0].isdigit():
+        if len(args) != 1:
             raise ParameterError("usage: kill <tid>")
-        reply = self.ws.call(self._current(), MsgType.KILL_THREAD,
-                             struct.pack(">H", int(args[0])))
-        if not reply.ok:
-            return f"error: {reply.body.decode(errors='replace')}"
-        return f"thread {args[0]} killed"
+        tid = _parse_int("tid", args[0])
+        self._call(MsgType.KILL_THREAD, tid=tid)
+        return f"thread {tid} killed"
 
     def _cmd_events(self, args: list[str]) -> str:
         """Dump the current node's kernel event log."""
         params = _parse_kv(args, {"limit": 16})
-        reply = self.ws.call(self._current(), MsgType.GET_EVENTS,
-                             bytes([min(255, params["limit"])]))
-        if not reply.ok:
-            return f"error: {reply.body.decode(errors='replace')}"
-        count = reply.body[0]
-        offset = 1
-        lines = []
-        for _ in range(count):
-            time_ms, = struct.unpack_from(">I", reply.body, offset)
-            offset += 4
-            code_len = reply.body[offset]
-            offset += 1
-            code = reply.body[offset:offset + code_len].decode()
-            offset += code_len
-            detail_len = reply.body[offset]
-            offset += 1
-            detail = reply.body[offset:offset + detail_len].decode()
-            offset += detail_len
-            lines.append(f"[{time_ms / 1000:10.3f}] {code}: {detail}")
-        return "\n".join(lines) if lines else "event log is empty"
+        events = decode_events(self._call(MsgType.GET_EVENTS,
+                                          limit=min(255, params["limit"])))
+        return ("\n".join(event.render() for event in events)
+                or "event log is empty")
 
     def _cmd_group(self, args: list[str]) -> str:
         """Broadcast a command to every node in radio range.
@@ -361,31 +339,19 @@ class CommandInterpreter:
         window ("these nodes wait for random backoff delays before
         sending responses").
         """
-        if not args:
+        if not (args == ["radio"]
+                or (len(args) == 2 and args[0] in _RADIO_SETTERS)):
             raise ParameterError("usage: group radio|power|channel [value]")
-        sub = args[0]
-        if sub == "radio":
-            msg, body = MsgType.GET_RADIO, b""
-        elif sub == "power" and len(args) == 2:
-            msg, body = MsgType.SET_POWER, bytes([int(args[1])])
-        elif sub == "channel" and len(args) == 2:
-            msg, body = MsgType.SET_CHANNEL, bytes([int(args[1])])
-        else:
-            raise ParameterError("usage: group radio|power|channel [value]")
-        replies = self.ws.group_call(msg, body)
+        replies = self.ws.group_call(*_radio_request(args[0], args[1:]))
         if not replies:
             return "no replies (no nodes in range?)"
         namespace = self.testbed.namespace
         lines = []
-        for node_id in sorted(replies):
-            reply = replies[node_id]
+        for node_id, reply in sorted(replies.items()):
             name = (namespace.name_of(node_id)
                     if node_id in namespace else str(node_id))
-            if reply.ok and len(reply.body) >= 2:
-                lines.append(f"{name}: Power = {reply.body[0]}, "
-                             f"Channel = {reply.body[1]}")
-            else:
-                lines.append(f"{name}: error")
+            lines.append(f"{name}: " + (_radio_line(reply.body) if reply.ok
+                                        else "error"))
         lines.append(f"({len(replies)} nodes replied)")
         return "\n".join(lines)
 
@@ -505,9 +471,7 @@ class CommandInterpreter:
 
     def _cmd_list(self, args: list[str]) -> str:
         from repro.diag.probe import NeighborProbe
-        views, error = self._probe_call(NeighborProbe(node=self._current()))
-        if views is None:
-            return error
+        views = self._probe_call(NeighborProbe(node=self._current()))
         if not views:
             return "neighbor table is empty"
         namespace = self.testbed.namespace
@@ -521,20 +485,11 @@ class CommandInterpreter:
         if len(args) != 2 or args[0] not in ("add", "remove"):
             raise ParameterError("usage: blacklist add|remove <node>")
         neighbor = self.testbed.namespace.resolve(args[1])
-        msg = (MsgType.BLACKLIST_ADD if args[0] == "add"
-               else MsgType.BLACKLIST_REMOVE)
-        reply = self.ws.call(self._current(), msg,
-                             struct.pack(">H", neighbor))
-        if not reply.ok:
-            return f"error: {reply.body.decode(errors='replace')}"
+        self._call(MsgType.BLACKLIST_ADD if args[0] == "add"
+                   else MsgType.BLACKLIST_REMOVE, neighbor=neighbor)
         return f"blacklist {args[0]}: {args[1]}"
 
     def _cmd_update(self, args: list[str]) -> str:
         params = _parse_kv(args, {"freq": 2000})
-        reply = self.ws.call(
-            self._current(), MsgType.SET_BEACON,
-            struct.pack(">I", params["freq"]),
-        )
-        if not reply.ok:
-            return f"error: {reply.body.decode(errors='replace')}"
+        self._call(MsgType.SET_BEACON, freq=params["freq"])
         return f"beacon interval set to {params['freq']} ms"

@@ -13,6 +13,9 @@ Message families:
 * ``0x20..0x2F`` — management requests (radio config, neighborhood, runs)
 * ``0x40..0x41`` — reliable-transfer data / ack (§IV-B)
 * ``0x60``      — management reply envelope
+
+Management requests share one envelope and one body layout per type
+(:data:`REQUEST_LAYOUTS`), for the senders and the controller alike.
 """
 
 from __future__ import annotations
@@ -20,17 +23,13 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.errors import HeaderError
+from repro.errors import HeaderError, ParameterError
 
 __all__ = [
-    "MsgType",
-    "PingProbe",
-    "PingReply",
-    "TraceProbe",
-    "TraceReply",
-    "TraceReport",
-    "pack_signed",
-    "unpack_signed",
+    "MsgType", "RequestLayout", "REQUEST_LAYOUTS",
+    "encode_request", "decode_request", "encode_reply", "decode_reply",
+    "PingProbe", "PingReply", "TraceProbe", "TraceReply", "TraceReport",
+    "pack_signed", "unpack_signed",
 ]
 
 
@@ -80,6 +79,92 @@ def _require(condition: bool, what: str) -> None:
         raise HeaderError(f"malformed message: {what}")
 
 
+def _unpack(fmt: str, msg_type: int, data: bytes, what: str) -> list:
+    """The fields after the type byte of a ``fmt`` message."""
+    _require(len(data) >= struct.calcsize(fmt), f"short {what}")
+    _type, *fields = struct.unpack_from(fmt, data)
+    _require(_type == msg_type, f"wrong type for {what}")
+    return fields
+
+
+# ---------------------------------------------------------------------------
+# Management requests and replies (§IV-B)
+# ---------------------------------------------------------------------------
+
+class RequestLayout:
+    """One request body: unsigned big-endian fields, each named after the
+    shell parameter it carries.  :meth:`encode` is the shell's input
+    check (a value its field cannot carry is a :class:`ParameterError`
+    naming the parameter and the field's range); :meth:`decode` is the
+    controller's (a short body is a :class:`HeaderError`)."""
+
+    def __init__(self, **codes: str):
+        self.names = tuple(codes)
+        self._struct = struct.Struct(">" + "".join(codes.values()))
+        self._limits = tuple(256 ** struct.calcsize(">" + code) - 1
+                             for code in codes.values())
+
+    def encode(self, **values: int) -> bytes:
+        for name, limit in zip(self.names, self._limits):
+            if not 0 <= values[name] <= limit:
+                raise ParameterError(
+                    f"{name}={values[name]} outside 0..{limit}")
+        return self._struct.pack(*(values[name] for name in self.names))
+
+    def decode(self, body: bytes) -> dict[str, int]:
+        _require(len(body) >= self._struct.size,
+                 f"body of {len(body)} bytes, need {self._struct.size}")
+        return dict(zip(self.names, self._struct.unpack_from(body)))
+
+
+_RUN = RequestLayout(target="H", round="B", length="B", port="B")
+_NEIGHBOR = RequestLayout(neighbor="H")
+
+#: The body layout of every management request type.
+REQUEST_LAYOUTS: dict[int, RequestLayout] = {
+    MsgType.GET_RADIO: RequestLayout(),
+    MsgType.SET_POWER: RequestLayout(power="B"),
+    MsgType.SET_CHANNEL: RequestLayout(channel="B"),
+    # Senders put 1 here ("usable neighbors only"); no node reads it.
+    MsgType.NEIGHBOR_LIST: RequestLayout(usable="B"),
+    MsgType.BLACKLIST_ADD: _NEIGHBOR,
+    MsgType.BLACKLIST_REMOVE: _NEIGHBOR,
+    MsgType.SET_BEACON: RequestLayout(freq="I"),  # beacon interval, ms
+    MsgType.RUN_PING: _RUN,
+    MsgType.RUN_TRACEROUTE: _RUN,
+    MsgType.SCAN_CHANNELS: RequestLayout(first="B", count="B", samples="B",
+                                         dwell="H"),  # dwell in ms
+    MsgType.GET_EVENTS: RequestLayout(limit="B"),
+    MsgType.GET_THREADS: RequestLayout(),
+    MsgType.KILL_THREAD: RequestLayout(tid="H"),
+}
+
+_REQUEST = ">BH"   # type, request id (3 bytes); then the body
+_REPLY = ">BHB"    # REPLY, request id, status (4 bytes); then the body
+
+
+def encode_request(msg_type: int, request_id: int, body: bytes) -> bytes:
+    """A request envelope: type byte, request id, then the body."""
+    return struct.pack(_REQUEST, msg_type, request_id) + body
+
+
+def decode_request(message: bytes) -> tuple[int, int, bytes]:
+    """``(msg_type, request_id, body)`` of a request envelope."""
+    _require(len(message) >= 3, "short request")
+    return (*struct.unpack_from(_REQUEST, message), message[3:])
+
+
+def encode_reply(request_id: int, status: int, body: bytes) -> bytes:
+    """A reply envelope: ``REPLY``, the request's id, a status, the body."""
+    return struct.pack(_REPLY, MsgType.REPLY, request_id, status) + body
+
+
+def decode_reply(message: bytes) -> tuple[int, int, bytes]:
+    """``(request_id, status, body)`` of a reply envelope."""
+    request_id, status = _unpack(_REPLY, MsgType.REPLY, message, "reply")
+    return request_id, status, message[4:]
+
+
 # ---------------------------------------------------------------------------
 # Ping (Figure 3)
 # ---------------------------------------------------------------------------
@@ -108,11 +193,7 @@ class PingProbe:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PingProbe":
-        _require(len(data) >= struct.calcsize(cls._FMT), "short ping probe")
-        _type, token, length, routing_port = struct.unpack_from(
-            cls._FMT, data)
-        _require(_type == MsgType.PING_PROBE, "wrong type for ping probe")
-        return cls(token=token, length=length, routing_port=routing_port)
+        return cls(*_unpack(cls._FMT, MsgType.PING_PROBE, data, "ping probe"))
 
 
 @dataclass(frozen=True)
@@ -142,10 +223,8 @@ class PingReply:
     @classmethod
     def from_bytes(cls, data: bytes) -> "PingReply":
         base = struct.calcsize(cls._FMT)
-        _require(len(data) >= base, "short ping reply")
-        (_type, token, lqi, rssi_b, queue, nhops
-         ) = struct.unpack_from(cls._FMT, data)
-        _require(_type == MsgType.PING_REPLY, "wrong type for ping reply")
+        token, lqi, rssi_b, queue, nhops = _unpack(
+            cls._FMT, MsgType.PING_REPLY, data, "ping reply")
         _require(len(data) >= base + 2 * nhops, "truncated forward hops")
         hops = tuple(
             (data[base + 2 * i], unpack_signed(data[base + 2 * i + 1]))
@@ -187,13 +266,8 @@ class TraceProbe:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TraceProbe":
-        _require(len(data) >= struct.calcsize(cls._FMT), "short trace probe")
-        (_type, session, origin, final_dest, hop_index, routing_port, length
-         ) = struct.unpack_from(cls._FMT, data)
-        _require(_type == MsgType.TRACE_PROBE, "wrong type for trace probe")
-        return cls(session=session, origin=origin, final_dest=final_dest,
-                   hop_index=hop_index, routing_port=routing_port,
-                   length=length)
+        return cls(*_unpack(cls._FMT, MsgType.TRACE_PROBE, data,
+                            "trace probe"))
 
 
 @dataclass(frozen=True)
@@ -214,10 +288,8 @@ class TraceReply:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TraceReply":
-        _require(len(data) >= struct.calcsize(cls._FMT), "short trace reply")
-        _type, session, lqi, rssi_b, queue = struct.unpack_from(
-            cls._FMT, data)
-        _require(_type == MsgType.TRACE_REPLY, "wrong type for trace reply")
+        session, lqi, rssi_b, queue = _unpack(
+            cls._FMT, MsgType.TRACE_REPLY, data, "trace reply")
         return cls(session=session, lqi=lqi, rssi=unpack_signed(rssi_b),
                    queue=queue)
 
@@ -251,10 +323,9 @@ class TraceReport:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TraceReport":
-        _require(len(data) >= struct.calcsize(cls._FMT), "short trace report")
-        (_type, session, probed, hop_index, rtt_us, lqi_f, lqi_b,
-         rssi_f, rssi_b, q_r, q_l) = struct.unpack_from(cls._FMT, data)
-        _require(_type == MsgType.TRACE_REPORT, "wrong type for report")
+        (session, probed, hop_index, rtt_us, lqi_f, lqi_b, rssi_f, rssi_b,
+         q_r, q_l) = _unpack(cls._FMT, MsgType.TRACE_REPORT, data,
+                             "trace report")
         return cls(session=session, probed_node=probed, hop_index=hop_index,
                    rtt_us=rtt_us, lqi_forward=lqi_f, lqi_backward=lqi_b,
                    rssi_forward=unpack_signed(rssi_f),

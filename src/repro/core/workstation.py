@@ -14,12 +14,11 @@ deployment with a laptop, which is precisely the paper's usage scenario.
 
 from __future__ import annotations
 
-import struct
 import typing as _t
 
 from repro.core.reliable import ReliableEndpoint
-from repro.core.wire import MsgType
-from repro.errors import CommandTimeout, ReliableTransferError
+from repro.core.wire import decode_reply, encode_request
+from repro.errors import CommandTimeout, HeaderError, ReliableTransferError
 from repro.sim.events import Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -80,6 +79,12 @@ class Workstation:
 
     # -- request/reply -----------------------------------------------------------
 
+    def _envelope(self, msg_type: int, body: bytes) -> tuple[int, bytes]:
+        """A fresh request id, and the request carrying it."""
+        self._request_id = (self._request_id + 1) & 0xFFFF
+        return self._request_id, encode_request(msg_type, self._request_id,
+                                                body)
+
     def request(self, dest: "int | str", msg_type: int, body: bytes = b"",
                 *, window: float = DEFAULT_RESPONSE_WINDOW,
                 wait_full_window: bool = True):
@@ -94,9 +99,7 @@ class Workstation:
         dest_id = self.testbed.namespace.resolve(dest)
         env = self.node.env
         started = env.now
-        self._request_id = (self._request_id + 1) & 0xFFFF
-        request_id = self._request_id
-        payload = (bytes([msg_type]) + struct.pack(">H", request_id) + body)
+        request_id, payload = self._envelope(msg_type, body)
         waiter = Event(env)
         self._pending[request_id] = waiter
         try:
@@ -136,9 +139,7 @@ class Workstation:
         """
         env = self.node.env
         started = env.now
-        self._request_id = (self._request_id + 1) & 0xFFFF
-        request_id = self._request_id
-        payload = bytes([msg_type]) + struct.pack(">H", request_id) + body
+        request_id, payload = self._envelope(msg_type, body)
         collected: dict[int, Reply] = {}
         self._group_pending[request_id] = collected
         try:
@@ -159,11 +160,11 @@ class Workstation:
         return self.node.env.run(until=process)
 
     def _on_message(self, origin: int, message: bytes) -> None:
-        if len(message) < 4 or message[0] != MsgType.REPLY:
+        try:
+            request_id, status, body = decode_reply(message)
+        except HeaderError:
             self.node.monitor.count("workstation.unknown_messages")
             return
-        request_id, status = struct.unpack_from(">HB", message, 1)
-        body = message[4:]
         group = self._group_pending.get(request_id)
         if group is not None:
             group[origin] = Reply(status=status, body=body, elapsed=0.0)

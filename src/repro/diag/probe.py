@@ -25,16 +25,16 @@ the node answered with an error), counts ``diag.*`` metrics and emits
 
 from __future__ import annotations
 
-import struct
 import typing as _t
 from dataclasses import dataclass
 
 from repro.core.serialize import (
     decode_neighbor_views,
     decode_ping_result,
+    decode_scan_rows,
     decode_trace_result,
 )
-from repro.core.wire import MsgType, unpack_signed
+from repro.core.wire import REQUEST_LAYOUTS, MsgType
 from repro.diag.observations import ChannelReading, LinkReport
 from repro.errors import CommandTimeout, ReliableTransferError
 
@@ -124,8 +124,9 @@ class LinkProbe(Probe):
     def request(self) -> ProbeRequest:
         return ProbeRequest(
             node=self.src, msg_type=MsgType.RUN_PING,
-            body=struct.pack(">HBBB", self.dst, self.rounds,
-                             self.length, self.port),
+            body=REQUEST_LAYOUTS[MsgType.RUN_PING].encode(
+                target=self.dst, round=self.rounds, length=self.length,
+                port=self.port),
             window=ping_window(self.rounds),
         )
 
@@ -157,8 +158,9 @@ class PathProbe(Probe):
     def request(self) -> ProbeRequest:
         return ProbeRequest(
             node=self.src, msg_type=MsgType.RUN_TRACEROUTE,
-            body=struct.pack(">HBBB", self.dst, self.rounds,
-                             self.length, self.port),
+            body=REQUEST_LAYOUTS[MsgType.RUN_TRACEROUTE].encode(
+                target=self.dst, round=self.rounds, length=self.length,
+                port=self.port),
             window=traceroute_window(self.rounds),
         )
 
@@ -174,13 +176,12 @@ class NeighborProbe(Probe):
     """Read one node's neighbor table (the neighborhood survey)."""
 
     node: int
-    usable_only: bool = True
     kind: _t.ClassVar[str] = "neighbors"
 
     def request(self) -> ProbeRequest:
         return ProbeRequest(
             node=self.node, msg_type=MsgType.NEIGHBOR_LIST,
-            body=b"\x01" if self.usable_only else b"\x00",
+            body=REQUEST_LAYOUTS[MsgType.NEIGHBOR_LIST].encode(usable=1),
             window=0.5, wait_full_window=True,
         )
 
@@ -205,15 +206,14 @@ class ChannelScanProbe(Probe):
     def request(self) -> ProbeRequest:
         return ProbeRequest(
             node=self.node, msg_type=MsgType.SCAN_CHANNELS,
-            body=struct.pack(">BBBH", self.first, self.count,
-                             self.samples, self.dwell_ms),
+            body=REQUEST_LAYOUTS[MsgType.SCAN_CHANNELS].encode(
+                first=self.first, count=self.count, samples=self.samples,
+                dwell=self.dwell_ms),
             window=scan_window(self.count, self.samples, self.dwell_ms),
         )
 
     def decode(self, body: bytes, namespace=None) -> list[tuple[int, int]]:
-        count = body[0]
-        return [(body[1 + 2 * i], unpack_signed(body[2 + 2 * i]))
-                for i in range(count)]
+        return decode_scan_rows(body)
 
     def observe(self, decoded) -> list[ChannelReading]:
         return [ChannelReading(node=self.node, channel=ch, reading=reading)

@@ -29,8 +29,7 @@ class Testbed:
     __test__ = False
 
     def __init__(self, seed: int = 1, *,
-                 propagation_kwargs: dict | None = None,
-                 corrupt_delivery_fraction: float = 0.3):
+                 propagation_kwargs: dict | None = None):
         self.env = Environment()
         self.rng = RngRegistry(seed)
         self.monitor = Monitor()
@@ -39,7 +38,6 @@ class Testbed:
         )
         self.medium = RadioMedium(
             self.env, self.rng, self.monitor, self.propagation,
-            corrupt_delivery_fraction=corrupt_delivery_fraction,
         )
         self.namespace = Namespace()
         self._nodes: dict[int, SensorNode] = {}

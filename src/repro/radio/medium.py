@@ -117,7 +117,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["FrameArrival", "Transceiver", "RadioMedium",
            "CAPTURE_THRESHOLD_DB", "RANGE_MARGIN_SIGMAS",
-           "RANGE_MARGIN_FLOOR_DB", "range_bound_m"]
+           "RANGE_MARGIN_FLOOR_DB", "CORRUPT_DELIVERY_FRACTION",
+           "range_bound_m"]
 
 #: Minimum SINR for decoding *in the presence of an overlapping frame*.
 #: The analytic PRR curve assumes Gaussian noise; a co-channel 802.15.4
@@ -141,6 +142,10 @@ RANGE_MARGIN_SIGMAS = 8.0
 #: This floor keeps the mean power of every pruned transmitter at least
 #: 20 dB under ``NOISE_FLOOR_DBM``.
 RANGE_MARGIN_FLOOR_DB = SENSITIVITY_DBM - NOISE_FLOOR_DBM + 20.0
+
+#: Fraction of failed receptions delivered as corrupted bytes (so the
+#: stack's CRC checker sees real work) rather than silence.
+CORRUPT_DELIVERY_FRACTION = 0.3
 
 
 def range_bound_m(propagation: LogDistancePropagation,
@@ -344,8 +349,6 @@ class RadioMedium:
         rng: RngRegistry,
         monitor: Monitor,
         propagation: LogDistancePropagation,
-        *,
-        corrupt_delivery_fraction: float = 0.3,
     ) -> None:
         self.env = env
         self.monitor = monitor
@@ -361,9 +364,6 @@ class RadioMedium:
         #: attached by ``install_faults``.  ``None`` — the default — keeps
         #: every hot-path check to one attribute read.
         self.faults: "_t.Any | None" = None
-        #: Fraction of failed receptions delivered as corrupted bytes (so
-        #: the stack's CRC checker sees real work) rather than silence.
-        self.corrupt_delivery_fraction = float(corrupt_delivery_fraction)
         #: Cumulative receiver-candidate accounting: how many same-channel
         #: receivers were actually evaluated vs skipped by the spatial
         #: bound.  Mirrored into the ``medium.candidates.considered`` /
@@ -966,7 +966,7 @@ class RadioMedium:
         # stay scalar: each corrupted delivery interleaves a uniform with
         # a variable number of integer draws on the same stream.
         payload0 = frame.payload
-        fraction = self.corrupt_delivery_fraction
+        fraction = CORRUPT_DELIVERY_FRACTION
         corrupt_rng = self._corrupt_rng
         payload_of: dict[int, bytes] = {}
         deliver_offs: list[int] = []

@@ -106,7 +106,7 @@ def hundred_node_field(seed: int = 1, *, spacing: float = 45.0,
 
 def thousand_node_city(seed: int = 1, *, districts: int = 5,
                        per_district: int = 40, pitch: float = 1500.0,
-                       spacing: float = 45.0, bridges: bool = True,
+                       spacing: float = 45.0,
                        realistic: bool = True) -> Testbed:
     """A 1k-node city: clustered districts, sparse inter-district bridges.
 
@@ -117,13 +117,10 @@ def thousand_node_city(seed: int = 1, *, districts: int = 5,
     ~40 in-range candidates out of >1000 attached radios: the scenario
     exists to exercise — and benchmark — the medium's spatial-index
     pruning (>90% of receivers skipped per transmission).
-
-    ``bridges=False`` drops the relays, leaving ``districts²`` mutually
-    unreachable radio islands.
     """
     return build_city(
         districts, districts, per_district,
-        pitch=pitch, spacing=spacing, bridges=bridges, seed=seed,
+        pitch=pitch, spacing=spacing, seed=seed,
         propagation_kwargs=(REALISTIC_PROPAGATION if realistic
                             else QUIET_PROPAGATION),
     )

@@ -97,18 +97,16 @@ def city_positions(districts_x: int, districts_y: int, per_district: int,
                    *, pitch: float = 1500.0,
                    spacing: float = 45.0,
                    jitter: float | None = None,
-                   rng: RngRegistry | None = None,
-                   bridges: bool = True) -> list[tuple[float, float]]:
+                   rng: RngRegistry | None = None
+                   ) -> list[tuple[float, float]]:
     """A city-scale deployment: dense districts, sparse bridges.
 
     ``districts_x × districts_y`` clustered districts of ``per_district``
     nodes each (jittered sub-grids at ``spacing``), their origins
     ``pitch`` metres apart — far enough that, under the realistic
     propagation model, no node in one district can hear any node in the
-    next.  With ``bridges=True`` a relay node sits at the midpoint of
-    every adjacent district pair, stitching the city into one connected
-    network; with ``bridges=False`` each district is its own radio
-    island, and the medium never enumerates a receiver across the gap.
+    next.  A relay node sits at the midpoint of every adjacent district
+    pair, stitching the city into one connected network.
 
     Order is deterministic: districts row-major, nodes within a district
     row-major, then all bridge relays (horizontal sweeps before vertical).
@@ -146,20 +144,19 @@ def city_positions(districts_x: int, districts_y: int, per_district: int,
                     positions.append(jittered(ox + c * spacing,
                                               oy + r * spacing))
                     placed += 1
-    if bridges:
-        # Relays at the midpoints of adjacent district *centers*: close
-        # enough to both districts' fringes to carry traffic between
-        # them, and to nothing else.
-        cx_of = [dx * pitch + extent_x / 2.0 for dx in range(districts_x)]
-        cy_of = [dy * pitch + extent_y / 2.0 for dy in range(districts_y)]
-        for dy in range(districts_y):
-            for dx in range(districts_x - 1):
-                positions.append(jittered(
-                    (cx_of[dx] + cx_of[dx + 1]) / 2.0, cy_of[dy]))
-        for dy in range(districts_y - 1):
-            for dx in range(districts_x):
-                positions.append(jittered(
-                    cx_of[dx], (cy_of[dy] + cy_of[dy + 1]) / 2.0))
+    # Relays at the midpoints of adjacent district *centers*: close enough
+    # to both districts' fringes to carry traffic between them, and to
+    # nothing else.
+    cx_of = [dx * pitch + extent_x / 2.0 for dx in range(districts_x)]
+    cy_of = [dy * pitch + extent_y / 2.0 for dy in range(districts_y)]
+    for dy in range(districts_y):
+        for dx in range(districts_x - 1):
+            positions.append(jittered(
+                (cx_of[dx] + cx_of[dx + 1]) / 2.0, cy_of[dy]))
+    for dy in range(districts_y - 1):
+        for dx in range(districts_x):
+            positions.append(jittered(
+                cx_of[dx], (cy_of[dy] + cy_of[dy + 1]) / 2.0))
     return positions
 
 
@@ -218,14 +215,13 @@ def build_random_field(n_nodes: int, radius: float, *, seed: int = 1,
 
 
 def build_city(districts_x: int, districts_y: int, per_district: int, *,
-               pitch: float = 1500.0, spacing: float = 45.0,
-               bridges: bool = True, seed: int = 1,
+               pitch: float = 1500.0, spacing: float = 45.0, seed: int = 1,
                propagation_kwargs: dict | None = None,
                **node_kwargs: object) -> Testbed:
     """A city testbed (see :func:`city_positions`)."""
     testbed = Testbed(seed=seed, propagation_kwargs=propagation_kwargs)
     positions = city_positions(
         districts_x, districts_y, per_district,
-        pitch=pitch, spacing=spacing, rng=testbed.rng, bridges=bridges,
+        pitch=pitch, spacing=spacing, rng=testbed.rng,
     )
     return _populate(testbed, positions, **node_kwargs)

@@ -7,6 +7,8 @@ the runner's mechanics on campaigns small enough to stay fast.
 """
 
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -102,6 +104,44 @@ def test_per_run_timeout_becomes_an_error_result():
     out = run_campaign(slow, workers=1, timeout_s=0.2, retries=0)
     assert len(out.failures) == 1
     assert "timeout" in out.failures[0].error
+
+
+def test_timeout_holds_for_a_campaign_run_from_a_thread():
+    """SIGALRM needs a main thread, so a campaign with a deadline runs
+    in the warm pool even at ``workers=1``, where a worker arms it."""
+    sleepy = Campaign(name="sleepy",
+                      scenario="tests.campaign._pool_scenarios:sleepy",
+                      seed=1, base_params={"duration": 2.0})
+    box = {}
+    thread = threading.Thread(target=lambda: box.update(out=run_campaign(
+        sleepy, workers=1, timeout_s=0.5, retries=0)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    (run,) = box["out"].failures
+    assert run.error == "timeout after 0.5s"
+
+
+def test_timeout_covers_the_cell_module_import():
+    """The deadline is armed before the worker imports the module a
+    ``module:function`` cell lives in, so a slow import is a timeout."""
+    # Registers the cell here; only a worker's import of it is slow.
+    import tests.campaign._slow_import_scenarios  # noqa: F401
+    out = run_campaign(Campaign(
+        name="slow-import", seed=1,
+        scenario="tests.campaign._slow_import_scenarios:quick"),
+        workers=2, timeout_s=0.5, retries=0)
+    (run,) = out.failures
+    assert run.error == "timeout after 0.5s"
+
+
+def test_resolving_a_reference_runs_no_module_code(capsys):
+    # `this` prints the Zen of Python when imported; resolving a
+    # reference into it must neither import it nor print.
+    with pytest.raises(ValueError, match="not a registered scenario"):
+        Campaign(name="c", scenario="this:x")
+    assert capsys.readouterr().out == ""
+    assert "this" not in sys.modules
 
 
 @pytest.mark.parametrize("timeout_s", [-1.0, float("nan"), float("inf"),

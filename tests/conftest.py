@@ -2,6 +2,10 @@
 
 import pytest
 
+# Register the synthetic campaign cells in this process, as a server
+# registers the cells it serves: a `module:function` reference resolves
+# only through a module already imported (workers import it per cell).
+import tests.campaign._pool_scenarios  # noqa: F401
 from repro.radio import LogDistancePropagation, RadioMedium
 from repro.sim import Environment, Monitor, RngRegistry
 

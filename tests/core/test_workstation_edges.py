@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from repro.core.wire import MsgType
+from repro.core.wire import REQUEST_LAYOUTS, MsgType
 
 
 def test_group_call_waits_full_window(chain_deployment):
@@ -45,13 +45,24 @@ def test_controller_ignores_garbage(chain_deployment):
 def test_controller_error_paths_report_status(chain_deployment):
     dep = chain_deployment(2)
     ws = dep.workstation
-    # Truncated bodies for each parameterised request type.
-    for msg in (MsgType.SET_POWER, MsgType.SET_CHANNEL,
-                MsgType.BLACKLIST_ADD, MsgType.BLACKLIST_REMOVE,
-                MsgType.SET_BEACON, MsgType.RUN_PING,
-                MsgType.RUN_TRACEROUTE, MsgType.KILL_THREAD):
-        reply = ws.call(1, msg, b"")
-        assert not reply.ok, hex(msg)
+    # Empty and one-byte-short bodies for each parameterised request type.
+    parameterised = (MsgType.SET_POWER, MsgType.SET_CHANNEL,
+                     MsgType.NEIGHBOR_LIST, MsgType.BLACKLIST_ADD,
+                     MsgType.BLACKLIST_REMOVE, MsgType.SET_BEACON,
+                     MsgType.RUN_PING, MsgType.RUN_TRACEROUTE,
+                     MsgType.SCAN_CHANNELS, MsgType.GET_EVENTS,
+                     MsgType.KILL_THREAD)
+    assert set(parameterised) == {
+        msg for msg, layout in REQUEST_LAYOUTS.items() if layout.names}
+    for msg in parameterised:
+        layout = REQUEST_LAYOUTS[msg]
+        size = len(layout.encode(**dict.fromkeys(layout.names, 0)))
+        for body in (b"", bytes(size - 1)):
+            reply = ws.call(1, msg, body)
+            assert not reply.ok, (hex(msg), body)
+            assert b"malformed message" in reply.body
+    # The node is unharmed: a well-formed request still succeeds.
+    assert ws.call(1, MsgType.GET_RADIO).ok
 
 
 def test_run_ping_on_node_without_ping_service(chain_deployment):

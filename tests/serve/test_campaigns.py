@@ -94,7 +94,7 @@ def test_sharded_campaign_over_http():
     asyncio.run(main())
 
 
-def test_campaign_validation_and_lookup_errors():
+def test_campaign_validation_and_lookup_errors(capsys):
     async def main():
         app = make_app()
         await app.start(auto_tick=False)
@@ -105,6 +105,7 @@ def test_campaign_validation_and_lookup_errors():
                 {"scenario": "sys:exit"},             # callable, no scenario
                 {"scenario": "sys:exit", "workers": 1},
                 {"scenario": "sys:exit", "workers": 2},
+                {"scenario": "this:x"},               # never imported
                 ["chain_beacons"],                    # not an object
                 dict(BODY, repeats=0),                # invalid repeats
                 dict(BODY, repeats=True),
@@ -138,6 +139,9 @@ def test_campaign_validation_and_lookup_errors():
             await app.stop()
 
     asyncio.run(main())
+    # Checking a reference ran no module code (`this` prints when
+    # imported).
+    assert "Zen of Python" not in capsys.readouterr().out
 
 
 def test_retries_and_timeout_accepted_at_their_bounds():
