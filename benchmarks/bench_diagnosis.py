@@ -18,7 +18,6 @@ from repro.diag import (
     PathProbe,
     ProbeExecutor,
     ProbePlan,
-    Thresholds,
     reduce_link_finding,
 )
 from repro.workloads import Flow, TrafficGenerator, build_chain
@@ -106,7 +105,7 @@ def test_hotspot_detection_under_load(benchmark, report):
     testbed.warm_up(3.0)
 
     # ... and probe again, comparing against the baseline.
-    engine = DiagnosisEngine(dep, thresholds=Thresholds(hotspot_score=1.5))
+    engine = DiagnosisEngine(dep)
 
     def run():
         return engine.run(ProbePlan(

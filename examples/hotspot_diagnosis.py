@@ -27,7 +27,6 @@ from repro.diag import (
     PathProbe,
     ProbeExecutor,
     ProbePlan,
-    Thresholds,
 )
 from repro.workloads import Flow, TrafficGenerator, corridor_chain
 
@@ -42,8 +41,7 @@ def hop_means(result):
 
 def diagnose_with_engine(deployment, baseline: float) -> None:
     """The first-class workflow: one plan in, named verdicts out."""
-    engine = DiagnosisEngine(deployment,
-                             thresholds=Thresholds(hotspot_score=1.5))
+    engine = DiagnosisEngine(deployment)
     report = engine.run(ProbePlan(paths=((1, 5),), path_rounds=4,
                                   baseline_rtt_ms=baseline))
     hotspots = report.of_kind("hotspot")

@@ -184,11 +184,14 @@ def run_serve_cli(args: argparse.Namespace) -> int:
 
     from repro.serve import ServeApp, build_fleet
 
-    fleet = build_fleet(
-        args.scenario, seed=args.seed, assess_every=args.assess_every,
-        fault_plan=args.faults, mode=args.mode,
-    )
-    app = ServeApp([fleet], tick_s=args.tick, step_s=args.step)
+    try:
+        fleet = build_fleet(
+            args.scenario, seed=args.seed, assess_every=args.assess_every,
+            fault_plan=args.faults, mode=args.mode,
+        )
+        app = ServeApp([fleet], tick_s=args.tick, step_s=args.step)
+    except ValueError as exc:  # a bad spec, cadence or fault plan
+        args.usage_error(str(exc))
     print(f"serving fleet {fleet.name!r} ({len(fleet.testbed)} nodes, "
           f"seed {args.seed}) on http://{args.host}:{args.port} — "
           "endpoints: /metrics /health /events "
@@ -242,6 +245,7 @@ def _parser() -> argparse.ArgumentParser:
                       help="list built-in scenarios and exit")
 
     serve = sub.add_parser("serve", help="serve a live fleet over HTTP")
+    serve.set_defaults(usage_error=serve.error)
     serve.add_argument("scenario", nargs="?", default="field",
                        help="'field' (30 nodes), 'hundred' (100), "
                             "'city' (~1040, spatially indexed), "

@@ -22,19 +22,22 @@ The subsystem the paper is about, promoted out of ad-hoc helpers:
 from repro.diag.engine import (
     DiagnosisEngine,
     ProbePlan,
-    Thresholds,
     reduce_dead_node,
     reduce_hotspot_findings,
     reduce_interference_findings,
     reduce_link_finding,
 )
-from repro.diag.findings import FINDING_KINDS, DiagnosisReport, Finding
+from repro.diag.findings import (
+    FINDING_KINDS,
+    DiagnosisReport,
+    Finding,
+    NewFindings,
+)
 from repro.diag.observations import ChannelReading, LinkReport
 from repro.diag.online import (
     CusumDetector,
     EwmaDetector,
     OnlineMonitor,
-    OnlineThresholds,
     WindowStats,
     merge_findings,
 )
@@ -63,16 +66,15 @@ from repro.diag.score import active_specs, score_findings, spec_matches_finding
 __all__ = [
     "DiagnosisEngine",
     "ProbePlan",
-    "Thresholds",
     "reduce_link_finding",
     "reduce_dead_node",
     "reduce_hotspot_findings",
     "reduce_interference_findings",
     "FINDING_KINDS",
     "Finding",
+    "NewFindings",
     "DiagnosisReport",
     "OnlineMonitor",
-    "OnlineThresholds",
     "EwmaDetector",
     "CusumDetector",
     "WindowStats",

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import statistics
 import typing as _t
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.diag.findings import DiagnosisReport, Finding
 from repro.diag.observations import ChannelReading, LinkReport
 from repro.diag.probe import (
     ChannelScanProbe,
     LinkProbe,
-    NeighborProbe,
     PathProbe,
     ProbeExecutor,
     ProbeOutcome,
@@ -40,7 +39,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.results import TracerouteResult
 
 __all__ = [
-    "Thresholds",
     "ProbePlan",
     "DiagnosisEngine",
     "reduce_link_finding",
@@ -50,20 +48,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Decision thresholds for every reducer, in one place."""
+# -- the decision thresholds every reducer applies ----------------------------
 
-    broken_loss: float = 0.9
-    lossy_loss: float = 0.25
-    asym_lqi: float = 12.0
-    asym_rssi: float = 8.0
-    hotspot_score: float = 1.5
-    hotspot_queue: int = 2
-    min_samples: int = 1
-    #: dB(ish) RSSI-reading rise over the scan-wide floor that flags a
-    #: channel as suffering interference.
-    interference_margin: float = 12.0
+#: Loss ratio from which a link is ``broken_link`` rather than
+#: ``lossy_link``.  The passive detectors (:mod:`repro.diag.online`)
+#: upgrade on the same boundary, so both modes name a link alike.
+BROKEN_LOSS = 0.9
+#: Loss ratio from which a link is ``lossy_link``.
+LOSSY_LOSS = 0.25
+#: Forward/backward LQI and RSSI differences that make a link
+#: ``asymmetric_link``.
+ASYM_LQI = 12.0
+ASYM_RSSI = 8.0
+#: A node's mean hop RTT over the reference, and its reported queue
+#: depth, from which it is a ``hotspot``.
+HOTSPOT_SCORE = 1.5
+HOTSPOT_QUEUE = 2
+#: dB(ish) RSSI-reading rise over the scan-wide floor that flags a
+#: channel as suffering interference.
+INTERFERENCE_MARGIN = 12.0
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,6 @@ class ProbePlan:
     * ``links`` — directed neighbor pairs to ping-survey (port 0);
     * ``paths`` — (src, dst) pairs to traceroute for hotspot analysis;
     * ``scans`` — nodes to run channel scans on;
-    * ``neighbors`` — nodes whose neighbor tables to read (evidence);
     * ``follow_paths`` — also survey every hop link each traceroute
       traversed, so a path complaint decomposes into link verdicts.
     """
@@ -81,7 +83,6 @@ class ProbePlan:
     links: tuple[tuple[int, int], ...] = ()
     paths: tuple[tuple[int, int], ...] = ()
     scans: tuple[int, ...] = ()
-    neighbors: tuple[int, ...] = ()
     rounds: int = 10
     length: int = 32
     routing_port: int = 10
@@ -95,8 +96,6 @@ class ProbePlan:
         object.__setattr__(self, "paths",
                            tuple((int(a), int(b)) for a, b in self.paths))
         object.__setattr__(self, "scans", tuple(int(n) for n in self.scans))
-        object.__setattr__(self, "neighbors",
-                           tuple(int(n) for n in self.neighbors))
 
     @classmethod
     def for_path(cls, src: int, dst: int, **kw) -> "ProbePlan":
@@ -107,9 +106,7 @@ class ProbePlan:
 
 # -- pure reducers: typed observations → findings -----------------------------
 
-def reduce_link_finding(report: LinkReport,
-                        thresholds: Thresholds = Thresholds(),
-                        ) -> Finding | None:
+def reduce_link_finding(report: LinkReport) -> Finding | None:
     """One link report → at most one link finding.
 
     Decision order: broken first, then asymmetry, then lossiness.  A
@@ -120,7 +117,7 @@ def reduce_link_finding(report: LinkReport,
         return None
     link = (report.src, report.dst)
     loss = report.loss_ratio
-    if loss >= thresholds.broken_loss:
+    if loss >= BROKEN_LOSS:
         return Finding(
             kind="broken_link", link=link,
             confidence=min(1.0, loss),
@@ -134,8 +131,7 @@ def reduce_link_finding(report: LinkReport,
         rssi_delta = (abs(report.rssi_forward - report.rssi_backward)
                       if report.rssi_forward is not None
                       and report.rssi_backward is not None else 0.0)
-        ratio = max(lqi_delta / thresholds.asym_lqi,
-                    rssi_delta / thresholds.asym_rssi)
+        ratio = max(lqi_delta / ASYM_LQI, rssi_delta / ASYM_RSSI)
         if ratio >= 1.0:
             return Finding(
                 kind="asymmetric_link", link=link,
@@ -149,10 +145,10 @@ def reduce_link_finding(report: LinkReport,
                           "lqi_delta": lqi_delta,
                           "rssi_delta": rssi_delta},
             )
-    if loss >= thresholds.lossy_loss:
+    if loss >= LOSSY_LOSS:
         return Finding(
             kind="lossy_link", link=link,
-            confidence=min(1.0, loss / thresholds.broken_loss),
+            confidence=min(1.0, loss / BROKEN_LOSS),
             summary=(f"{loss:.0%} probe loss "
                      f"({report.received}/{report.sent} returned)"),
             evidence={"sent": report.sent, "received": report.received,
@@ -161,34 +157,28 @@ def reduce_link_finding(report: LinkReport,
     return None
 
 
-def reduce_dead_node(node: int, *, failure: str = "unreachable",
-                     error: str = "") -> Finding:
+def reduce_dead_node(node: int, *, error: str = "") -> Finding:
     """An unreachable probe source → a ``dead_node`` finding.
 
     ``unreachable`` means the reliable protocol exhausted retries with
-    the workstation adjacent — near-certain death.  A plain ``timeout``
-    (acknowledged but silent) is weaker evidence.
+    the workstation adjacent — near-certain death.
     """
-    confidence = 0.95 if failure == "unreachable" else 0.6
     return Finding(
-        kind="dead_node", node=node, confidence=confidence,
-        summary=("no acknowledgment from an adjacent workstation"
-                 if failure == "unreachable"
-                 else "acknowledged the command but never replied"),
-        evidence={"failure": failure, "error": error},
+        kind="dead_node", node=node, confidence=0.95,
+        summary="no acknowledgment from an adjacent workstation",
+        evidence={"failure": "unreachable", "error": error},
     )
 
 
-def reduce_hotspot_findings(traces: _t.Iterable["TracerouteResult"],
-                            thresholds: Thresholds = Thresholds(),
+def reduce_hotspot_findings(traces: _t.Iterable["TracerouteResult"], *,
                             baseline_rtt_ms: float | None = None,
                             ) -> list[Finding]:
     """Per-hop RTT + queue evidence from traceroutes → hotspot findings.
 
     Aggregate each node's inbound hop RTTs and max reported queue,
     score against ``baseline_rtt_ms`` (or the probe-wide median when
-    absent), and flag nodes past ``hotspot_score`` or with queues at
-    ``hotspot_queue`` and above.
+    absent), and flag nodes past :data:`HOTSPOT_SCORE` or with queues
+    at :data:`HOTSPOT_QUEUE` and above.
     """
     rtts: dict[int, list[float]] = {}
     queues: dict[int, int] = {}
@@ -200,24 +190,19 @@ def reduce_hotspot_findings(traces: _t.Iterable["TracerouteResult"],
             )
     if not rtts:
         return []
-    all_means = {
-        node: statistics.fmean(values)
-        for node, values in rtts.items()
-        if len(values) >= thresholds.min_samples
-    }
-    if not all_means:
-        return []
+    all_means = {node: statistics.fmean(values)
+                 for node, values in rtts.items()}
     baseline = (baseline_rtt_ms if baseline_rtt_ms is not None
                 else statistics.median(all_means.values()))
     findings = []
     for node, mean_rtt in all_means.items():
         score = mean_rtt / baseline if baseline > 0 else float("inf")
         queue = queues.get(node, 0)
-        hot_by_rtt = score >= thresholds.hotspot_score
-        hot_by_queue = queue >= thresholds.hotspot_queue
+        hot_by_rtt = score >= HOTSPOT_SCORE
+        hot_by_queue = queue >= HOTSPOT_QUEUE
         if not (hot_by_rtt or hot_by_queue):
             continue
-        confidence = min(1.0, score / (2.0 * thresholds.hotspot_score))
+        confidence = min(1.0, score / (2.0 * HOTSPOT_SCORE))
         if hot_by_queue:
             confidence = max(confidence, 0.7)
         findings.append(Finding(
@@ -233,12 +218,11 @@ def reduce_hotspot_findings(traces: _t.Iterable["TracerouteResult"],
 
 
 def reduce_interference_findings(readings: _t.Iterable[ChannelReading],
-                                 thresholds: Thresholds = Thresholds(),
                                  ) -> list[Finding]:
     """Channel-scan energy readings → interference findings.
 
     The scan-wide median reading is the ambient floor; any channel
-    whose peak reading rises ``interference_margin`` above it is named,
+    whose peak reading rises :data:`INTERFERENCE_MARGIN` above it is named,
     attributed to the node that observed the peak.
     """
     readings = list(readings)
@@ -254,12 +238,11 @@ def reduce_interference_findings(readings: _t.Iterable[ChannelReading],
     for channel in sorted(peaks):
         peak = peaks[channel]
         excess = peak.reading - floor
-        if excess < thresholds.interference_margin:
+        if excess < INTERFERENCE_MARGIN:
             continue
         findings.append(Finding(
             kind="interference", channel=channel, node=peak.node,
-            confidence=min(1.0, excess
-                           / (2.0 * thresholds.interference_margin)),
+            confidence=min(1.0, excess / (2.0 * INTERFERENCE_MARGIN)),
             summary=(f"energy {excess:.0f} above the ambient floor "
                      f"({peak.reading} vs median {floor:.0f})"),
             evidence={"reading": peak.reading, "floor": float(floor),
@@ -278,8 +261,8 @@ class _RunState:
     #: ((src, dst), TracerouteResult) for every path probe that worked.
     traces: list = field(default_factory=list)
     readings: list[ChannelReading] = field(default_factory=list)
-    neighbor_views: dict[int, list] = field(default_factory=dict)
-    dead: dict[int, ProbeOutcome] = field(default_factory=dict)
+    #: Unreachable probe sources → the executor's error text.
+    dead: dict[int, str] = field(default_factory=dict)
     probes_run: int = 0
     probes_failed: int = 0
 
@@ -292,11 +275,8 @@ class DiagnosisEngine:
     sees exactly what an end user at the workstation could see.
     """
 
-    def __init__(self, deployment, *,
-                 thresholds: Thresholds | None = None,
-                 attempts: int = 1):
-        self.executor = ProbeExecutor(deployment, attempts=attempts)
-        self.thresholds = thresholds or Thresholds()
+    def __init__(self, deployment):
+        self.executor = ProbeExecutor(deployment)
         self.testbed = self.executor.testbed
 
     # -- probe phase -----------------------------------------------------
@@ -307,7 +287,7 @@ class DiagnosisEngine:
         if not outcome.ok:
             state.probes_failed += 1
             if outcome.unreachable:
-                state.dead.setdefault(probe.request().node, outcome)
+                state.dead.setdefault(probe.request().node, outcome.error)
         return outcome
 
     def _probe_link(self, state: _RunState, src: int, dst: int,
@@ -345,35 +325,23 @@ class DiagnosisEngine:
             outcome = self._run(state, ChannelScanProbe(node=node))
             if outcome.ok:
                 state.readings.extend(outcome.value)
-        for node in plan.neighbors:
-            outcome = self._run(state, NeighborProbe(node=node))
-            if outcome.ok:
-                state.neighbor_views[node] = outcome.value
         return state
 
     # -- reduction phase -------------------------------------------------
 
     def _reduce(self, state: _RunState, plan: ProbePlan) -> list[Finding]:
-        findings: list[Finding] = []
-        for node in sorted(state.dead):
-            outcome = state.dead[node]
-            finding = reduce_dead_node(node, failure=outcome.failure,
-                                       error=outcome.error)
-            if node in state.neighbor_views and state.neighbor_views[node]:
-                # The node answered a neighbor survey this run: demote.
-                finding = replace(finding, confidence=0.5)
-            findings.append(finding)
+        findings = [reduce_dead_node(node, error=state.dead[node])
+                    for node in sorted(state.dead)]
         for report in state.link_reports:
             if report.src in state.dead or report.dst in state.dead:
                 continue  # symptom of the dead node, already named
-            finding = reduce_link_finding(report, self.thresholds)
+            finding = reduce_link_finding(report)
             if finding is not None:
                 findings.append(finding)
         findings.extend(reduce_hotspot_findings(
-            [trace for _, trace in state.traces], self.thresholds,
+            [trace for _, trace in state.traces],
             baseline_rtt_ms=plan.baseline_rtt_ms))
-        findings.extend(reduce_interference_findings(
-            state.readings, self.thresholds))
+        findings.extend(reduce_interference_findings(state.readings))
         return sorted(findings, key=Finding.sort_key)
 
     @staticmethod

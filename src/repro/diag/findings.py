@@ -20,7 +20,7 @@ import json
 import typing as _t
 from dataclasses import dataclass, field
 
-__all__ = ["FINDING_KINDS", "Finding", "DiagnosisReport"]
+__all__ = ["FINDING_KINDS", "Finding", "NewFindings", "DiagnosisReport"]
 
 #: The closed verdict vocabulary, in severity order (worst first).
 FINDING_KINDS = (
@@ -128,6 +128,31 @@ class Finding:
         """One verdict line, e.g. ``[broken_link] link 2->3 (0.97): …``."""
         head = f"[{self.kind}] {self.subject} ({self.confidence:.2f})"
         return f"{head}: {self.summary}" if self.summary else head
+
+
+class NewFindings:
+    """Which findings of an assessment were not named by the previous one.
+
+    A finding is named by ``(kind, node, link, channel)``.  Its
+    confidence and evidence (``silent_s``, a detector statistic) change
+    at every assessment, so a standing finding is new only once.  Only
+    the latest assessment's names are kept: memory is one report's
+    worth, and a finding that clears and comes back is new again.
+    """
+
+    __slots__ = ("_named",)
+
+    def __init__(self):
+        self._named: set[tuple] = set()
+
+    def sift(self, findings: _t.Sequence[Finding]) -> list[Finding]:
+        """The findings in ``findings`` that the previous call's lacked,
+        in order; ``findings`` becomes the previous call."""
+        previous = self._named
+        names = [(f.kind, f.node, f.link, f.channel) for f in findings]
+        self._named = set(names)
+        return [f for f, name in zip(findings, names)
+                if name not in previous]
 
 
 @dataclass

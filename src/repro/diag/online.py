@@ -36,9 +36,14 @@ from __future__ import annotations
 import math
 import sys
 import typing as _t
-from dataclasses import dataclass
 
-from repro.diag.findings import FINDING_KINDS, DiagnosisReport, Finding
+from repro.diag.engine import BROKEN_LOSS
+from repro.diag.findings import (
+    FINDING_KINDS,
+    DiagnosisReport,
+    Finding,
+    NewFindings,
+)
 from repro.kernel.neighbors import DEFAULT_BEACON_INTERVAL
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -49,7 +54,6 @@ __all__ = [
     "WindowStats",
     "EwmaDetector",
     "CusumDetector",
-    "OnlineThresholds",
     "OnlineMonitor",
     "merge_findings",
     "PROBE_PACKET_KINDS",
@@ -311,16 +315,6 @@ class EwmaDetector:
             return 0.0
         return min(1.0, 0.5 + (self._peak - self.k_on) / (6.0 * self.k_on))
 
-    def reset(self) -> None:
-        self.n = 0
-        self.ignored = 0
-        self.mean = 0.0
-        self.dev = 0.0
-        self.fired = False
-        self._over = 0
-        self._under = 0
-        self._peak = 0.0
-
 
 class CusumDetector:
     """One-sided (upper) CUSUM changepoint detector.
@@ -384,71 +378,60 @@ class CusumDetector:
         return min(1.0, 0.5 + (self._stat - self.threshold)
                    / (6.0 * self.threshold))
 
-    def reset(self) -> None:
-        self.n = 0
-        self.ignored = 0
-        self._stat = 0.0
 
+# -- the passive detectors' policy --------------------------------------------
+# Pinned by ``tests/diag/test_online_detectors.py``; the rationale for
+# each lives in ``docs/DIAGNOSIS.md``.  ``BROKEN_LOSS``, the recent-window
+# loss level that upgrades lossy -> broken, is the active reducer's.
 
-@dataclass(frozen=True)
-class OnlineThresholds:
-    """Every passive-detector knob, in one place (the online analogue
-    of :class:`~repro.diag.engine.Thresholds`).
-
-    Defaults are pinned by ``tests/diag/test_online_detectors.py``; the
-    rationale for each lives in ``docs/DIAGNOSIS.md``.
-    """
-
-    #: Detector warm-up: beacons a link must have delivered before any
-    #: verdict may name it (absence of evidence is not a broken link).
-    min_samples: int = 8
-    #: Ring capacity for the per-expected-beacon loss indicator.
-    window: int = 32
-    #: EWMA alpha shared by the LQI and RSSI level-shift detectors.
-    quality_alpha: float = 0.2
-    quality_k_on: float = 4.0
-    quality_k_off: float = 2.0
-    quality_hysteresis: int = 3
-    #: Scale floors so a dead-quiet baseline cannot make noise-free
-    #: jitter look like a 100-sigma event.
-    lqi_sigma_floor: float = 2.0
-    rssi_sigma_floor: float = 1.5
-    #: CUSUM drift allowance (tolerated ambient loss per beacon) and
-    #: firing mass (net excess lost beacons).
-    loss_slack: float = 0.15
-    loss_threshold: float = 2.0
-    #: Recent-window loss level that upgrades lossy -> broken.
-    broken_loss: float = 0.9
-    #: Missed-interval multiples before a once-healthy link is silent.
-    silence_factor: float = 4.0
-    #: Sequence gaps beyond this are treated as a counter restart
-    #: (reboot), not as that many lost beacons.
-    max_gap: int = 64
-    #: Simultaneously-degraded links on one channel (spanning >= 2
-    #: origins and >= 2 receivers, with no single common endpoint, and
-    #: covering at least ``interference_min_fraction`` of the channel's
-    #: tracked links) escalate to an ``interference`` verdict.  The
-    #: fraction gate separates RF (which degrades essentially every
-    #: link on the channel) from a coincidence of node/link faults
-    #: (which degrades a cluster but leaves the rest clean).
-    interference_min_links: int = 3
-    interference_min_fraction: float = 0.5
-    #: Inter-arrival drift detection: the recent-window mean must sit
-    #: ``drift_z`` standard errors AND ``drift_rel`` (relative) away
-    #: from the *nominal* beacon period — a protocol constant the
-    #: diagnosis tool knows, so a fault can never contaminate the
-    #: reference the way it could a learned baseline.  Beacon jitter is
-    #: ±10 % uniform (σ ≈ 5.8 %): 32 samples put the SE near 1 %, the
-    #: 4-SE gate near 4 %.  A sliding window is re-tested every poll on
-    #: every link, so 4-σ excursions *will* eventually occur; the
-    #: absolute gate is what rejects them — 4.5 % puts the detectable
-    #: skew floor near 5 %, well under the 7.4 % signature of the
-    #: canonical 8 % clock-drift fault.
-    drift_window: int = 32
-    #: Learned-cadence window (feeds silence detection only).
-    baseline_intervals: int = 10
-    drift_z: float = 4.0
-    drift_rel: float = 0.045
+#: Detector warm-up: beacons a link must have delivered before any
+#: verdict may name it (absence of evidence is not a broken link).
+MIN_SAMPLES = 8
+#: Ring capacity for the per-expected-beacon loss indicator.
+LOSS_WINDOW = 32
+#: EWMA alpha shared by the LQI and RSSI level-shift detectors.
+QUALITY_ALPHA = 0.2
+QUALITY_K_ON = 4.0
+QUALITY_K_OFF = 2.0
+QUALITY_HYSTERESIS = 3
+#: Scale floors so a dead-quiet baseline cannot make noise-free
+#: jitter look like a 100-sigma event.
+LQI_SIGMA_FLOOR = 2.0
+RSSI_SIGMA_FLOOR = 1.5
+#: CUSUM drift allowance (tolerated ambient loss per beacon) and
+#: firing mass (net excess lost beacons).
+LOSS_SLACK = 0.15
+LOSS_THRESHOLD = 2.0
+#: Missed-interval multiples before a once-healthy link is silent.
+SILENCE_FACTOR = 4.0
+#: Sequence gaps beyond this are treated as a counter restart
+#: (reboot), not as that many lost beacons.
+MAX_GAP = 64
+#: Simultaneously-degraded links on one channel (spanning >= 2
+#: origins and >= 2 receivers, with no single common endpoint, and
+#: covering at least ``INTERFERENCE_MIN_FRACTION`` of the channel's
+#: tracked links) escalate to an ``interference`` verdict.  The
+#: fraction gate separates RF (which degrades essentially every
+#: link on the channel) from a coincidence of node/link faults
+#: (which degrades a cluster but leaves the rest clean).
+INTERFERENCE_MIN_LINKS = 3
+INTERFERENCE_MIN_FRACTION = 0.5
+#: Inter-arrival drift detection: the recent-window mean must sit
+#: ``DRIFT_Z`` standard errors AND ``DRIFT_REL`` (relative) away
+#: from the *nominal* beacon period, ``DEFAULT_BEACON_INTERVAL`` — a
+#: protocol constant the diagnosis tool knows, so a fault can never
+#: contaminate the reference the way it could a learned baseline.
+#: Beacon jitter is ±10 % uniform (σ ≈ 5.8 %): 32 samples put the SE
+#: near 1 %, the 4-SE gate near 4 %.  A sliding window is re-tested
+#: every poll on every link, so 4-σ excursions *will* eventually
+#: occur; the absolute gate is what rejects them — 4.5 % puts the
+#: detectable skew floor near 5 %, well under the 7.4 % signature of
+#: the canonical 8 % clock-drift fault.
+DRIFT_WINDOW = 32
+#: Learned-cadence window (feeds silence detection only).
+BASELINE_INTERVALS = 10
+DRIFT_Z = 4.0
+DRIFT_REL = 0.045
 
 
 class _LinkState:
@@ -456,37 +439,36 @@ class _LinkState:
 
     __slots__ = ("lqi", "rssi", "loss", "loss_window", "intervals",
                  "baseline_window", "baseline_interval", "last_seq",
-                 "last_heard", "beacons", "channel", "nominal")
+                 "last_heard", "beacons", "channel")
 
-    def __init__(self, t: OnlineThresholds, nominal_interval: float):
+    def __init__(self):
         self.lqi = EwmaDetector(
-            alpha=t.quality_alpha, k_on=t.quality_k_on, k_off=t.quality_k_off,
-            hysteresis=t.quality_hysteresis, min_samples=t.min_samples,
-            sigma_floor=t.lqi_sigma_floor, direction="down")
+            alpha=QUALITY_ALPHA, k_on=QUALITY_K_ON, k_off=QUALITY_K_OFF,
+            hysteresis=QUALITY_HYSTERESIS, min_samples=MIN_SAMPLES,
+            sigma_floor=LQI_SIGMA_FLOOR, direction="down")
         self.rssi = EwmaDetector(
-            alpha=t.quality_alpha, k_on=t.quality_k_on, k_off=t.quality_k_off,
-            hysteresis=t.quality_hysteresis, min_samples=t.min_samples,
-            sigma_floor=t.rssi_sigma_floor, direction="down")
-        self.loss = CusumDetector(target=0.0, slack=t.loss_slack,
-                                  threshold=t.loss_threshold)
-        self.loss_window = WindowStats(t.window)
-        self.intervals = WindowStats(t.drift_window)
-        self.baseline_window = WindowStats(t.baseline_intervals)
+            alpha=QUALITY_ALPHA, k_on=QUALITY_K_ON, k_off=QUALITY_K_OFF,
+            hysteresis=QUALITY_HYSTERESIS, min_samples=MIN_SAMPLES,
+            sigma_floor=RSSI_SIGMA_FLOOR, direction="down")
+        self.loss = CusumDetector(target=0.0, slack=LOSS_SLACK,
+                                  threshold=LOSS_THRESHOLD)
+        self.loss_window = WindowStats(LOSS_WINDOW)
+        self.intervals = WindowStats(DRIFT_WINDOW)
+        self.baseline_window = WindowStats(BASELINE_INTERVALS)
         self.baseline_interval: tuple[float, float] | None = None
         self.last_seq: int | None = None
         self.last_heard = 0.0
         self.beacons = 0
         self.channel: int | None = None
-        self.nominal = float(nominal_interval)
 
-    def observe(self, t: OnlineThresholds, *, seq: int, lqi: float,
-                rssi: float, channel: int | None, now: float) -> None:
+    def observe(self, *, seq: int, lqi: float, rssi: float,
+                channel: int | None, now: float) -> None:
         if channel is not None:
             self.channel = channel
         self.beacons += 1
         if self.last_seq is not None:
             gap = (seq - self.last_seq) & 0xFFFF
-            if 0 < gap <= t.max_gap:
+            if 0 < gap <= MAX_GAP:
                 for _ in range(gap - 1):
                     self.loss.update(1.0)
                     self.loss_window.push(1.0)
@@ -525,7 +507,7 @@ class _LinkState:
     def expected_interval(self) -> float:
         if self.baseline_interval is not None and self.baseline_interval[0] > 0:
             return self.baseline_interval[0]
-        return self.nominal
+        return DEFAULT_BEACON_INTERVAL
 
     def silent_for(self, now: float, floor: float = -math.inf) -> float:
         """Seconds since last heard, not counting time before ``floor``
@@ -534,29 +516,28 @@ class _LinkState:
         """
         return now - max(self.last_heard, floor)
 
-    def is_silent(self, t: OnlineThresholds, now: float,
-                  floor: float = -math.inf) -> bool:
-        return (self.beacons >= t.min_samples
+    def is_silent(self, now: float, floor: float = -math.inf) -> bool:
+        return (self.beacons >= MIN_SAMPLES
                 and self.silent_for(now, floor)
-                > t.silence_factor * self.expected_interval())
+                > SILENCE_FACTOR * self.expected_interval())
 
-    def drift_ratio(self, t: OnlineThresholds) -> float | None:
+    def drift_ratio(self) -> float | None:
         """Relative inter-arrival shift vs. the nominal period, or None.
 
         The reference is the *configured* beacon period (a protocol
         constant, immune to contamination by the fault being hunted),
-        and the shift must clear both a statistical gate (``drift_z``
+        and the shift must clear both a statistical gate (``DRIFT_Z``
         standard errors of the recent-window mean) and an absolute one
-        (``drift_rel``), so ordinary beacon jitter never qualifies.
+        (``DRIFT_REL``), so ordinary beacon jitter never qualifies.
         """
-        if self.nominal <= 0 or not self.intervals.full:
+        if not self.intervals.full:
             return None
+        nominal = DEFAULT_BEACON_INTERVAL
         se = max(math.sqrt(self.intervals.variance / self.intervals.count),
-                 1e-6 * self.nominal)
-        shift = self.intervals.mean - self.nominal
-        if (abs(shift) >= t.drift_z * se
-                and abs(shift) / self.nominal >= t.drift_rel):
-            return shift / self.nominal
+                 1e-6 * nominal)
+        shift = self.intervals.mean - nominal
+        if abs(shift) >= DRIFT_Z * se and abs(shift) / nominal >= DRIFT_REL:
+            return shift / nominal
         return None
 
 
@@ -577,13 +558,9 @@ class OnlineMonitor:
     """
 
     def __init__(self, testbed: "Testbed | None" = None, *,
-                 thresholds: OnlineThresholds | None = None,
-                 exclude: _t.Collection[int] = (),
-                 nominal_interval: float = DEFAULT_BEACON_INTERVAL):
+                 exclude: _t.Collection[int] = ()):
         self.testbed = testbed
-        self.thresholds = thresholds or OnlineThresholds()
         self.exclude = frozenset(int(n) for n in exclude)
-        self.nominal_interval = float(nominal_interval)
         self._monitor = testbed.monitor if testbed is not None else None
         self._links: dict[tuple[int, int], _LinkState] = {}
         self._attached = False
@@ -591,10 +568,8 @@ class OnlineMonitor:
         self._anchor_floor = -math.inf
         self._pause_idx = 0
         self._c_beacons = None
-        self._last_subjects: set[tuple] = set()
-        self.polls = 0
+        self._new = NewFindings()
         self.beacons_seen = 0
-        self.last_findings: list[Finding] = []
         self.last_polled_at: float | None = None
 
     # -- the tap ---------------------------------------------------------
@@ -614,10 +589,6 @@ class OnlineMonitor:
         if self._attached and self._monitor is not None:
             self._monitor.remove_beacon_tap(self._tap)
         self._attached = False
-
-    @property
-    def attached(self) -> bool:
-        return self._attached
 
     def pause(self) -> None:
         """Mask the detectors (sequence continuity is still tracked).
@@ -662,10 +633,6 @@ class OnlineMonitor:
             now = self.testbed.env.now
         self._anchor_floor = float(now)
 
-    @property
-    def paused(self) -> bool:
-        return self._paused
-
     def _tap(self, receiver: int, origin: int, seq: int,
              arrival: "FrameArrival") -> None:
         if receiver in self.exclude or origin in self.exclude:
@@ -684,13 +651,12 @@ class OnlineMonitor:
         key = (int(origin), int(receiver))
         state = self._links.get(key)
         if state is None:
-            state = self._links[key] = _LinkState(self.thresholds,
-                                                  self.nominal_interval)
+            state = self._links[key] = _LinkState()
         if self._paused or state.last_heard < self._anchor_floor:
             state.anchor(seq=int(seq), channel=channel, now=float(now))
         else:
-            state.observe(self.thresholds, seq=int(seq), lqi=float(lqi),
-                          rssi=float(rssi), channel=channel, now=float(now))
+            state.observe(seq=int(seq), lqi=float(lqi), rssi=float(rssi),
+                          channel=channel, now=float(now))
         self.beacons_seen += 1
         if self._monitor is not None:
             c = self._c_beacons
@@ -718,23 +684,22 @@ class OnlineMonitor:
                 raise ValueError("detached OnlineMonitor needs an "
                                  "explicit now=")
             now = self.testbed.env.now
-        t = self.thresholds
         ordered = sorted(self._links)
         silent: set[tuple[int, int]] = set()
         lossy: set[tuple[int, int]] = set()
         link_findings: dict[tuple[int, int], Finding] = {}
         for key in ordered:
             st = self._links[key]
-            if st.beacons < t.min_samples:
+            if st.beacons < MIN_SAMPLES:
                 continue
-            if st.is_silent(t, now, self._anchor_floor):
+            if st.is_silent(now, self._anchor_floor):
                 silent.add(key)
                 gone = st.silent_for(now, self._anchor_floor)
                 missed = gone / st.expected_interval()
                 link_findings[key] = Finding(
                     kind="broken_link", link=key,
                     confidence=min(0.95, 0.5 + 0.05
-                                   * (missed - t.silence_factor)),
+                                   * (missed - SILENCE_FACTOR)),
                     summary=(f"no beacons for {gone:.1f} s "
                              f"(~{missed:.0f} expected)"),
                     evidence={"silent_s": gone,
@@ -744,12 +709,11 @@ class OnlineMonitor:
             elif st.loss.fired:
                 lossy.add(key)
                 level = st.loss_window.mean
-                kind = ("broken_link" if level >= t.broken_loss
-                        else "lossy_link")
+                kind = "broken_link" if level >= BROKEN_LOSS else "lossy_link"
                 link_findings[key] = Finding(
                     kind=kind, link=key,
                     confidence=max(st.loss.confidence,
-                                   min(1.0, level / t.broken_loss)),
+                                   min(1.0, level / BROKEN_LOSS)),
                     summary=(f"{level:.0%} of expected beacons missing "
                              f"(seq gaps)"),
                     evidence={"recent_loss": level,
@@ -784,11 +748,10 @@ class OnlineMonitor:
             receivers = {b for _, b in group}
             on_channel = sum(
                 1 for st in self._links.values()
-                if st.channel == ch and st.beacons >= t.min_samples)
-            if (len(group) < t.interference_min_links
+                if st.channel == ch and st.beacons >= MIN_SAMPLES)
+            if (len(group) < INTERFERENCE_MIN_LINKS
                     or len(origins) < 2 or len(receivers) < 2
-                    or len(group) < t.interference_min_fraction
-                    * on_channel):
+                    or len(group) < INTERFERENCE_MIN_FRACTION * on_channel):
                 continue
             if any(all(n in key for key in group)
                    for n in origins | receivers):
@@ -807,7 +770,7 @@ class OnlineMonitor:
         dead: set[int] = set()
         out_links: dict[int, list[tuple[int, int]]] = {}
         for key in ordered:
-            if self._links[key].beacons >= t.min_samples:
+            if self._links[key].beacons >= MIN_SAMPLES:
                 out_links.setdefault(key[0], []).append(key)
         for origin in sorted(out_links):
             links = out_links[origin]
@@ -821,7 +784,7 @@ class OnlineMonitor:
                 findings.append(Finding(
                     kind="dead_node", node=origin,
                     confidence=min(0.95, 0.5 + 0.05
-                                   * (worst - t.silence_factor)),
+                                   * (worst - SILENCE_FACTOR)),
                     summary=(f"beacons stopped at all {len(links)} "
                              f"receiver(s) that were hearing it"),
                     evidence={"receivers": sorted(b for _, b in links),
@@ -856,7 +819,7 @@ class OnlineMonitor:
         for key in ordered:
             if key[0] in dead or key in explained:
                 continue
-            ratio = self._links[key].drift_ratio(t)
+            ratio = self._links[key].drift_ratio()
             if ratio is not None:
                 drift_by_origin.setdefault(key[0], []).append(ratio)
         for origin in sorted(drift_by_origin):
@@ -875,30 +838,20 @@ class OnlineMonitor:
         return findings
 
     def _account(self, findings: list[Finding], now: float) -> None:
-        self.polls += 1
-        self.last_findings = findings
         self.last_polled_at = now
+        new = self._new.sift(findings)
         if self._monitor is None:
-            subjects = {(f.kind, f.node, f.link, f.channel)
-                        for f in findings}
-            self._last_subjects = subjects
             return
         self._monitor.count("diag.online.polls")
-        subjects = set()
-        tracer = self.testbed.tracer if self.testbed is not None else None
-        for f in findings:
-            subject = (f.kind, f.node, f.link, f.channel)
-            subjects.add(subject)
-            if subject in self._last_subjects:
-                continue
+        tracer = self.testbed.tracer
+        for f in new:
             self._monitor.count("diag.online.findings")
             self._monitor.count(f"diag.online.finding.{f.kind}")
-            if tracer is not None and tracer.enabled:
+            if tracer.enabled:
                 tracer.emit("diag.online.finding", now,
                             node=f.node, kind_label=f.kind,
                             subject=f.subject,
                             confidence=round(f.confidence, 3))
-        self._last_subjects = subjects
 
     def report(self, now: float | None = None) -> DiagnosisReport:
         """A :class:`DiagnosisReport` from the current state: the

@@ -15,9 +15,9 @@ A :class:`Probe` packages one diagnostic as data:
   the diagnosis layer reasons about (:class:`~repro.diag.observations.
   LinkReport` and friends).
 
-:class:`ProbeExecutor` owns the drive/retry/budget logic once, for
-everyone: it attaches the workstation, runs the request to completion,
-classifies failures (``unreachable`` — the reliable protocol got no
+:class:`ProbeExecutor` owns the drive logic once, for everyone: it
+attaches the workstation, runs the request to completion, classifies
+failures (``unreachable`` — the reliable protocol got no
 acknowledgment; ``timeout`` — acknowledged but no reply; ``rejected`` —
 the node answered with an error), counts ``diag.*`` metrics and emits
 ``diag.probe`` trace events.
@@ -234,7 +234,6 @@ class ProbeOutcome:
     value: object = None          # the typed observation when ok
     failure: str | None = None    # "unreachable" | "timeout" | "rejected"
     error: str = ""
-    attempts: int = 0
 
     @property
     def unreachable(self) -> bool:
@@ -245,63 +244,56 @@ class ProbeOutcome:
 
 
 class ProbeExecutor:
-    """Drives probes over a deployment; the one copy of the retry loop.
+    """Drives probes over a deployment; the one copy of the drive loop.
 
     ``deployment`` is anything with a ``workstation`` attribute (a
     :class:`~repro.core.deploy.LiteViewDeployment`) or a
-    :class:`~repro.core.workstation.Workstation` itself.  ``attempts``
-    bounds retries per probe; each attempt first walks the workstation
-    next to the probe's node (the paper's site-visit step).
+    :class:`~repro.core.workstation.Workstation` itself.  Each probe
+    runs once, after the workstation walks next to the probe's node
+    (the paper's site-visit step).
     """
 
-    def __init__(self, deployment, *, attempts: int = 1):
+    def __init__(self, deployment):
         self.ws: "Workstation" = getattr(deployment, "workstation",
                                          deployment)
         self.testbed = self.ws.testbed
-        if attempts < 1:
-            raise ValueError(f"attempts must be >= 1, got {attempts}")
-        self.attempts = int(attempts)
 
     def run(self, probe: Probe) -> ProbeOutcome:
-        """Run one probe to completion, retrying inside the budget."""
+        """Run one probe to completion and classify how it ended."""
         monitor = self.testbed.monitor
         tracer = self.testbed.tracer
         request = probe.request()
-        failure, error = None, ""
-        for attempt in range(1, self.attempts + 1):
-            self.ws.attach_near(request.node)
-            monitor.count("diag.probes")
-            if tracer.enabled:
-                tracer.emit("diag.probe", self.testbed.env.now,
-                            node=request.node, kind_label=probe.kind,
-                            target=probe.describe(), attempt=attempt)
-            try:
-                reply = self.ws.call(
-                    request.node, request.msg_type, request.body,
-                    window=request.window,
-                    wait_full_window=request.wait_full_window,
-                )
-            except CommandTimeout as caught:
-                if isinstance(caught.__cause__, ReliableTransferError):
-                    failure, error = "unreachable", str(caught)
-                else:
-                    failure, error = "timeout", str(caught)
-                continue
-            if not reply.ok:
-                failure = "rejected"
-                error = reply.body.decode(errors="replace")
-                continue
-            decoded = probe.decode(reply.body, self.testbed.namespace)
-            return ProbeOutcome(probe=probe, ok=True,
-                                value=probe.observe(decoded),
-                                attempts=attempt)
+        self.ws.attach_near(request.node)
+        monitor.count("diag.probes")
+        if tracer.enabled:
+            tracer.emit("diag.probe", self.testbed.env.now,
+                        node=request.node, kind_label=probe.kind,
+                        target=probe.describe(), attempt=1)
+        try:
+            reply = self.ws.call(
+                request.node, request.msg_type, request.body,
+                window=request.window,
+                wait_full_window=request.wait_full_window,
+            )
+        except CommandTimeout as caught:
+            failure = ("unreachable"
+                       if isinstance(caught.__cause__, ReliableTransferError)
+                       else "timeout")
+            error = str(caught)
+        else:
+            if reply.ok:
+                decoded = probe.decode(reply.body, self.testbed.namespace)
+                return ProbeOutcome(probe=probe, ok=True,
+                                    value=probe.observe(decoded))
+            failure = "rejected"
+            error = reply.body.decode(errors="replace")
         monitor.count("diag.probe_failures")
         if tracer.enabled:
             tracer.emit("diag.probe_failure", self.testbed.env.now,
                         node=request.node, kind_label=probe.kind,
                         failure=failure)
         return ProbeOutcome(probe=probe, ok=False, failure=failure,
-                            error=error, attempts=self.attempts)
+                            error=error)
 
     def run_all(self, probes: _t.Iterable[Probe]) -> list[ProbeOutcome]:
         """Run several probes in order (the site-survey walk)."""

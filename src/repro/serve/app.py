@@ -54,7 +54,7 @@ import typing as _t
 from repro.errors import PlanError
 from repro.obs.export import metrics_to_prometheus, prometheus_line
 from repro.plan import decode
-from repro.serve.fleet import FleetSupervisor
+from repro.serve.fleet import FleetSupervisor, positive_seconds
 from repro.serve.http import (
     HttpError,
     Request,
@@ -80,6 +80,9 @@ class ServeApp:
     def __init__(self, fleets: _t.Iterable[FleetSupervisor], *,
                  tick_s: float = 0.25, step_s: float = 1.0,
                  hub: EventHub | None = None):
+        #: Wall-clock pause between ticks and simulated seconds per tick.
+        self.tick_s = tick_s
+        self.step_s = positive_seconds("step_s", step_s)
         self.fleets: dict[str, FleetSupervisor] = {}
         self.hub = hub if hub is not None else EventHub()
         for fleet in fleets:
@@ -87,9 +90,6 @@ class ServeApp:
                 raise ValueError(f"duplicate fleet name {fleet.name!r}")
             fleet.hub = self.hub
             self.fleets[fleet.name] = fleet
-        #: Wall-clock pause between ticks and simulated seconds per tick.
-        self.tick_s = tick_s
-        self.step_s = step_s
         self._server: asyncio.base_events.Server | None = None
         self._tasks: set[asyncio.Task] = set()
         self._running = False
@@ -422,7 +422,7 @@ class ServeApp:
                           for r in out.failures[:5]],
             )
         self.hub.publish({
-            "event": "campaign", "campaign": record["name"],
+            "type": "campaign", "campaign": record["name"],
             "status": record["status"],
         })
 

@@ -21,9 +21,11 @@ config produce byte-identical packet digests.
 
 from __future__ import annotations
 
+import math
 import typing as _t
 
 from repro.core.deploy import deploy_liteview
+from repro.diag.findings import NewFindings
 from repro.diag.render import recommendation, traffic_light
 from repro.faults import FaultPlan, install_faults
 from repro.serve.health import MAX_WATCHLIST, HealthAssessor
@@ -40,6 +42,17 @@ __all__ = ["FleetSupervisor", "build_fleet"]
 TRACE_BATCH = 200
 
 
+def positive_seconds(name: str, value: float) -> float:
+    """``value`` as a float, or a ``ValueError`` naming ``name`` unless
+    it is a finite number of seconds above zero: a zero or negative
+    cadence would never reach its next target."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number of seconds "
+                         f"above 0, got {value:g}")
+    return value
+
+
 class FleetSupervisor:
     """One live fleet: deployment + cadence + health + event publishing."""
 
@@ -48,6 +61,7 @@ class FleetSupervisor:
                  assessor: HealthAssessor | None = None,
                  hub: EventHub | None = None,
                  publish_trace: bool = True):
+        self.assess_every = positive_seconds("assess_every", assess_every)
         self.name = name
         self.deployment = deployment
         self.testbed: "Testbed" = deployment.testbed
@@ -55,7 +69,6 @@ class FleetSupervisor:
         self.monitor = self.testbed.monitor
         self.hub = hub if hub is not None else EventHub()
         self.assessor = assessor or HealthAssessor(deployment)
-        self.assess_every = float(assess_every)
         self._next_assess = self.env.now + self.assess_every
         #: The cumulative advance horizon.  Assessments overshoot sim
         #: time (probe traffic runs to completion), so targets must be
@@ -64,7 +77,7 @@ class FleetSupervisor:
         #: world (see :meth:`advance`).
         self._horizon = self.env.now
         self._pending_plans: list[FaultPlan] = []
-        self._seen_findings: set[str] = set()
+        self._new_findings = NewFindings()
         self.injected_plans: list[FaultPlan] = []
         self.ticks = 0
         #: Why the fleet stopped ticking (see :meth:`fail`), else None.
@@ -178,11 +191,7 @@ class FleetSupervisor:
     def _assess(self) -> None:
         report = self.assessor.assess()
         self.health_payload = self.assessor.health(fleet=self.name)
-        for finding in report.findings:
-            key = finding.to_json()
-            if key in self._seen_findings:
-                continue
-            self._seen_findings.add(key)
+        for finding in self._new_findings.sift(report.findings):
             self.hub.publish({
                 "type": "finding",
                 "fleet": self.name,

@@ -20,9 +20,9 @@ import typing as _t
 
 import numpy as np
 
-from repro.diag.engine import DiagnosisEngine, ProbePlan, Thresholds
+from repro.diag.engine import DiagnosisEngine, ProbePlan
 from repro.diag.findings import DiagnosisReport
-from repro.diag.online import OnlineMonitor, OnlineThresholds, merge_findings
+from repro.diag.online import OnlineMonitor, merge_findings
 from repro.diag.render import health_view
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -106,9 +106,7 @@ class HealthAssessor:
                  scans: _t.Iterable[int] = (),
                  rounds: int = 3,
                  max_links: int | None = None,
-                 thresholds: Thresholds | None = None,
-                 mode: str = "active",
-                 online_thresholds: OnlineThresholds | None = None):
+                 mode: str = "active"):
         if mode not in ASSESSMENT_MODES:
             raise ValueError(f"unknown assessment mode {mode!r} "
                              f"(one of {ASSESSMENT_MODES})")
@@ -133,12 +131,11 @@ class HealthAssessor:
             links = tuple(links[int(i * step)] for i in range(max_links))
         self.plan = ProbePlan(links=links, scans=tuple(scans),
                               rounds=rounds)
-        self.engine = DiagnosisEngine(deployment, thresholds=thresholds)
+        self.engine = DiagnosisEngine(deployment)
         self.online: OnlineMonitor | None = None
         if mode != "active":
             self.online = OnlineMonitor(
-                self.testbed, thresholds=online_thresholds,
-                exclude=self._excluded).attach()
+                self.testbed, exclude=self._excluded).attach()
         self.last_report: "DiagnosisReport | None" = None
         self.last_assessed_at: float | None = None
         self.assessments = 0

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.diag import FINDING_KINDS, DiagnosisReport, Finding
+from repro.diag import FINDING_KINDS, DiagnosisReport, Finding, NewFindings
 
 
 def test_kind_vocabulary_is_closed():
@@ -98,6 +98,24 @@ def _report():
         started_at=25.0, finished_at=67.5, probes_run=7, probes_failed=1,
         path_stories=["Path 1 -> 8: DID NOT reach the target over 1 hop(s)."],
     )
+
+
+
+def test_new_findings_names_a_standing_finding_once():
+    """Fresh evidence does not make a standing finding new; a finding
+    that clears and comes back is new again."""
+    new = NewFindings()
+
+    def silent(seconds):
+        return Finding(kind="broken_link", link=(2, 3), confidence=0.6,
+                       evidence={"silent_s": seconds})
+
+    dead = Finding(kind="dead_node", node=5)
+    assert new.sift([silent(9.0)]) == [silent(9.0)]
+    assert new.sift([silent(19.0), dead]) == [dead]
+    assert new.sift([silent(29.0)]) == []
+    assert new.sift([]) == []
+    assert new.sift([silent(49.0), dead]) == [silent(49.0), dead]
 
 
 def test_report_of_kind_and_len():

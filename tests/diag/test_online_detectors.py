@@ -4,8 +4,8 @@ Every case feeds a hand-built series (step, ramp, burst-and-recovery,
 flapping) or a synthetic beacon sequence into the detectors and asserts
 the expected firing behaviour and finding vocabulary — no simulator, no
 randomness, each scenario readable at a glance.  These tables pin the
-``OnlineThresholds`` defaults: retuning a knob is expected to show up
-here as a deliberate diff.
+policy constants of ``repro.diag.online``: retuning one is expected to
+show up here as a deliberate diff.
 """
 
 import pytest
@@ -14,11 +14,11 @@ from repro.diag import (
     CusumDetector,
     EwmaDetector,
     OnlineMonitor,
-    OnlineThresholds,
     WindowStats,
     merge_findings,
 )
 from repro.diag.findings import Finding
+from repro.kernel.neighbors import DEFAULT_BEACON_INTERVAL
 
 BASE = 100.0  # healthy LQI-like level for EWMA series
 
@@ -149,7 +149,7 @@ def test_windowstats_matches_rescan_and_evicts():
 
 # -- Synthetic beacon sequences through a detached OnlineMonitor -------------
 
-INTERVAL = 2.0
+INTERVAL = DEFAULT_BEACON_INTERVAL
 
 
 def feed_link(mon, origin, receiver, *, n, t0=0.0, seq0=0,
@@ -177,13 +177,13 @@ def healthy_mesh(mon, *, n=20, links=((1, 2), (2, 1), (2, 3), (3, 2))):
 
 
 def test_healthy_links_yield_no_findings():
-    mon = OnlineMonitor(nominal_interval=INTERVAL)
+    mon = OnlineMonitor()
     t = healthy_mesh(mon)
     assert mon.poll(now=t) == []
 
 
 def test_silence_on_all_links_names_a_dead_node():
-    mon = OnlineMonitor(nominal_interval=INTERVAL)
+    mon = OnlineMonitor()
     t = healthy_mesh(mon)
     # Node 2 keeps hearing 1 and 3, but nobody hears 2 any more.
     feed_link(mon, 1, 2, n=10, t0=t, seq0=20)
@@ -195,7 +195,7 @@ def test_silence_on_all_links_names_a_dead_node():
 
 
 def test_partial_silence_is_a_broken_link_not_a_death():
-    mon = OnlineMonitor(nominal_interval=INTERVAL)
+    mon = OnlineMonitor()
     t = healthy_mesh(mon)
     # Node 3 still hears 2; only the 2->1 direction went quiet.
     feed_link(mon, 2, 3, n=10, t0=t, seq0=20)
@@ -206,7 +206,7 @@ def test_partial_silence_is_a_broken_link_not_a_death():
 
 
 def test_seq_gaps_name_a_lossy_link():
-    mon = OnlineMonitor(nominal_interval=INTERVAL)
+    mon = OnlineMonitor()
     t = healthy_mesh(mon)
     # Half the beacons on 2->3 vanish; the reverse stays clean.
     lost = tuple(range(0, 20, 2))
@@ -221,7 +221,7 @@ def test_seq_gaps_name_a_lossy_link():
 
 
 def test_lqi_collapse_names_a_lossy_link():
-    mon = OnlineMonitor(nominal_interval=INTERVAL)
+    mon = OnlineMonitor()
     t = healthy_mesh(mon)
     feed_link(mon, 2, 3, n=15, t0=t, seq0=20, lqi=30.0)
     feed_link(mon, 3, 2, n=15, t0=t, seq0=20)
@@ -233,7 +233,7 @@ def test_lqi_collapse_names_a_lossy_link():
 
 
 def test_both_directions_degraded_collapse_to_one_finding():
-    mon = OnlineMonitor(nominal_interval=INTERVAL)
+    mon = OnlineMonitor()
     t = healthy_mesh(mon)
     lost = tuple(range(0, 20, 2))
     feed_link(mon, 2, 3, n=20, t0=t, seq0=20, lost=lost)
@@ -245,7 +245,7 @@ def test_both_directions_degraded_collapse_to_one_finding():
 
 
 def test_sequence_restart_is_a_reboot_not_phantom_loss():
-    mon = OnlineMonitor(nominal_interval=INTERVAL)
+    mon = OnlineMonitor()
     t = healthy_mesh(mon)
     # Node 2 reboots: its seq restarts near 0.  A naive gap computation
     # would charge ~65k lost beacons; the monitor must re-anchor.
@@ -257,7 +257,7 @@ def test_sequence_restart_is_a_reboot_not_phantom_loss():
 
 
 def test_simultaneous_multi_link_loss_names_interference():
-    mon = OnlineMonitor(nominal_interval=INTERVAL)
+    mon = OnlineMonitor()
     links = ((1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1))
     t = healthy_mesh(mon, links=links)
     # Every link on channel 17 starts dropping half its beacons at once
@@ -272,7 +272,7 @@ def test_simultaneous_multi_link_loss_names_interference():
 
 
 def test_clock_drift_names_a_hotspot():
-    mon = OnlineMonitor(nominal_interval=INTERVAL)
+    mon = OnlineMonitor()
     t = healthy_mesh(mon)
     # Node 2's oscillator runs 8% fast: everything it sends arrives
     # on a proportionally shorter cadence, at both receivers.
@@ -289,7 +289,7 @@ def test_clock_drift_names_a_hotspot():
 
 
 def test_loss_recovery_clears_the_finding():
-    mon = OnlineMonitor(nominal_interval=INTERVAL)
+    mon = OnlineMonitor()
     t = healthy_mesh(mon)
     lost = tuple(range(0, 20, 2))
     feed_link(mon, 2, 3, n=20, t0=t, seq0=20, lost=lost)
@@ -303,28 +303,23 @@ def test_loss_recovery_clears_the_finding():
 
 
 def test_poll_detached_requires_explicit_now():
-    mon = OnlineMonitor(nominal_interval=INTERVAL)
+    mon = OnlineMonitor()
     with pytest.raises(ValueError):
         mon.poll()
     with pytest.raises(ValueError):
         OnlineMonitor().attach()
 
 
-def test_thresholds_are_overridable():
-    # A silence_factor of 2 halves the time-to-silence: node 3 goes
-    # quiet at t, and the tighter threshold calls it dead in half the
-    # missed intervals the default needs.
-    cases = ((None, 3.0, 5.5),
-             (OnlineThresholds(silence_factor=2.0), 1.5, 3.0))
-    for thresholds, quiet_ivals, fired_ivals in cases:
-        mon = OnlineMonitor(thresholds=thresholds,
-                            nominal_interval=INTERVAL)
-        t = healthy_mesh(mon)
-        for a, b in ((1, 2), (2, 1), (2, 3)):  # bystanders stay alive
-            feed_link(mon, a, b, n=12, t0=t, seq0=20)
-        assert mon.poll(now=t + quiet_ivals * INTERVAL) == []
-        kinds = [f.kind for f in mon.poll(now=t + fired_ivals * INTERVAL)]
-        assert kinds == ["dead_node"], (thresholds, kinds)
+def test_dead_node_waits_out_the_silence_factor():
+    # Node 3 goes quiet at t: three missed intervals are not yet
+    # silence, five and a half are past the factor of 4 and name it.
+    mon = OnlineMonitor()
+    t = healthy_mesh(mon)
+    for a, b in ((1, 2), (2, 1), (2, 3)):  # bystanders stay alive
+        feed_link(mon, a, b, n=12, t0=t, seq0=20)
+    assert mon.poll(now=t + 3.0 * INTERVAL) == []
+    kinds = [f.kind for f in mon.poll(now=t + 5.5 * INTERVAL)]
+    assert kinds == ["dead_node"]
 
 
 # -- merge_findings -----------------------------------------------------------

@@ -4,7 +4,7 @@
 canonical JSON a seeded *passive* run emits — the zero-probe twin of
 ``tests/diag/test_golden_findings.py``.  If a future change
 legitimately alters passive output (new evidence keys, retuned
-``OnlineThresholds``), recapture deliberately with
+``repro.diag.online`` constants), recapture deliberately with
 ``PYTHONPATH=src python tests/diag/test_online_golden.py``;
 never loosen the asserts.
 """

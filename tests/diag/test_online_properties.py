@@ -166,7 +166,7 @@ def test_monitor_invariants_under_arbitrary_beacon_streams(events):
     memory stays bounded by the number of distinct directed links."""
     from repro.diag.findings import FINDING_KINDS
 
-    mon = OnlineMonitor(nominal_interval=2.0)
+    mon = OnlineMonitor()
     distinct = set()
     for origin, receiver, seq, lqi, rssi, time in events:
         mon.observe_beacon(receiver, origin, seq=seq, lqi=lqi,

@@ -102,7 +102,6 @@ def test_executor_runs_a_link_probe(chain):
     assert isinstance(outcome.value, LinkReport)
     assert outcome.value.src == 1 and outcome.value.dst == 2
     assert outcome.value.received > 0
-    assert outcome.attempts == 1
     assert testbed.monitor.counter("diag.probes") == before + 1
 
 
@@ -128,25 +127,6 @@ def test_executor_classifies_a_dead_source_as_unreachable(chain):
         assert testbed.monitor.counter("diag.probe_failures") == before + 1
     finally:
         testbed.node(3).recover()
-
-
-def test_executor_retries_inside_the_attempts_budget(chain):
-    testbed, deployment = chain
-    testbed.node(3).fail()
-    try:
-        before = testbed.monitor.counter("diag.probes")
-        outcome = ProbeExecutor(deployment, attempts=2).run(
-            LinkProbe(src=3, dst=2, rounds=2, length=16))
-        assert not outcome.ok and outcome.attempts == 2
-        assert testbed.monitor.counter("diag.probes") == before + 2
-    finally:
-        testbed.node(3).recover()
-
-
-def test_executor_rejects_a_zero_attempt_budget(chain):
-    _, deployment = chain
-    with pytest.raises(ValueError, match="attempts"):
-        ProbeExecutor(deployment, attempts=0)
 
 
 def test_run_all_preserves_probe_order(chain):

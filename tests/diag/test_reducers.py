@@ -9,7 +9,6 @@ from repro.core.results import LinkObservation, TracerouteHop, TracerouteResult
 from repro.diag import (
     ChannelReading,
     LinkReport,
-    Thresholds,
     reduce_dead_node,
     reduce_hotspot_findings,
     reduce_interference_findings,
@@ -74,26 +73,22 @@ def test_healthy_link_yields_no_finding():
     assert reduce_link_finding(_link_report()) is None
 
 
-def test_link_thresholds_are_tunable():
-    strict = Thresholds(lossy_loss=0.05)
-    finding = reduce_link_finding(_link_report(sent=10, received=9), strict)
+def test_lossy_threshold_is_inclusive():
+    # 1 of 4 rounds lost is exactly the 25% lossy threshold; 24% is not.
+    finding = reduce_link_finding(_link_report(sent=4, received=3))
     assert finding.kind == "lossy_link"
+    assert reduce_link_finding(_link_report(sent=100, received=76)) is None
 
 
 # -- dead nodes ---------------------------------------------------------------
 
 def test_dead_node_unreachable_is_near_certain():
-    finding = reduce_dead_node(6, failure="unreachable", error="no ack")
+    finding = reduce_dead_node(6, error="no ack")
     assert finding.kind == "dead_node"
     assert finding.node == 6
     assert finding.confidence == 0.95
     assert "no acknowledgment" in finding.summary
-
-
-def test_dead_node_timeout_is_weaker_evidence():
-    finding = reduce_dead_node(6, failure="timeout")
-    assert finding.confidence == 0.6
-    assert "never replied" in finding.summary
+    assert finding.evidence == {"failure": "unreachable", "error": "no ack"}
 
 
 # -- hotspots -----------------------------------------------------------------
@@ -138,13 +133,6 @@ def test_hotspot_median_baseline_when_none_given():
     assert [f.node for f in findings] == [3]  # 30 / median(10,30,10) = 3x
 
 
-def test_hotspot_min_samples_filter():
-    traces = [_trace([(2, 10.0, 0), (3, 40.0, 0)])]
-    thresholds = Thresholds(min_samples=2)
-    assert reduce_hotspot_findings(traces, thresholds,
-                                   baseline_rtt_ms=10.0) == []
-
-
 def test_no_traces_no_hotspots():
     assert reduce_hotspot_findings([]) == []
 
@@ -171,9 +159,10 @@ def test_quiet_band_yields_no_interference():
     assert reduce_interference_findings(readings) == []
 
 
-def test_interference_margin_is_tunable():
+def test_interference_margin_is_inclusive():
+    # The floor is the median, -90: 10 above it is ambient, 12 is not.
     readings = _readings([(11, -90), (12, -91), (13, -80)])
     assert reduce_interference_findings(readings) == []
-    loose = Thresholds(interference_margin=5.0)
-    findings = reduce_interference_findings(readings, loose)
+    readings = _readings([(11, -90), (12, -91), (13, -78)])
+    findings = reduce_interference_findings(readings)
     assert [f.channel for f in findings] == [13]

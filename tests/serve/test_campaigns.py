@@ -8,6 +8,7 @@ semantics — and no cell can end the server.
 """
 
 import asyncio
+import json
 import os
 import threading
 
@@ -88,6 +89,37 @@ def test_sharded_campaign_over_http():
             assert record["runs"] == 1
             local = run_campaign(LOCAL.shard(0, 2), workers=1)
             assert record["digest"] == local.digest()
+        finally:
+            await app.stop()
+
+    asyncio.run(main())
+
+
+
+def test_campaign_verdict_is_an_sse_campaign_frame():
+    """The campaign verdict goes out as ``event: campaign``, named by
+    its ``type`` like every other event, not as a bare ``message``."""
+    async def main():
+        app = make_app()
+        await app.start(auto_tick=False)
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", app.port)
+            writer.write(b"GET /events HTTP/1.1\r\nHost: t\r\n\r\n")
+            await writer.drain()
+            await reader.readuntil(b"\r\n\r\n")
+            await reader.readuntil(b"\n\n")  # the stream's comment line
+            body = dict(BODY, name="framed", grid={"nodes": [3]})
+            status, _ = await fetch_json(app.port, "/campaigns", "POST",
+                                         body)
+            assert status == 202
+            frame = await asyncio.wait_for(reader.readuntil(b"\n\n"),
+                                           timeout=60)
+            name, _, data = frame.decode().split("\n")[:3]
+            assert name == "event: campaign"
+            assert json.loads(data.removeprefix("data: ")) == {
+                "type": "campaign", "campaign": "framed", "status": "done"}
+            writer.close()
         finally:
             await app.stop()
 

@@ -261,6 +261,25 @@ def test_sse_stream_delivers_trace_health_and_finding_events():
     asyncio.run(main())
 
 
+
+def test_a_standing_finding_is_published_once():
+    """Passive evidence (``silent_s``) changes at every assessment; the
+    stream still names the broken link once, not once per assessment."""
+    fleet = build_fleet("chain:5", mode="passive", seed=7,
+                        assess_every=10.0, warm_up=10.0,
+                        publish_trace=False,
+                        fault_plan=dict(LINK_DEGRADE, specs=[
+                            dict(LINK_DEGRADE["specs"][0], at=30.0)]))
+    sub = fleet.hub.subscribe()
+    fleet.advance(80.0)
+    events = [sub.queue.get_nowait() for _ in range(sub.queue.qsize())]
+    findings = [(e["finding"]["kind"], e["finding"]["link"])
+                for e in events if e["type"] == "finding"]
+    assert findings == [("broken_link", [2, 3])]
+    standing = [e["findings"] for e in events if e["type"] == "health"]
+    assert standing[-5:] == [1] * 5
+
+
 def test_raising_advance_fails_only_that_fleet():
     """A tick that raises stops that fleet's ticker and reports it as
     ``failed``, with the error, in ``GET /`` and ``/health`` — once,
