@@ -52,18 +52,17 @@ def summarize(values: _t.Iterable[float]) -> SeriesSummary:
     )
 
 
-def packets_between(monitor: Monitor, start: float, end: float, *,
-                    exclude_kinds: _t.Sequence[str] = ("beacon",),
-                    ) -> list[PacketRecord]:
-    """Transmissions logged in a time window, minus excluded kinds.
+def packets_between(monitor: Monitor, start: float,
+                    end: float) -> list[PacketRecord]:
+    """Transmissions logged in a time window, minus the kernel's beacons.
 
     This is how the Figure 7 bench attributes packets to a command
     invocation on an otherwise idle network: everything transmitted in
-    the window except the kernel's beacons belongs to the command.
+    the window except the beacons belongs to the command.
     """
     return [
         r for r in monitor.packets
-        if start <= r.time < end and r.kind not in exclude_kinds
+        if start <= r.time < end and r.kind != "beacon"
     ]
 
 

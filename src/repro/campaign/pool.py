@@ -89,9 +89,9 @@ def resolve_start_method(name: str) -> str | None:
     return name
 
 
-def _preload(modules: tuple) -> None:
+def _preload() -> None:
     """Slot initializer: import the simulator once, before any cell."""
-    for module in modules:
+    for module in PRELOAD:
         try:
             importlib.import_module(module)
         except Exception:  # pragma: no cover - a missing optional module
@@ -122,9 +122,8 @@ def _execute_task(spec: RunSpec, timeout_s: float | None,
 class _Slot(ProcessPoolExecutor):
     """One warm worker process; the pool gives it one cell at a time."""
 
-    def __init__(self, ctx, preload: tuple):
-        super().__init__(1, mp_context=ctx, initializer=_preload,
-                         initargs=(preload,))
+    def __init__(self, ctx):
+        super().__init__(1, mp_context=ctx, initializer=_preload)
         # Start the worker now, so it imports while the pool is idle.
         self.ready = self.submit(os.getpid)
 
@@ -144,8 +143,7 @@ class WarmPool:
     shuts the workers down.
     """
 
-    def __init__(self, workers: int, mp_context: str = "auto", *,
-                 preload: _t.Sequence[str] = PRELOAD):
+    def __init__(self, workers: int, mp_context: str = "auto"):
         method = resolve_start_method(mp_context)
         if method is None:
             raise RuntimeError(
@@ -155,19 +153,17 @@ class WarmPool:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.method = method
-        self.preload = tuple(preload)
         self._ctx = multiprocessing.get_context(method)
         if method == "forkserver":
             # The forkserver imports the simulator once; every worker
             # (and every replacement after a crash) forks from that warm
             # image instead of re-importing.
-            self._ctx.set_forkserver_preload(list(self.preload))
+            self._ctx.set_forkserver_preload(list(PRELOAD))
         # One batch at a time: a batch assumes its slots start idle, so a
         # concurrent caller (the serve layer's campaign threads) waits.
         self._batch_lock = threading.Lock()
         self._closed = False
-        self._slots = [_Slot(self._ctx, self.preload)
-                       for _ in range(workers)]
+        self._slots = [_Slot(self._ctx) for _ in range(workers)]
         atexit.register(self.close)
 
     # -- lifecycle -----------------------------------------------------------
@@ -253,7 +249,7 @@ class WarmPool:
     def _replace(self, n: int) -> None:
         """Swap slot ``n`` for a fresh warm worker."""
         self._slots[n].shutdown(wait=False)
-        self._slots[n] = _Slot(self._ctx, self.preload)
+        self._slots[n] = _Slot(self._ctx)
 
 
 # -- shared pool registry ----------------------------------------------------

@@ -38,6 +38,8 @@ __all__ = ["PingService", "install_ping", "DEFAULT_ROUND_TIMEOUT"]
 DEFAULT_ROUND_TIMEOUT = 0.5
 #: Default probe payload length (the paper's examples use length=32).
 DEFAULT_LENGTH = 32
+#: Pause between one round's outcome and the next round's probe.
+ROUND_INTERVAL = 0.05
 
 
 def install_ping(node: "SensorNode") -> "PingService":
@@ -129,8 +131,7 @@ class PingService:
 
     def ping(self, target: int, *, rounds: int = 1,
              length: int = DEFAULT_LENGTH, routing_port: int = 0,
-             timeout: float = DEFAULT_ROUND_TIMEOUT,
-             interval: float = 0.05):
+             timeout: float = DEFAULT_ROUND_TIMEOUT):
         """Run the ping command; a generator to spawn as a process.
 
         Returns a :class:`PingResult`.  ``routing_port=0`` probes a
@@ -202,7 +203,7 @@ class PingService:
                     backward_path=tuple(quality[split:]),
                 ))
             if seq + 1 < rounds:
-                yield node.env.timeout(interval)
+                yield node.env.timeout(ROUND_INTERVAL)
         return result
 
     def _send_probe(self, target: int, probe: PingProbe,

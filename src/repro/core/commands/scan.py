@@ -23,12 +23,26 @@ from repro.radio.cc2420 import MAX_CHANNEL, MIN_CHANNEL
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.node import SensorNode
 
-__all__ = ["channel_scan", "DEFAULT_SAMPLES", "DEFAULT_DWELL"]
+__all__ = ["channel_scan", "scan_duration", "DEFAULT_SAMPLES",
+           "DEFAULT_DWELL", "MAX_SAMPLING_S"]
 
 #: RSSI samples taken per channel.
 DEFAULT_SAMPLES = 4
 #: Gap between samples (seconds) — long enough to straddle data frames.
 DEFAULT_DWELL = 0.01
+#: Each gap is stretched or shrunk by up to this fraction (see
+#: :func:`channel_scan`).
+DWELL_JITTER = 0.3
+#: Longest nominal sampling time (``count × samples × dwell`` seconds) a
+#: scan may ask for.  The default scan samples 0.64 s; the wire fields
+#: alone would allow simulated days of a deaf node and a waiting shell.
+MAX_SAMPLING_S = 30.0
+
+
+def scan_duration(count: int, samples: int, dwell: float) -> float:
+    """The longest a scan can sample (seconds): every gap stretched by
+    the full :data:`DWELL_JITTER`."""
+    return count * samples * dwell * (1.0 + DWELL_JITTER)
 
 
 def channel_scan(node: "SensorNode", *,
@@ -50,10 +64,13 @@ def channel_scan(node: "SensorNode", *,
                              "leaves the band")
     if samples < 1:
         raise ParameterError("need at least one sample per channel")
+    if count * samples * dwell > MAX_SAMPLING_S:
+        raise ParameterError(f"scan of {count * samples * dwell:g} s "
+                             f"exceeds {MAX_SAMPLING_S:g} s")
     original = node.radio.channel
     # Irregular sampling: a fixed dwell can alias with periodic traffic
-    # and miss it entirely; jittering each gap by ±30 % decorrelates the
-    # sampler from any packet period.
+    # and miss it entirely; jittering each gap by ±DWELL_JITTER
+    # decorrelates the sampler from any packet period.
     jitter_rng = node.rng.stream(f"scan.jitter.{node.id}")
     results: list[tuple[int, int]] = []
     try:
@@ -61,9 +78,8 @@ def channel_scan(node: "SensorNode", *,
             node.syscalls.invoke("radio_set_channel", channel)
             worst = -128
             for _ in range(samples):
-                yield node.env.timeout(
-                    dwell * float(jitter_rng.uniform(0.7, 1.3))
-                )
+                yield node.env.timeout(dwell * float(jitter_rng.uniform(
+                    1.0 - DWELL_JITTER, 1.0 + DWELL_JITTER)))
                 reading = node.syscalls.invoke("rssi_sample")
                 worst = max(worst, int(reading))  # type: ignore[arg-type]
             results.append((channel, worst))

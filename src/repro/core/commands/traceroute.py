@@ -241,8 +241,7 @@ class TracerouteService:
 
     def traceroute(self, target: int, *, rounds: int = 1, length: int = 32,
                    routing_port: int = WellKnownPorts.GEOGRAPHIC,
-                   timeout: float = DEFAULT_ROUND_TIMEOUT,
-                   linger: float | None = None):
+                   timeout: float = DEFAULT_ROUND_TIMEOUT):
         """Run the traceroute command; a generator to spawn as a process.
 
         Returns a :class:`TracerouteResult` whose hops carry both the
@@ -318,8 +317,6 @@ class TracerouteService:
                 # still sit in their random hold-back window — keep the
                 # collector open long enough for the stragglers.
                 depth = max((h.hop_index for h in result.hops), default=1)
-                grace = (depth * REPORT_JITTER_MAX + 0.3
-                         if linger is None else linger)
-                yield node.env.timeout(grace)
+                yield node.env.timeout(depth * REPORT_JITTER_MAX + 0.3)
             del self._collectors[session]
         return result

@@ -55,8 +55,6 @@ class LiteViewDeployment:
 def deploy_liteview(
     testbed: Testbed, *,
     protocol: type | None = GeographicForwarding,
-    protocol_kwargs: dict | None = None,
-    workstation_position: tuple[float, float] = (0.0, -10.0),
     controller_kwargs: dict | None = None,
     warm_up: float = 0.0,
 ) -> LiteViewDeployment:
@@ -78,13 +76,13 @@ def deploy_liteview(
     controllers: dict[int, RuntimeController] = {}
     for node in nodes:
         if protocol is not None:
-            node.install_protocol(protocol, **(protocol_kwargs or {}))
+            node.install_protocol(protocol)
         ping_services[node.id] = install_ping(node)
         traceroute_services[node.id] = install_traceroute(node)
         controllers[node.id] = install_controller(
             node, **(controller_kwargs or {})
         )
-    workstation = Workstation(testbed, position=workstation_position)
+    workstation = Workstation(testbed)
     deployment = LiteViewDeployment(
         testbed=testbed,
         workstation=workstation,

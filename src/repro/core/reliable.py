@@ -39,7 +39,8 @@ from repro.sim.events import Event
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.node import SensorNode
 
-__all__ = ["ReliableEndpoint", "CHUNK_BYTES", "MAX_CHUNKS"]
+__all__ = ["ReliableEndpoint", "CHUNK_BYTES", "MAX_CHUNKS", "ACK_TIMEOUT",
+           "BACKOFF_CAP"]
 
 _DATA_FMT = ">BHBBB"
 _DATA_HEADER = struct.calcsize(_DATA_FMT)
@@ -56,32 +57,31 @@ _FLAG_ACK_REQUEST = 0x01
 #: suppression (re-acking straggler retransmissions).
 _COMPLETED_MEMORY = 64
 
+#: Base ack deadline (seconds) of a batch, before its per-chunk airtime.
+ACK_TIMEOUT = 0.06
+#: Ceiling on the exponential ack-deadline multiplier of a stall run.
+BACKOFF_CAP = 8.0
+
 
 class ReliableEndpoint:
     """One side of the workstation↔node control channel."""
 
+    #: The control channel's port.
+    port = WellKnownPorts.CONTROL
+
     def __init__(self, node: "SensorNode",
                  on_message: _t.Callable[[int, bytes], None], *,
-                 port: int = WellKnownPorts.CONTROL,
-                 ack_timeout: float = 0.06,
                  max_attempts: int = 10,
                  initial_batch: int = 4,
                  min_batch: int = 1,
-                 max_batch: int = 8,
-                 backoff_cap: float = 8.0):
+                 max_batch: int = 8):
         if not 1 <= min_batch <= initial_batch <= max_batch <= MAX_CHUNKS:
             raise ValueError("require 1 <= min <= initial <= max <= 32")
         self.node = node
-        self.port = port
         self.on_message = on_message
-        self.ack_timeout = float(ack_timeout)
         self.max_attempts = int(max_attempts)
         self.min_batch = min_batch
         self.max_batch = max_batch
-        if backoff_cap < 1.0:
-            raise ValueError("backoff cap must be >= 1")
-        #: Ceiling on the exponential ack-deadline multiplier.
-        self.backoff_cap = float(backoff_cap)
         #: Jitter stream, created on the *first timeout* only — clean
         #: runs never touch it, so adding backoff left goldens intact.
         self._backoff_rng = None
@@ -93,7 +93,7 @@ class ReliableEndpoint:
         self._ack_waiters: dict[tuple[int, int], Event] = {}
         self._inbound: dict[tuple[int, int], dict] = {}
         self._completed: OrderedDict[tuple[int, int], int] = OrderedDict()
-        node.stack.ports.subscribe(port, self._on_packet,
+        node.stack.ports.subscribe(self.port, self._on_packet,
                                    name=f"reliable-{node.id}")
 
     # -- sending ------------------------------------------------------------
@@ -112,7 +112,7 @@ class ReliableEndpoint:
         within the budget, never an infinite wait.
 
         Retries back off: each attempt without progress doubles the ack
-        deadline (capped at ``backoff_cap`` times the base) and adds up
+        deadline (capped at :data:`BACKOFF_CAP` times the base) and adds up
         to 25% jitter so synchronised senders desynchronise.  The first
         attempt's deadline is exactly the historical one, and the jitter
         stream is only created after a timeout, so loss-free runs are
@@ -159,9 +159,9 @@ class ReliableEndpoint:
                 node.monitor.count("reliable.data_sent")
             waiter = Event(node.env)
             self._ack_waiters[(dest, xfer)] = waiter
-            deadline = self.ack_timeout + 0.003 * len(batch)
+            deadline = ACK_TIMEOUT + 0.003 * len(batch)
             if stalls:
-                deadline *= min(2.0 ** stalls, self.backoff_cap)
+                deadline *= min(2.0 ** stalls, BACKOFF_CAP)
                 deadline *= 1.0 + 0.25 * float(self._jitter_rng().random())
                 # Batch shrinkage and capped jitter could otherwise dip
                 # below an earlier deadline; the clamp guarantees a

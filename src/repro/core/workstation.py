@@ -52,14 +52,14 @@ class Reply:
 class Workstation:
     """Base-station mote plus request/reply bookkeeping."""
 
-    def __init__(self, testbed: "Testbed",
-                 position: tuple[float, float] = (0.0, -10.0),
-                 name: str = "workstation"):
+    def __init__(self, testbed: "Testbed"):
         self.testbed = testbed
         # The base station listens but never beacons: it is a management
-        # device, not a router, and must not attract forwarded traffic.
+        # device, not a router or a fleet member, and must not attract
+        # forwarded traffic.  It stands off the origin until the first
+        # attach_near.
         self.node: "SensorNode" = testbed.add_node(
-            name, position, neighbor_kwargs={"beaconing": False},
+            "workstation", (0.0, -10.0), neighbor_kwargs={"beaconing": False},
         )
         self.endpoint = ReliableEndpoint(self.node, self._on_message)
         self._request_id = 0

@@ -548,7 +548,10 @@ class OnlineMonitor:
     read-only per-beacon tap on the testbed's shared monitor, and
     :meth:`poll` reduces the accumulated per-link state to canonical
     :class:`~repro.diag.findings.Finding`s — the passive counterpart of
-    ``DiagnosisEngine.run``, with ``probes_run == 0`` always.
+    ``DiagnosisEngine.run``, with ``probes_run == 0`` always.  The tap
+    hears the beacons fleet members receive: the workstation neither
+    beacons nor feeds the taps, so the user's own laptop walk never
+    reads as a link fault.
 
     ``testbed=None`` builds a detached monitor for synthetic-series
     tests: feed :meth:`observe_beacon` directly and :meth:`poll` with an
@@ -557,10 +560,8 @@ class OnlineMonitor:
     Memory is O(tracked links), each link O(1) (fixed ring buffers).
     """
 
-    def __init__(self, testbed: "Testbed | None" = None, *,
-                 exclude: _t.Collection[int] = ()):
+    def __init__(self, testbed: "Testbed | None" = None):
         self.testbed = testbed
-        self.exclude = frozenset(int(n) for n in exclude)
         self._monitor = testbed.monitor if testbed is not None else None
         self._links: dict[tuple[int, int], _LinkState] = {}
         self._attached = False
@@ -635,8 +636,6 @@ class OnlineMonitor:
 
     def _tap(self, receiver: int, origin: int, seq: int,
              arrival: "FrameArrival") -> None:
-        if receiver in self.exclude or origin in self.exclude:
-            return
         self.observe_beacon(receiver, origin, seq=seq,
                             lqi=float(arrival.lqi), rssi=float(arrival.rssi),
                             channel=arrival.channel, now=arrival.time)

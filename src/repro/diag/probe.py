@@ -28,6 +28,7 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass
 
+from repro.core.commands.scan import scan_duration
 from repro.core.serialize import (
     decode_neighbor_views,
     decode_ping_result,
@@ -69,8 +70,9 @@ def traceroute_window(rounds: int) -> float:
 
 
 def scan_window(count: int, samples: int, dwell_ms: int) -> float:
-    """Response window for a channel scan (sampling time + margin)."""
-    return count * samples * dwell_ms / 1000.0 + 2.5
+    """Response window for a channel scan (worst-case sampling time +
+    margin)."""
+    return scan_duration(count, samples, dwell_ms / 1000.0) + 2.5
 
 
 @dataclass(frozen=True)

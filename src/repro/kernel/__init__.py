@@ -1,7 +1,7 @@
 """LiteOS kernel model: nodes, testbeds, and kernel services."""
 
 from repro.kernel.eventlog import EventLog, KernelEvent
-from repro.kernel.filesystem import DEFAULT_MOUNT, Namespace
+from repro.kernel.filesystem import Namespace
 from repro.kernel.memory import (
     FLASH_BUDGET_BYTES,
     PAPER_FOOTPRINTS,
@@ -25,7 +25,6 @@ __all__ = [
     "KernelEvent",
     "SensorNode",
     "Namespace",
-    "DEFAULT_MOUNT",
     "NeighborTable",
     "NeighborEntry",
     "DEFAULT_BEACON_INTERVAL",

@@ -10,19 +10,16 @@ from __future__ import annotations
 
 from repro.errors import NoSuchNode
 
-__all__ = ["Namespace", "DEFAULT_MOUNT"]
-
-#: The sensor-network mount point the paper's sessions show.
-DEFAULT_MOUNT = "/sn01"
+__all__ = ["Namespace"]
 
 
 class Namespace:
     """Bidirectional node-id ↔ node-name directory plus path rendering."""
 
-    def __init__(self, mount: str = DEFAULT_MOUNT):
-        if not mount.startswith("/") or mount.endswith("/"):
-            raise ValueError(f"mount must look like '/sn01', got {mount!r}")
-        self.mount = mount
+    #: The sensor-network mount point the paper's sessions show.
+    mount = "/sn01"
+
+    def __init__(self):
         self._by_name: dict[str, int] = {}
         self._by_id: dict[int, str] = {}
 

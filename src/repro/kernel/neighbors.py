@@ -28,6 +28,10 @@ __all__ = ["NeighborEntry", "NeighborTable", "DEFAULT_BEACON_INTERVAL"]
 
 #: Default beacon period (seconds); the `update` command retunes it.
 DEFAULT_BEACON_INTERVAL = 2.0
+#: A neighbor silent for this many beacon periods leaves the table.
+LIFETIME_FACTOR = 3.5
+#: Weight of the newest beacon in the LQI/RSSI moving averages.
+EWMA_ALPHA = 0.3
 
 _BEACON_FMT = ">ffB"  # x, y, name length; name bytes follow
 _BEACON_HEADER_BYTES = struct.calcsize(_BEACON_FMT)
@@ -78,19 +82,12 @@ class NeighborTable:
 
     def __init__(self, node: "SensorNode", *,
                  capacity: int = 16,
-                 beacon_interval: float = DEFAULT_BEACON_INTERVAL,
-                 lifetime_factor: float = 3.5,
-                 ewma_alpha: float = 0.3,
                  beaconing: bool = True):
         if capacity < 1:
             raise ValueError("neighbor table capacity must be >= 1")
-        if not 0 < ewma_alpha <= 1:
-            raise ValueError("EWMA alpha must be in (0, 1]")
         self.node = node
         self.capacity = capacity
-        self.lifetime_factor = float(lifetime_factor)
-        self.ewma_alpha = float(ewma_alpha)
-        self._beacon_interval = float(beacon_interval)
+        self._beacon_interval = DEFAULT_BEACON_INTERVAL
         self._entries: dict[int, NeighborEntry] = {}
         self._blacklist: set[int] = set()
         self._seq = 0
@@ -101,9 +98,10 @@ class NeighborTable:
         node.stack.ports.subscribe(
             WellKnownPorts.NEIGHBOR, self._on_beacon, name="neighbor-beacons"
         )
-        #: A non-beaconing node (e.g. the management workstation) hears
-        #: its neighborhood but never advertises itself, so routing
-        #: protocols on other nodes cannot pick it as a next hop.
+        #: A non-beaconing node (the management workstation) hears its
+        #: neighborhood but never advertises itself, so routing protocols
+        #: on other nodes cannot pick it as a next hop.  It is not a fleet
+        #: member either: the beacon taps never hear what it receives.
         self.beaconing = beaconing
         self._beacon_process = None
         if beaconing:
@@ -129,7 +127,7 @@ class NeighborTable:
     @property
     def entry_lifetime(self) -> float:
         """How long a silent neighbor stays in the table."""
-        return self.lifetime_factor * self._beacon_interval
+        return LIFETIME_FACTOR * self._beacon_interval
 
     # -- table access ---------------------------------------------------------
 
@@ -258,7 +256,7 @@ class NeighborTable:
         c.value += 1
         self._update(packet.origin, name, (x, y), packet.seq, arrival)
         taps = monitor.beacon_taps
-        if taps:
+        if taps and self.beaconing:
             for tap in taps:
                 tap(self.node.id, packet.origin, packet.seq, arrival)
 
@@ -280,7 +278,7 @@ class NeighborTable:
             )
             self._entries[node_id] = entry
             return
-        alpha = self.ewma_alpha
+        alpha = EWMA_ALPHA
         entry.name = name
         entry.position = position
         entry.lqi = (1 - alpha) * entry.lqi + alpha * arrival.lqi

@@ -48,19 +48,24 @@ ROUTING_OVERHEAD_BYTES = 2
 
 
 class RoutingProtocol(abc.ABC):
-    """Base class wiring a protocol into a node's stack and neighbor table."""
+    """Base class wiring a protocol into a node's stack and neighbor table.
 
+    Each protocol listens on the one port its class names, under the
+    name traceroute prints.
+    """
+
+    #: The protocol's port.
+    port: _t.ClassVar[int]
+    #: The protocol's name ("Name of protocol" in traceroute output).
+    name: _t.ClassVar[str]
     #: Monitor label for frames this protocol originates on its own behalf.
     protocol_kind = "routing"
 
-    def __init__(self, node: "SensorNode", port: int,
-                 name: str | None = None):
+    def __init__(self, node: "SensorNode"):
         self.node = node
-        self.port = port
-        self.name = name or type(self).__name__
         self._seq = 0
         self._subscription = node.stack.ports.subscribe(
-            port, self._on_packet, name=self.name
+            self.port, self._on_packet, name=self.name
         )
 
     # -- public API -----------------------------------------------------------

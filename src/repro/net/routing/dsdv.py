@@ -40,6 +40,15 @@ MAX_ENTRIES_PER_ADVERT = (64 - 2) // _ENTRY_BYTES
 #: Metric value meaning "unreachable".
 INFINITE_METRIC = 255
 
+#: Seconds between table adverts (each jittered by ±10%).
+ADVERT_INTERVAL = 5.0
+#: A route not refreshed for this long is dropped (3.5 advert rounds).
+ROUTE_LIFETIME = 3.5 * ADVERT_INTERVAL
+#: Adverts heard below this LQI are ignored: learning a route over a
+#: fringe link trades one hop of metric for heavy silent loss (hop-count
+#: metrics famously prefer long bad links otherwise).
+MIN_LQI = 90.0
+
 
 @dataclass
 class Route:
@@ -55,22 +64,12 @@ class Route:
 class DsdvRouting(RoutingProtocol):
     """Proactive distance-vector routing on port 11."""
 
+    port = WellKnownPorts.DSDV
+    name = "dsdv"
     protocol_kind = "dsdv"
 
-    def __init__(self, node, port: int = WellKnownPorts.DSDV,
-                 name: str = "dsdv",
-                 advert_interval: float = 5.0,
-                 route_lifetime_factor: float = 3.5,
-                 min_lqi: float = 90.0):
-        super().__init__(node, port, name)
-        if advert_interval <= 0:
-            raise ValueError("advert interval must be positive")
-        self.advert_interval = float(advert_interval)
-        #: Adverts heard below this LQI are ignored: learning a route over
-        #: a fringe link trades one hop of metric for heavy silent loss
-        #: (hop-count metrics famously prefer long bad links otherwise).
-        self.min_lqi = float(min_lqi)
-        self.route_lifetime = route_lifetime_factor * self.advert_interval
+    def __init__(self, node):
+        super().__init__(node)
         self._table: dict[int, Route] = {}
         self._own_seq = 0
         self._jitter_rng = node.rng.stream(f"dsdv.jitter.{node.id}")
@@ -99,7 +98,7 @@ class DsdvRouting(RoutingProtocol):
         direct = None
         for entry in self.node.neighbors.usable():
             if entry.node_id == dest:
-                if entry.lqi >= self.min_lqi:
+                if entry.lqi >= MIN_LQI:
                     return dest  # a good direct link always wins
                 direct = dest   # fringe direct link: fallback only
         route = self.route_to(dest)
@@ -115,14 +114,12 @@ class DsdvRouting(RoutingProtocol):
         try:
             # Desynchronise nodes so adverts do not all collide forever.
             yield self.node.env.timeout(
-                float(self._jitter_rng.uniform(0.0, self.advert_interval))
+                float(self._jitter_rng.uniform(0.0, ADVERT_INTERVAL))
             )
             while True:
                 self._broadcast_table()
                 jitter = float(self._jitter_rng.uniform(-0.1, 0.1))
-                yield self.node.env.timeout(
-                    self.advert_interval * (1 + jitter)
-                )
+                yield self.node.env.timeout(ADVERT_INTERVAL * (1 + jitter))
         except ProcessInterrupt:
             return  # protocol stopped
 
@@ -152,7 +149,7 @@ class DsdvRouting(RoutingProtocol):
         if msg_type != MSG_ADVERT or arrival is None:
             self.node.monitor.count("routing.unknown_control")
             return
-        if arrival.lqi < self.min_lqi:
+        if arrival.lqi < MIN_LQI:
             self.node.monitor.count("dsdv.fringe_adverts_ignored")
             return
         neighbor = arrival.sender
@@ -187,7 +184,7 @@ class DsdvRouting(RoutingProtocol):
     def _expire(self) -> None:
         now = self.node.env.now
         stale = [d for d, r in self._table.items()
-                 if now - r.updated_at > self.route_lifetime]
+                 if now - r.updated_at > ROUTE_LIFETIME]
         for dest in stale:
             del self._table[dest]
             self.node.monitor.count("dsdv.routes_expired")

@@ -26,24 +26,24 @@ __all__ = ["FloodingProtocol"]
 #: Default hop budget for floods (chains in the paper's testbed are 8 hops).
 DEFAULT_FLOOD_TTL = 10
 
+#: (origin, seq) pairs the duplicate filter remembers.
+DEDUP_CAPACITY = 64
+#: Max random delay (seconds) before rebroadcasting.  Without it every
+#: node that heard a packet rebroadcasts within one CSMA backoff window
+#: and the flood's second generation collides with itself.
+FORWARD_JITTER = 0.02
+
 
 class FloodingProtocol(RoutingProtocol):
     """Dedup-controlled flooding on port 12."""
 
+    port = WellKnownPorts.FLOODING
+    name = "flooding"
     protocol_kind = "flood"
 
-    def __init__(self, node, port: int = WellKnownPorts.FLOODING,
-                 name: str = "flooding", dedup_capacity: int = 64,
-                 forward_jitter: float = 0.02):
-        super().__init__(node, port, name)
-        if dedup_capacity < 1:
-            raise ValueError("dedup capacity must be >= 1")
+    def __init__(self, node):
+        super().__init__(node)
         self._seen: OrderedDict[tuple[int, int], None] = OrderedDict()
-        self._dedup_capacity = dedup_capacity
-        #: Max random delay before rebroadcasting.  Without it every node
-        #: that heard a packet rebroadcasts within one CSMA backoff window
-        #: and the flood's second generation collides with itself.
-        self.forward_jitter = float(forward_jitter)
         self._jitter_rng = node.rng.stream(f"flood.jitter.{node.id}")
 
     def send(self, dest: int, inner_port: int, payload: bytes = b"", *,
@@ -62,7 +62,7 @@ class FloodingProtocol(RoutingProtocol):
             self._seen.move_to_end(key)
             return True
         self._seen[key] = None
-        if len(self._seen) > self._dedup_capacity:
+        if len(self._seen) > DEDUP_CAPACITY:
             self._seen.popitem(last=False)
         return False
 
@@ -98,7 +98,7 @@ class FloodingProtocol(RoutingProtocol):
         # origin's first transmission goes out immediately (via send());
         # rebroadcasts at intermediate hops are jittered to desynchronise
         # the flood generations.
-        if arrival is None or self.forward_jitter <= 0:
+        if arrival is None:
             self._forward(packet, kind=self.protocol_kind)
         else:
             self.node.env.process(
@@ -108,7 +108,7 @@ class FloodingProtocol(RoutingProtocol):
 
     def _jittered_forward(self, packet: Packet):
         yield self.node.env.timeout(
-            float(self._jitter_rng.uniform(0.0, self.forward_jitter))
+            float(self._jitter_rng.uniform(0.0, FORWARD_JITTER))
         )
         self._forward(packet, kind=self.protocol_kind)
 

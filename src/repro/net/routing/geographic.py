@@ -33,12 +33,12 @@ class GeographicForwarding(RoutingProtocol):
     eligible as a last hop, whatever its quality — there is no alternative.
     """
 
+    port = WellKnownPorts.GEOGRAPHIC
+    name = "geographic forwarding"
     protocol_kind = "geographic"
 
-    def __init__(self, node, port: int = WellKnownPorts.GEOGRAPHIC,
-                 name: str = "geographic forwarding",
-                 min_lqi: float = 90.0):
-        super().__init__(node, port, name)
+    def __init__(self, node, min_lqi: float = 90.0):
+        super().__init__(node)
         self.min_lqi = float(min_lqi)
 
     def next_hop(self, packet: Packet) -> int | None:

@@ -30,8 +30,13 @@ from repro.radio.medium import FrameArrival
 
 __all__ = ["TreeRouting", "TREE_PORT", "MSG_COST_ADVERT"]
 
-#: Default port for the collection tree.
+#: The collection tree's port.
 TREE_PORT = 13
+
+#: Seconds between cost adverts (each jittered by ±10%).
+ADVERT_INTERVAL = 5.0
+#: A parent not heard for this long is dropped (3.5 advert rounds).
+PARENT_LIFETIME = 3.5 * ADVERT_INTERVAL
 
 MSG_COST_ADVERT = 0x20
 
@@ -58,19 +63,14 @@ class ParentLink:
 class TreeRouting(RoutingProtocol):
     """ETX collection tree on port 13."""
 
+    port = TREE_PORT
+    name = "tree"
     protocol_kind = "tree"
 
-    def __init__(self, node, port: int = TREE_PORT, name: str = "tree",
-                 root: int | None = None,
-                 advert_interval: float = 5.0,
-                 parent_lifetime_factor: float = 3.5):
-        super().__init__(node, port, name)
-        if advert_interval <= 0:
-            raise ValueError("advert interval must be positive")
+    def __init__(self, node, root: int | None = None):
+        super().__init__(node)
         #: The sink this tree collects toward.
         self.root = node.id if root is None else int(root)
-        self.advert_interval = float(advert_interval)
-        self.parent_lifetime = parent_lifetime_factor * advert_interval
         self._parent: ParentLink | None = None
         self._jitter_rng = node.rng.stream(f"tree.jitter.{node.id}")
         self._advert_process = node.env.process(
@@ -113,14 +113,12 @@ class TreeRouting(RoutingProtocol):
     def _advert_loop(self):
         try:
             yield self.node.env.timeout(
-                float(self._jitter_rng.uniform(0.0, self.advert_interval))
+                float(self._jitter_rng.uniform(0.0, ADVERT_INTERVAL))
             )
             while True:
                 self._broadcast_cost()
                 jitter = float(self._jitter_rng.uniform(-0.1, 0.1))
-                yield self.node.env.timeout(
-                    self.advert_interval * (1 + jitter)
-                )
+                yield self.node.env.timeout(ADVERT_INTERVAL * (1 + jitter))
         except ProcessInterrupt:
             return
 
@@ -179,7 +177,7 @@ class TreeRouting(RoutingProtocol):
     def _expire(self) -> None:
         if (self._parent is not None
                 and self.node.env.now - self._parent.updated_at
-                > self.parent_lifetime):
+                > PARENT_LIFETIME):
             self._parent = None
             self.node.monitor.count("tree.parent_expired")
 

@@ -59,19 +59,23 @@ def packet_reception_ratio(sinr_db: float | np.ndarray,
     return float(prr) if np.isscalar(sinr_db) else prr
 
 
-def snr_db_for_prr(target_prr: float, frame_bytes: int,
-                   lo_db: float = -10.0, hi_db: float = 20.0) -> float:
+#: The SNR range (dB) :func:`snr_db_for_prr` bisects: from far below
+#: the curve's foot to well above its knee.
+SNR_SEARCH_DB = (-10.0, 20.0)
+
+
+def snr_db_for_prr(target_prr: float, frame_bytes: int) -> float:
     """Invert the PRR curve: the SNR at which PRR reaches ``target_prr``.
 
-    Bisection over the monotone PRR curve; used by topology planning to
-    place nodes at a desired link quality (e.g. "build an 8-hop chain of
-    ~95 % links").
+    Bisection over the monotone PRR curve within :data:`SNR_SEARCH_DB`;
+    used by topology planning to place nodes at a desired link quality
+    (e.g. "build an 8-hop chain of ~95 % links").
     """
     if not 0.0 < target_prr < 1.0:
         raise ValueError(f"target PRR must be in (0, 1), got {target_prr}")
-    lo, hi = float(lo_db), float(hi_db)
+    lo, hi = SNR_SEARCH_DB
     if packet_reception_ratio(hi, frame_bytes) < target_prr:
-        raise ValueError("target PRR unreachable below hi_db")
+        raise ValueError(f"target PRR unreachable below {hi:g} dB")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if packet_reception_ratio(mid, frame_bytes) < target_prr:

@@ -49,6 +49,7 @@ and every endpoint carry on.
 from __future__ import annotations
 
 import asyncio
+import math
 import typing as _t
 
 from repro.errors import PlanError
@@ -81,7 +82,12 @@ class ServeApp:
                  tick_s: float = 0.25, step_s: float = 1.0,
                  hub: EventHub | None = None):
         #: Wall-clock pause between ticks and simulated seconds per tick.
-        self.tick_s = tick_s
+        #: A pause of 0 ticks as fast as the loop allows; NaN would never
+        #: pause and infinity would never tick again.
+        self.tick_s = float(tick_s)
+        if not (math.isfinite(self.tick_s) and self.tick_s >= 0):
+            raise ValueError(f"tick_s must be a finite number of seconds "
+                             f"of at least 0, got {self.tick_s:g}")
         self.step_s = positive_seconds("step_s", step_s)
         self.fleets: dict[str, FleetSupervisor] = {}
         self.hub = hub if hub is not None else EventHub()
@@ -367,14 +373,20 @@ class ServeApp:
         "retries"?}``.  It passes the checks every campaign caller gets
         before anything launches; any failure is a 400 here, not a
         failure in every cell later.
+
+        ``workers`` is clamped to :func:`~repro.campaign.default_workers`
+        (the usable CPUs, or ``REPRO_WORKERS``): the warm pool is shared
+        and lives as long as the server, so one request must not grow it
+        past the host.  The status record reports the clamped count.
         """
-        from repro.campaign import CampaignRequest
+        from repro.campaign import CampaignRequest, default_workers
 
         try:
             body = decode(CampaignRequest, request.json(), "campaign")
             target, workers, timeout_s, retries = body.checked()
         except ValueError as exc:
             raise HttpError(400, f"invalid campaign: {exc}") from exc
+        workers = min(workers, default_workers())
         name = target.name
         running = self.campaigns.get(name)
         if running is not None and running["status"] == "running":

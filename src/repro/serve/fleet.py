@@ -56,10 +56,8 @@ def positive_seconds(name: str, value: float) -> float:
 class FleetSupervisor:
     """One live fleet: deployment + cadence + health + event publishing."""
 
-    def __init__(self, name: str, deployment, *,
+    def __init__(self, name: str, deployment, assessor: HealthAssessor, *,
                  assess_every: float = 30.0,
-                 assessor: HealthAssessor | None = None,
-                 hub: EventHub | None = None,
                  publish_trace: bool = True):
         self.assess_every = positive_seconds("assess_every", assess_every)
         self.name = name
@@ -67,8 +65,10 @@ class FleetSupervisor:
         self.testbed: "Testbed" = deployment.testbed
         self.env = self.testbed.env
         self.monitor = self.testbed.monitor
-        self.hub = hub if hub is not None else EventHub()
-        self.assessor = assessor or HealthAssessor(deployment)
+        #: Where events go; a :class:`~repro.serve.app.ServeApp` swaps in
+        #: its shared hub.
+        self.hub = EventHub()
+        self.assessor = assessor
         self._next_assess = self.env.now + self.assess_every
         #: The cumulative advance horizon.  Assessments overshoot sim
         #: time (probe traffic runs to completion), so targets must be
@@ -103,7 +103,7 @@ class FleetSupervisor:
             "ticks": self.ticks,
             "assess_every": self.assess_every,
             "assessments": self.assessor.assessments,
-            "mode": getattr(self.assessor, "mode", "active"),
+            "mode": self.assessor.mode,
             "status": str(self.health_payload.get("status", "pending")),
             "injected_plans": len(self.injected_plans),
             "error": self.error,
@@ -247,8 +247,6 @@ def build_fleet(spec: str = "field", *, seed: int = 3,
                 warm_up: float = 15.0,
                 rounds: int = 3,
                 links: _t.Iterable[tuple[int, int]] | None = None,
-                max_links: int | None = MAX_WATCHLIST,
-                hub: EventHub | None = None,
                 publish_trace: bool = True,
                 fault_plan: "FaultPlan | str | None" = None,
                 mode: str = "active",
@@ -262,10 +260,9 @@ def build_fleet(spec: str = "field", *, seed: int = 3,
     pre-injures the world at construction (the chaos-demo path); live
     injuries arrive later via ``POST /fleets/<name>/faults``.
 
-    ``max_links`` clamps the auto-generated ``/health`` watchlist (an
-    even-stride subsample; default :data:`~repro.serve.health.MAX_WATCHLIST`,
-    which leaves the paper-scale fleets unclamped) — pass ``None`` to
-    probe every nearest-neighbor link even on a city-scale fleet.
+    The auto-generated ``/health`` watchlist is clamped to
+    :data:`~repro.serve.health.MAX_WATCHLIST` links (an even-stride
+    subsample, which leaves the paper-scale fleets unclamped).
 
     ``mode`` selects how assessments gather evidence
     (:data:`~repro.serve.health.ASSESSMENT_MODES`): ``passive``
@@ -278,11 +275,10 @@ def build_fleet(spec: str = "field", *, seed: int = 3,
     testbed = testbed_from_spec(spec, seed=seed)
     deployment = deploy_liteview(testbed, warm_up=warm_up)
     assessor = HealthAssessor(deployment, links=links, rounds=rounds,
-                              max_links=max_links, mode=mode)
+                              max_links=MAX_WATCHLIST, mode=mode)
     supervisor = FleetSupervisor(
-        name=name or spec.replace(":", ""), deployment=deployment,
-        assess_every=assess_every, assessor=assessor, hub=hub,
-        publish_trace=publish_trace,
+        name or spec.replace(":", ""), deployment, assessor,
+        assess_every=assess_every, publish_trace=publish_trace,
     )
     if fault_plan is not None:
         supervisor.queue_fault_plan(fault_plan)

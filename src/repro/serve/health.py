@@ -12,6 +12,10 @@ The watchlist defaults to the fleet's nearest-neighbor link graph
 (:func:`nearest_neighbor_links`): every node appears in at least one
 probed link, the link count stays O(N), and an injected fault on any
 such link turns its light within one assessment period.
+
+The fleet is the nodes that beacon.  The management workstation rides
+in the testbed but never beacons, so it is never watched, probed or
+heard by the passive detectors.
 """
 
 from __future__ import annotations
@@ -47,26 +51,28 @@ ASSESSMENT_MODES = ("active", "passive", "hybrid")
 MAX_WATCHLIST = 128
 
 
-def nearest_neighbor_links(testbed: "Testbed", *,
-                           exclude: _t.Collection[int] = (),
+def fleet_members(testbed: "Testbed") -> list:
+    """The testbed's nodes that beacon, by id: every node but the
+    management workstation."""
+    return [node for node in testbed.nodes() if node.neighbors.beaconing]
+
+
+def nearest_neighbor_links(testbed: "Testbed"
                            ) -> tuple[tuple[int, int], ...]:
-    """Each node's link to its nearest other node, deduplicated.
+    """Each fleet member's link to its nearest other member, deduplicated.
 
     The cheapest watchlist that still covers the whole fleet: O(N)
     directed pairs (lower id first), deterministic for a fixed
     topology, and every node is an endpoint of at least one probed
     link — so a dead node or a broken adjacent link is always visible
-    to the assessor.  ``exclude`` drops management devices (the
-    workstation) that sit in the testbed but are not fleet members.
+    to the assessor.
 
     Vectorized: one pairwise distance matrix and an ``argmin`` per row,
     so the 1k-node city watchlist builds in milliseconds.  Ties go to
     the lowest node id (``argmin`` returns the first minimum and rows
     are id-sorted), matching the scalar loop this replaced.
     """
-    excluded = set(exclude)
-    nodes = sorted((n for n in testbed.nodes() if n.id not in excluded),
-                   key=lambda n: n.id)
+    nodes = fleet_members(testbed)
     if len(nodes) < 2:
         return ()
     ids = [n.id for n in nodes]
@@ -85,7 +91,7 @@ def nearest_neighbor_links(testbed: "Testbed", *,
 class HealthAssessor:
     """Runs one probe plan repeatedly and keeps the latest verdict.
 
-    ``links``/``scans``/``rounds`` define the recurring plan;
+    ``links``/``rounds`` define the recurring plan;
     :meth:`assess` executes it (advancing the simulation by the probe
     traffic's own duration — assessment is *part of* the simulated
     world, which is what keeps served runs reproducible), and
@@ -103,7 +109,6 @@ class HealthAssessor:
 
     def __init__(self, deployment, *,
                  links: _t.Iterable[tuple[int, int]] | None = None,
-                 scans: _t.Iterable[int] = (),
                  rounds: int = 3,
                  max_links: int | None = None,
                  mode: str = "active"):
@@ -113,15 +118,8 @@ class HealthAssessor:
         self.mode = mode
         self.deployment = deployment
         self.testbed = deployment.testbed
-        # The workstation is a management device riding in the testbed,
-        # not a fleet member: it never routes or answers probes, so it
-        # must stay off the watchlist.
-        workstation = getattr(deployment, "workstation", None)
-        self._excluded = (
-            {workstation.node.id} if workstation is not None else set())
         if links is None:
-            links = nearest_neighbor_links(self.testbed,
-                                           exclude=self._excluded)
+            links = nearest_neighbor_links(self.testbed)
         links = tuple(links)
         if max_links is not None and 0 < max_links < len(links):
             # Deterministic even-stride subsample of the sorted list:
@@ -129,13 +127,11 @@ class HealthAssessor:
             # of collapsing onto the lowest-id corner of the fleet.
             step = len(links) / max_links
             links = tuple(links[int(i * step)] for i in range(max_links))
-        self.plan = ProbePlan(links=links, scans=tuple(scans),
-                              rounds=rounds)
+        self.plan = ProbePlan(links=links, rounds=rounds)
         self.engine = DiagnosisEngine(deployment)
         self.online: OnlineMonitor | None = None
         if mode != "active":
-            self.online = OnlineMonitor(
-                self.testbed, exclude=self._excluded).attach()
+            self.online = OnlineMonitor(self.testbed).attach()
         self.last_report: "DiagnosisReport | None" = None
         self.last_assessed_at: float | None = None
         self.assessments = 0
@@ -146,8 +142,7 @@ class HealthAssessor:
 
     @property
     def watched_nodes(self) -> tuple[int, ...]:
-        return tuple(node.id for node in self.testbed.nodes()
-                     if node.id not in self._excluded)
+        return tuple(node.id for node in fleet_members(self.testbed))
 
     def assess(self) -> "DiagnosisReport":
         """Run one assessment now; returns (and stores) the report.

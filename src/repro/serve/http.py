@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import typing as _t
 from dataclasses import dataclass, field
 from urllib.parse import parse_qs, unquote, urlsplit
 
@@ -125,8 +124,7 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
     )
 
 
-def response(status: int, body: bytes, content_type: str,
-             extra_headers: _t.Mapping[str, str] | None = None) -> bytes:
+def response(status: int, body: bytes, content_type: str) -> bytes:
     """A complete one-shot HTTP/1.1 response (``Connection: close``)."""
     reason = _REASONS.get(status, "Unknown")
     headers = [
@@ -135,8 +133,6 @@ def response(status: int, body: bytes, content_type: str,
         f"Content-Length: {len(body)}",
         "Connection: close",
     ]
-    for name, value in (extra_headers or {}).items():
-        headers.append(f"{name}: {value}")
     return ("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + body
 
 

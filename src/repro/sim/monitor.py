@@ -57,9 +57,10 @@ class Monitor:
         self._histogram_memo: dict[str, Histogram] = {}
         #: Read-only per-beacon listeners (``repro.diag.online``), called
         #: as ``tap(receiver_id, origin_id, seq, arrival)`` on every
-        #: decoded beacon reception.  A tuple so the disabled check in
-        #: the kernel hot path is one attribute read + truth test, and
-        #: so iteration never races a registration.
+        #: decoded beacon reception at a beaconing node (a fleet member;
+        #: the workstation does not beacon).  A tuple so the disabled
+        #: check in the kernel hot path is one attribute read + truth
+        #: test, and so iteration never races a registration.
         self.beacon_taps: tuple = ()
 
     # -- beacon taps -----------------------------------------------------------

@@ -96,13 +96,13 @@ def random_disk_positions(n_nodes: int, radius: float,
 def city_positions(districts_x: int, districts_y: int, per_district: int,
                    *, pitch: float = 1500.0,
                    spacing: float = 45.0,
-                   jitter: float | None = None,
                    rng: RngRegistry | None = None
                    ) -> list[tuple[float, float]]:
     """A city-scale deployment: dense districts, sparse bridges.
 
     ``districts_x × districts_y`` clustered districts of ``per_district``
-    nodes each (jittered sub-grids at ``spacing``), their origins
+    nodes each (sub-grids at ``spacing``, each position jittered by up to
+    15% of ``spacing`` from ``rng``), their origins
     ``pitch`` metres apart — far enough that, under the realistic
     propagation model, no node in one district can hear any node in the
     next.  A relay node sits at the midpoint of every adjacent district
@@ -115,8 +115,7 @@ def city_positions(districts_x: int, districts_y: int, per_district: int,
         raise ValueError("city needs positive district dimensions")
     if per_district < 1:
         raise ValueError("districts need at least one node")
-    if jitter is None:
-        jitter = spacing * 0.15
+    jitter = spacing * 0.15
     if jitter and rng is None:
         raise ValueError("jitter needs an RngRegistry")
     stream = rng.stream("topology.city") if rng else None
@@ -160,68 +159,58 @@ def city_positions(districts_x: int, districts_y: int, per_district: int,
     return positions
 
 
-def ip_names(count: int, subnet: str = "192.168.0") -> list[str]:
-    """IP-convention node names, as in the paper's testbed.
+def ip_names(count: int) -> list[str]:
+    """IP-convention node names in ``192.168.0``, as in the paper's testbed.
 
-    Past 254 hosts the subnet's last octet rolls over (``192.168.0.254``
+    Past 254 hosts the subnet's third octet rolls over (``192.168.0.254``
     is followed by ``192.168.1.1``), keeping the names IP-plausible for
     the 1k-node city tier.
     """
-    if count <= 254 or "." not in subnet:
-        return [f"{subnet}.{i + 1}" for i in range(count)]
-    head, _, base = subnet.rpartition(".")
-    start = int(base)
-    return [
-        f"{head}.{start + i // 254}.{i % 254 + 1}" for i in range(count)
-    ]
+    return [f"192.168.{i // 254}.{i % 254 + 1}" for i in range(count)]
 
 
-def _populate(testbed: Testbed, positions: _t.Sequence[tuple[float, float]],
-              **node_kwargs: object) -> Testbed:
+def _populate(testbed: Testbed,
+              positions: _t.Sequence[tuple[float, float]]) -> Testbed:
     for name, pos in zip(ip_names(len(positions)), positions):
-        testbed.add_node(name, pos, **node_kwargs)  # type: ignore[arg-type]
+        testbed.add_node(name, pos)
     return testbed
 
 
 def build_chain(n_nodes: int, *, spacing: float = DEFAULT_SPACING,
-                seed: int = 1, propagation_kwargs: dict | None = None,
-                **node_kwargs: object) -> Testbed:
+                seed: int = 1,
+                propagation_kwargs: dict | None = None) -> Testbed:
     """A chain testbed (n_nodes - 1 hops end to end)."""
     testbed = Testbed(seed=seed, propagation_kwargs=propagation_kwargs)
-    return _populate(testbed, chain_positions(n_nodes, spacing),
-                     **node_kwargs)
+    return _populate(testbed, chain_positions(n_nodes, spacing))
 
 
 def build_grid(rows: int, cols: int, *, spacing: float = DEFAULT_SPACING,
                jitter: float = 0.0, seed: int = 1,
-               propagation_kwargs: dict | None = None,
-               **node_kwargs: object) -> Testbed:
+               propagation_kwargs: dict | None = None) -> Testbed:
     """A grid testbed, optionally position-jittered."""
     testbed = Testbed(seed=seed, propagation_kwargs=propagation_kwargs)
     positions = grid_positions(rows, cols, spacing, jitter, testbed.rng)
-    return _populate(testbed, positions, **node_kwargs)
+    return _populate(testbed, positions)
 
 
 def build_random_field(n_nodes: int, radius: float, *, seed: int = 1,
                        min_separation: float = 20.0,
-                       propagation_kwargs: dict | None = None,
-                       **node_kwargs: object) -> Testbed:
+                       propagation_kwargs: dict | None = None) -> Testbed:
     """Nodes scattered uniformly in a disk."""
     testbed = Testbed(seed=seed, propagation_kwargs=propagation_kwargs)
     positions = random_disk_positions(
         n_nodes, radius, testbed.rng, min_separation
     )
-    return _populate(testbed, positions, **node_kwargs)
+    return _populate(testbed, positions)
 
 
 def build_city(districts_x: int, districts_y: int, per_district: int, *,
                pitch: float = 1500.0, spacing: float = 45.0, seed: int = 1,
-               propagation_kwargs: dict | None = None,
-               **node_kwargs: object) -> Testbed:
+               propagation_kwargs: dict | None = None) -> Testbed:
     """A city testbed (see :func:`city_positions`)."""
     testbed = Testbed(seed=seed, propagation_kwargs=propagation_kwargs)
     positions = city_positions(
         districts_x, districts_y, per_district,
         pitch=pitch, spacing=spacing, rng=testbed.rng,
     )
-    return _populate(testbed, positions, **node_kwargs)
+    return _populate(testbed, positions)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.errors import ProcessInterrupt
 from repro.kernel.testbed import Testbed
+from repro.net.ports import WellKnownPorts
 from repro.sim.process import Process
 
 __all__ = ["Flow", "TrafficGenerator", "APP_SINK_PORT"]
@@ -39,13 +40,11 @@ class Flow:
 
 
 class TrafficGenerator:
-    """Drives a set of flows over an installed routing protocol."""
+    """Drives a set of flows over geographic forwarding (port 10)."""
 
-    def __init__(self, testbed: Testbed, flows: _t.Sequence[Flow], *,
-                 routing_port: int = 10):
+    def __init__(self, testbed: Testbed, flows: _t.Sequence[Flow]):
         self.testbed = testbed
         self.flows = list(flows)
-        self.routing_port = routing_port
         self.delivered = 0
         self.sent = 0
         self._processes: list[Process] = []
@@ -83,7 +82,7 @@ class TrafficGenerator:
             # Staggered start so flows do not begin in lockstep.
             yield env.timeout(float(rng.uniform(0, flow.interval)))
             while True:
-                protocol = src.protocols.get(self.routing_port)
+                protocol = src.protocols.get(WellKnownPorts.GEOGRAPHIC)
                 if protocol is not None:
                     if protocol.send(flow.dst, APP_SINK_PORT, payload,
                                      kind="app"):

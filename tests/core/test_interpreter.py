@@ -166,6 +166,23 @@ def test_watch_is_passive_and_names_a_dead_node(chain_deployment):
     assert dep.interpreter.last_report is not None
 
 
+def test_watch_across_a_walk_names_no_link_into_the_workstation(
+        chain_deployment):
+    """The user's own laptop walk is no link fault: the workstation does
+    not beacon, so the passive watch never hears through it, and walking
+    it from one end of the chain to the other leaves the report clean."""
+    dep = chain_deployment(6, seed=3, warm_up=0.0)
+    workstation = str(dep.workstation.node.id)
+    dep.login(1)
+    dep.run("watch on")
+    dep.testbed.run(until=dep.testbed.env.now + 40.0)
+    dep.login(6)
+    dep.testbed.run(until=dep.testbed.env.now + 40.0)
+    out = dep.run("watch report")
+    assert f"->{workstation} " not in out and f" {workstation}->" not in out
+    assert "No problems diagnosed" in out
+
+
 def test_watch_off_keeps_the_report_and_help_mentions_watch(
         chain_deployment):
     dep = logged_in(chain_deployment)

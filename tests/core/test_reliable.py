@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core.reliable import CHUNK_BYTES, MAX_CHUNKS, ReliableEndpoint
+from repro.core.reliable import (
+    ACK_TIMEOUT,
+    BACKOFF_CAP,
+    CHUNK_BYTES,
+    MAX_CHUNKS,
+    ReliableEndpoint,
+)
 from repro.errors import ReliableTransferError
 from repro.kernel import Testbed
 
@@ -114,9 +120,9 @@ def test_total_loss_mid_transfer_raises_within_budget():
     assert inbox_b == []  # never completed, never delivered
     # The wait is bounded: every attempt's deadline is capped, so the
     # whole abort happens within budget * (capped deadline) plus slack.
-    worst = ep_a.ack_timeout + 0.003 * ep_a.max_batch
+    worst = ACK_TIMEOUT + 0.003 * ep_a.max_batch
     assert tb.env.now <= 0.01 + ep_a.max_attempts * worst * (
-        ep_a.backoff_cap * 1.25) + 1.0
+        BACKOFF_CAP * 1.25) + 1.0
 
 
 def test_backoff_delays_monotone_and_capped():
@@ -131,11 +137,11 @@ def test_backoff_delays_monotone_and_capped():
         tb.env.run(until=proc)
     delays = excinfo.value.backoff_delays
     assert len(delays) == ep_a.max_attempts
-    base = ep_a.ack_timeout + 0.003  # single-chunk first batch
+    base = ACK_TIMEOUT + 0.003  # single-chunk first batch
     assert delays[0] == pytest.approx(base)
     for earlier, later in zip(delays, delays[1:]):
         assert later >= earlier
-    assert max(delays) <= base * ep_a.backoff_cap * 1.25
+    assert max(delays) <= base * BACKOFF_CAP * 1.25
 
 
 def test_backoff_engages_only_after_a_timeout():

@@ -1,9 +1,31 @@
 """Tests for the channel-scan, group and events shell commands."""
 
+import time
+
 import pytest
 
+from repro.core.deploy import deploy_liteview
 from repro.errors import ParameterError
-from repro.workloads import Flow, TrafficGenerator
+from repro.workloads import Flow, TrafficGenerator, build_chain
+
+#: `scan` with every default, as it printed before its sampling bound.
+DEFAULT_SCAN = """channel  peak RSSI
+     11        -52  ##
+     12        -52  ##
+     13        -53  ##
+     14        -52  ##
+     15        -52  ##
+     16        -52  ##
+     17        -52  ##
+     18        -53  ##
+     19        -51  ###
+     20        -51  ###
+     21        -52  ##
+     22        -50  ###
+     23        -53  ##
+     24        -51  ###
+     25        -52  ##
+     26        -51  ###"""
 
 
 def logged_in(chain_deployment, n=3, **kw):
@@ -56,6 +78,32 @@ class TestScan:
             next(channel_scan(node, first=25, count=5))
         with pytest.raises(ParameterError):
             next(channel_scan(node, samples=0))
+        with pytest.raises(ParameterError, match="exceeds 30 s"):
+            next(channel_scan(node, count=1, samples=3, dwell=10.001))
+
+    def test_default_scan_prints_as_before(self, chain_deployment):
+        dep = logged_in(chain_deployment)
+        assert dep.run("scan") == DEFAULT_SCAN
+
+    def test_hostile_scan_is_refused_at_once(self, chain_deployment):
+        """16 × 255 × 65.535 s fits the wire fields; the node refuses it
+        before sampling instead of holding the shell for simulated
+        days."""
+        dep = logged_in(chain_deployment)
+        sim_before, wall_before = dep.testbed.env.now, time.monotonic()
+        out = dep.run("scan count=16 samples=255 dwell=65535")
+        assert out == "error: scan of 267383 s exceeds 30 s"
+        assert time.monotonic() - wall_before < 1.0
+        assert dep.testbed.env.now - sim_before < 1.0
+        assert dep.testbed.node(1).radio.channel == 17
+
+    def test_scan_at_the_bound_answers_within_its_window(self):
+        """Every dwell may stretch 30%, and the window allows for it."""
+        for seed in range(1, 31):
+            dep = deploy_liteview(build_chain(3, seed=seed))
+            dep.login(1)
+            out = dep.run("scan first=11 count=1 samples=3 dwell=10000")
+            assert out.splitlines()[0] == "channel  peak RSSI", (seed, out)
 
 
 class TestGroup:

@@ -26,7 +26,8 @@ from repro.workloads.scenarios import QUIET_PROPAGATION
 def test_window_formulas():
     assert ping_window(10) == 10 * 0.6 + 2.5
     assert traceroute_window(1) == 1 * 6.5 + 3.0
-    assert scan_window(16, 4, 10) == 16 * 4 * 10 / 1000.0 + 2.5
+    # A scan's window covers its worst case: every dwell stretched 30%.
+    assert scan_window(16, 4, 10) == 16 * 4 * 10 / 1000.0 * 1.3 + 2.5
 
 
 # -- wire plans ---------------------------------------------------------------

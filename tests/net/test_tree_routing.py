@@ -1,7 +1,5 @@
 """Tests for ETX collection-tree routing."""
 
-import pytest
-
 from repro.kernel import Testbed
 from repro.net import TREE_PORT, TreeRouting
 from repro.workloads import build_chain
@@ -114,10 +112,3 @@ def test_stop_halts_adverts():
     tb.warm_up(20.0)
     # Only the root keeps advertising.
     assert tb.monitor.counter("tree.adverts_sent") - before <= 6
-
-
-def test_advert_interval_validation():
-    tb = tree_chain(2)
-    with pytest.raises(ValueError):
-        tb.node(1).install_protocol(TreeRouting, port=99, root=1,
-                                    advert_interval=0.0)

@@ -217,6 +217,39 @@ def test_negative_workers_normalized_to_serial():
     asyncio.run(main())
 
 
+def test_served_workers_are_clamped_to_the_host(monkeypatch):
+    """The warm pool is shared and outlives every request, so a served
+    campaign runs on at most ``default_workers()`` workers, whatever it
+    asks for, and its record says so."""
+    from repro.campaign import pool as pool_mod
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    monkeypatch.setattr(pool_mod, "_POOLS", {})
+
+    async def main():
+        app = make_app()
+        await app.start(auto_tick=False)
+        try:
+            body = dict(BODY, name="wide", workers=64)
+            status, reply = await fetch_json(
+                app.port, "/campaigns", "POST", body)
+            assert status == 202
+            assert reply["campaign"]["workers"] == 2
+            record = await poll_until_settled(app.port, "wide")
+            assert record["status"] == "done", record
+            assert record["workers"] == 2
+            assert record["digest"] == run_campaign(LOCAL,
+                                                    workers=1).digest()
+        finally:
+            await app.stop()
+
+    try:
+        asyncio.run(main())
+        assert [p.workers for p in pool_mod._POOLS.values()] == [2]
+    finally:
+        for p in pool_mod._POOLS.values():
+            p.close()
+
+
 def test_duplicate_running_campaign_is_conflict(monkeypatch):
     # The server imports run_campaign when a campaign starts and calls
     # it from a coordinator thread, so a wrapper that waits on a gate

@@ -26,8 +26,9 @@ def test_unknown_spec_message_names_city():
 def test_watchlist_clamp_is_deterministic_even_stride():
     fleet = build_fleet("chain:8", seed=7, warm_up=5.0)
     deployment = fleet.deployment
-    full = nearest_neighbor_links(
-        fleet.testbed, exclude={deployment.workstation.node.id})
+    full = nearest_neighbor_links(fleet.testbed)
+    # The workstation does not beacon, so it is no fleet member.
+    assert deployment.workstation.node.id not in {n for l in full for n in l}
     assert len(full) > 3
     clamped = HealthAssessor(deployment, max_links=3)
     assert len(clamped.watched_links) == 3

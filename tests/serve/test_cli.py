@@ -18,6 +18,9 @@ from repro.serve import ServeApp, build_fleet
     (["chain:3", "--faults", '{"specs": [{"kind": "nope", "at": 1.0}]}'],
      "unknown fault kind 'nope'"),
     (["chain:3", "--faults", "not json"], "plan is not JSON"),
+    (["chain:3", "--tick", "nan"], "tick_s"),
+    (["chain:3", "--tick", "inf"], "tick_s"),
+    (["chain:3", "--tick", "-1"], "tick_s"),
 ])
 def test_bad_serve_input_is_a_usage_error(argv, message, capsys,
                                           monkeypatch):
@@ -40,3 +43,8 @@ def test_a_cadence_that_never_advances_is_refused(seconds):
         build_fleet("chain:3", assess_every=seconds, warm_up=1.0)
     with pytest.raises(ValueError, match="step_s"):
         ServeApp([build_fleet("chain:3", warm_up=1.0)], step_s=seconds)
+
+
+def test_a_zero_tick_is_legal():
+    assert ServeApp([build_fleet("chain:3", warm_up=1.0)],
+                    tick_s=0).tick_s == 0.0
