@@ -2,7 +2,7 @@
 
 Workers run in separate processes, so everything they return must cross
 a pickle boundary: a :class:`RunResult` carries only plain data — the
-monitor's counter map, the metrics-registry snapshot, the order-
+metrics-registry snapshot (the counter map among it), the order-
 sensitive packet-log digest, and whatever scalar observables the
 scenario computed — never live simulation objects.
 """
@@ -13,6 +13,7 @@ import hashlib
 import json
 import typing as _t
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 from repro.campaign.spec import RunSpec
 
@@ -36,7 +37,6 @@ class RunResult:
     """The outcome of one campaign cell, safe to pickle and cache."""
 
     spec: RunSpec
-    counters: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)   # MetricsRegistry.snapshot()
     values: dict = field(default_factory=dict)    # scenario observables
     packet_sha256: str = ""
@@ -50,6 +50,11 @@ class RunResult:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def counters(self) -> _t.Mapping[str, int]:
+        """A read-only view of ``metrics["counters"]``, the one copy."""
+        return MappingProxyType(self.metrics.get("counters", {}))
 
     def value(self, name: str, default: object = None) -> object:
         """An observable by name: scenario values first, then counters."""
@@ -66,8 +71,7 @@ class RunResult:
 
     def to_dict(self) -> dict:
         return {
-            "spec": self.spec.to_dict(),
-            "counters": dict(self.counters), "metrics": dict(self.metrics),
+            "spec": self.spec.to_dict(), "metrics": dict(self.metrics),
             "values": dict(self.values), "packet_sha256": self.packet_sha256,
             "n_packets": self.n_packets, "sim_time": self.sim_time,
             "wall_s": self.wall_s, "attempts": self.attempts,
@@ -78,7 +82,6 @@ class RunResult:
     def from_dict(cls, data: _t.Mapping, *, cached: bool = False) -> "RunResult":
         return cls(
             spec=RunSpec.from_dict(data["spec"]),
-            counters=dict(data.get("counters", {})),
             metrics=dict(data.get("metrics", {})),
             values=dict(data.get("values", {})),
             packet_sha256=data.get("packet_sha256", ""),

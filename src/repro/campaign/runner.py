@@ -196,18 +196,16 @@ def execute_spec(spec: RunSpec, timeout_s: float | None = None) -> RunResult:
     else:
         testbed = outcome
 
-    counters: dict[str, int] = {}
     metrics: dict = {}
     packet_sha256, n_packets, sim_time = "", 0, 0.0
     if testbed is not None:
         monitor = testbed.monitor
-        counters = dict(monitor.counters)
         metrics = monitor.registry.snapshot()
         packet_sha256 = monitor.packet_digest()
         n_packets = len(monitor.packets)
         sim_time = float(testbed.env.now)
     return RunResult(
-        spec=spec, counters=counters, metrics=metrics,
+        spec=spec, metrics=metrics,
         values=dict(values or {}), packet_sha256=packet_sha256,
         n_packets=n_packets, sim_time=sim_time,
         wall_s=time.perf_counter() - start,

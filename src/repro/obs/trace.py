@@ -61,21 +61,18 @@ class Tracer:
     """Collects trace events for one simulation.
 
     Disabled by default; call sites must guard on :attr:`enabled` so the
-    off path allocates nothing.  All bookkeeping (global timeline,
-    per-packet index, last-packet pointer) happens on the enabled path
-    only.
+    off path allocates nothing.  The one store is the global timeline:
+    every per-packet query (lifecycle, fate, last packet) is derived
+    from it on demand, so recording is a single append.
     """
 
-    __slots__ = ("enabled", "events", "_by_packet", "last_packet_id")
+    __slots__ = ("enabled", "events")
 
     def __init__(self) -> None:
         self.enabled = False
         #: Global timeline, in emission order (== time order, since the
         #: simulation clock never goes backwards).
         self.events: list[TraceEvent] = []
-        self._by_packet: dict[str, list[TraceEvent]] = {}
-        #: The packet most recently touched by any event (`trace last`).
-        self.last_packet_id: str | None = None
 
     # -- control ------------------------------------------------------------
 
@@ -88,30 +85,33 @@ class Tracer:
     def clear(self) -> None:
         """Drop all collected events (the enabled flag is kept)."""
         self.events.clear()
-        self._by_packet.clear()
-        self.last_packet_id = None
 
     # -- recording ----------------------------------------------------------
 
     def emit(self, kind: str, time: float, *, node: int | None = None,
              packet: str | None = None, **detail: object) -> None:
         """Record one event.  Callers must check :attr:`enabled` first."""
-        event = TraceEvent(time=time, kind=kind, node=node, packet=packet,
-                           detail=detail)
-        self.events.append(event)
-        if packet is not None:
-            self._by_packet.setdefault(packet, []).append(event)
-            self.last_packet_id = packet
+        self.events.append(TraceEvent(time=time, kind=kind, node=node,
+                                      packet=packet, detail=detail))
 
     # -- queries ------------------------------------------------------------
 
+    @property
+    def last_packet_id(self) -> str | None:
+        """The packet most recently touched by any event (`trace last`)."""
+        for event in reversed(self.events):
+            if event.packet is not None:
+                return event.packet
+        return None
+
     def lifecycle(self, packet_id: str) -> list[TraceEvent]:
         """All events of one packet, in time order (empty if unknown)."""
-        return list(self._by_packet.get(packet_id, ()))
+        return [event for event in self.events if event.packet == packet_id]
 
     def packet_ids(self) -> list[str]:
         """Every packet with at least one event, in first-seen order."""
-        return list(self._by_packet)
+        return list(dict.fromkeys(event.packet for event in self.events
+                                  if event.packet is not None))
 
     def outcome(self, packet_id: str) -> tuple[str, TraceEvent | None]:
         """Classify a packet's fate from its trace.
@@ -122,7 +122,7 @@ class Tracer:
         TTL death after delivery); delivery wins, matching what the
         end user asked ("did my packet arrive?").
         """
-        events = self._by_packet.get(packet_id)
+        events = self.lifecycle(packet_id)
         if not events:
             return "unknown", None
         delivered = None
@@ -167,4 +167,4 @@ class Tracer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "on" if self.enabled else "off"
         return (f"<Tracer {state} events={len(self.events)} "
-                f"packets={len(self._by_packet)}>")
+                f"packets={len(self.packet_ids())}>")

@@ -173,15 +173,15 @@ class ServeApp:
         try:
             try:
                 request = await read_request(reader)
+                if request is None:
+                    return
+                if request.method == "GET" and request.path == "/events":
+                    await self._serve_events(request, writer)
+                    return
             except HttpError as exc:
                 writer.write(json_response(exc.status,
                                            {"error": exc.message}))
                 await writer.drain()
-                return
-            if request is None:
-                return
-            if request.method == "GET" and request.path == "/events":
-                await self._serve_events(request, writer)
                 return
             writer.write(self._dispatch(request))
             await writer.drain()
@@ -253,7 +253,7 @@ class ServeApp:
             if parts[2] == "stats" and method == "GET":
                 # Registry-only snapshot: no packet digest — cheap
                 # enough to poll every second.
-                snap = fleet.monitor.snapshot(include_packets=False)
+                snap = fleet.monitor.snapshot()
                 snap["fleet"] = fleet.name
                 snap["sim_time"] = round(fleet.sim_time, 6)
                 return json_response(200, snap)
@@ -447,15 +447,19 @@ class ServeApp:
         The subscription queue is bounded: if this client stops
         reading, ``drain()`` below parks *this* coroutine only, the
         queue fills, and the hub drops (and counts) further events for
-        it — the sim and every other client proceed untouched.
+        it — the sim and every other client proceed untouched.  An
+        unknown ``?fleet=`` is a 404 before subscribing: a subscriber
+        switches tracing on, and this one would read nothing.
         """
+        only_fleet = request.param("fleet")
+        if only_fleet:
+            self._fleet(only_fleet)
         sub = self.hub.subscribe()
         try:
             writer.transport.set_write_buffer_limits(high=SSE_WRITE_HIGH)
             writer.write(sse_headers())
             writer.write(b": repro.serve event stream\n\n")
             await writer.drain()
-            only_fleet = request.param("fleet")
             event_id = 0
             while True:
                 event = await sub.get()

@@ -8,13 +8,14 @@ on the asyncio loop.  Everything a client can read (``/metrics``,
 event-loop-safe point, from snapshot data: the rendered health JSON is
 cached as a string, trace events are batched out through the
 :class:`~repro.serve.hub.EventHub` and then cleared, and the metrics
-registry is only ever read between advances.
+registry is only ever read between advances.  The tracer runs only
+while the hub has a subscriber, so a fleet nobody streams traces nothing.
 
 Determinism contract (asserted by ``tests/serve``): the injured or
 healthy world a supervisor produces depends **only** on the scenario,
 seed, and the total simulated time advanced — never on how many clients
-were being served, how the advance was sliced into ticks, or wall-clock
-anything.  Assessments fire at fixed *simulated* times
+were being served or streaming, how the advance was sliced into ticks,
+or wall-clock anything.  Assessments fire at fixed *simulated* times
 (``assess_every``), so a served run and an unserved run of the same
 config produce byte-identical packet digests.
 """
@@ -57,8 +58,7 @@ class FleetSupervisor:
     """One live fleet: deployment + cadence + health + event publishing."""
 
     def __init__(self, name: str, deployment, assessor: HealthAssessor, *,
-                 assess_every: float = 30.0,
-                 publish_trace: bool = True):
+                 assess_every: float = 30.0):
         self.assess_every = positive_seconds("assess_every", assess_every)
         self.name = name
         self.deployment = deployment
@@ -85,8 +85,6 @@ class FleetSupervisor:
         #: Rendered at assessment time; ``/health`` serves this string
         #: without touching the sim.
         self.health_payload: dict = self.assessor.health(fleet=self.name)
-        if publish_trace:
-            self.testbed.tracer.enable()
 
     # -- client-facing snapshots --------------------------------------------
 
@@ -149,11 +147,12 @@ class FleetSupervisor:
     def advance(self, sim_seconds: float) -> None:
         """Advance the fleet ``sim_seconds`` of simulated time.
 
-        Installs queued fault plans first (the safe point), runs the
-        sim, fires any due health assessments at their fixed simulated
-        times, then publishes the tick's events.  Slicing a total of T
-        seconds into any number of ``advance`` calls yields the same
-        world as one call — partitioning is not an input to the sim.
+        Traces exactly when the hub has a subscriber (any, a ``?fleet=``
+        filter included), installs queued fault plans (the safe point),
+        runs the sim, fires any due health assessments at their fixed
+        simulated times, then publishes the tick's events.  Slicing a
+        total of T seconds into any number of ``advance`` calls yields
+        the same world as one call — partitioning is not an input.
 
         That invariant is why the target is ``_horizon + sim_seconds``
         rather than ``env.now + sim_seconds``: an assessment's probe
@@ -162,6 +161,7 @@ class FleetSupervisor:
         clock would make the world depend on where the tick boundaries
         fell.
         """
+        self.testbed.tracer.enabled = len(self.hub) > 0
         self._install_pending()
         self._horizon += float(sim_seconds)
         target = self._horizon
@@ -210,7 +210,7 @@ class FleetSupervisor:
         })
 
     def _publish_trace(self) -> None:
-        """Batch out and clear the tick's trace events.
+        """Batch out and clear what this advance traced.
 
         Publishing reads (then clears) the tracer — it never touches
         the event heap or any RNG stream, so enabling/serving the
@@ -218,7 +218,7 @@ class FleetSupervisor:
         fleet's memory bounded by one tick's traffic.
         """
         tracer = self.testbed.tracer
-        if not tracer.enabled or not tracer.events:
+        if not tracer.events:
             return
         events = tracer.events
         for start in range(0, len(events), TRACE_BATCH):
@@ -247,7 +247,6 @@ def build_fleet(spec: str = "field", *, seed: int = 3,
                 warm_up: float = 15.0,
                 rounds: int = 3,
                 links: _t.Iterable[tuple[int, int]] | None = None,
-                publish_trace: bool = True,
                 fault_plan: "FaultPlan | str | None" = None,
                 mode: str = "active",
                 ) -> FleetSupervisor:
@@ -276,10 +275,8 @@ def build_fleet(spec: str = "field", *, seed: int = 3,
     deployment = deploy_liteview(testbed, warm_up=warm_up)
     assessor = HealthAssessor(deployment, links=links, rounds=rounds,
                               max_links=MAX_WATCHLIST, mode=mode)
-    supervisor = FleetSupervisor(
-        name or spec.replace(":", ""), deployment, assessor,
-        assess_every=assess_every, publish_trace=publish_trace,
-    )
+    supervisor = FleetSupervisor(name or spec.replace(":", ""), deployment,
+                                 assessor, assess_every=assess_every)
     if fault_plan is not None:
         supervisor.queue_fault_plan(fault_plan)
     return supervisor

@@ -178,23 +178,17 @@ class Monitor:
 
     # -- snapshots -------------------------------------------------------------
 
-    def snapshot(self, *, include_packets: bool = True) -> dict:
-        """Plain-data dump of everything collected — picklable and
-        JSON-ready, for cross-process return from campaign workers.
+    def snapshot(self) -> dict:
+        """Plain-data dump of the metrics — picklable and JSON-ready.
 
         ``counters``/``gauges``/``histograms`` mirror
-        :meth:`MetricsRegistry.snapshot`; the packet log is summarised
-        as its count and order-sensitive digest rather than shipped
-        record by record.
-
-        ``include_packets=False`` skips the O(packets) digest hash, so
-        a frequent poller (the live fleet server) gets a registry-only
-        snapshot that stays cheap on a long-lived sim.
+        :meth:`MetricsRegistry.snapshot`, plus ``n_packets``, the length
+        of the packet log.  The log's order-sensitive digest is
+        :meth:`packet_digest`'s job: it hashes every record, so a
+        frequent poller (the live fleet server) never pays for it.
         """
         snap = self.registry.snapshot()
         snap["n_packets"] = len(self.packets)
-        if include_packets:
-            snap["packet_sha256"] = self.packet_digest()
         return snap
 
     def reset(self) -> None:

@@ -94,10 +94,8 @@ def random_disk_positions(n_nodes: int, radius: float,
 
 
 def city_positions(districts_x: int, districts_y: int, per_district: int,
-                   *, pitch: float = 1500.0,
-                   spacing: float = 45.0,
-                   rng: RngRegistry | None = None
-                   ) -> list[tuple[float, float]]:
+                   *, rng: RngRegistry, pitch: float = 1500.0,
+                   spacing: float = 45.0) -> list[tuple[float, float]]:
     """A city-scale deployment: dense districts, sparse bridges.
 
     ``districts_x × districts_y`` clustered districts of ``per_district``
@@ -116,9 +114,7 @@ def city_positions(districts_x: int, districts_y: int, per_district: int,
     if per_district < 1:
         raise ValueError("districts need at least one node")
     jitter = spacing * 0.15
-    if jitter and rng is None:
-        raise ValueError("jitter needs an RngRegistry")
-    stream = rng.stream("topology.city") if rng else None
+    stream = rng.stream("topology.city")
 
     rows = max(1, int(np.sqrt(per_district)))
     cols = -(-per_district // rows)  # ceil
@@ -126,7 +122,7 @@ def city_positions(districts_x: int, districts_y: int, per_district: int,
     extent_y = (rows - 1) * spacing
 
     def jittered(x: float, y: float) -> tuple[float, float]:
-        if stream is not None and jitter > 0:
+        if jitter > 0:
             x += float(stream.uniform(-jitter, jitter))
             y += float(stream.uniform(-jitter, jitter))
         return (x, y)

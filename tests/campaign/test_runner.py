@@ -6,6 +6,7 @@ with the golden determinism suite
 the runner's mechanics on campaigns small enough to stay fast.
 """
 
+import json
 import pickle
 import sys
 import threading
@@ -43,6 +44,21 @@ def test_execute_spec_returns_plain_picklable_result():
     assert result.metrics["counters"] == result.counters
     clone = pickle.loads(pickle.dumps(result))
     assert clone == result
+
+
+def test_result_keeps_its_counters_once():
+    """``counters`` is a read-only view of ``metrics["counters"]``: the
+    map is written, pickled and cached once, and a round trip through
+    ``to_dict`` keeps it and the run's digest line."""
+    result = execute_spec(TINY.expand()[0])
+    data = result.to_dict()
+    assert "counters" not in data
+    assert data["metrics"]["counters"] == result.counters
+    with pytest.raises(TypeError):
+        result.counters["medium.transmissions"] = 0
+    clone = RunResult.from_dict(json.loads(json.dumps(data)))
+    assert clone.counters == result.counters
+    assert clone.digest_line() == result.digest_line()
 
 
 def test_serial_campaign_results_in_expansion_order():
@@ -250,7 +266,7 @@ def test_builtin_scenarios_registered():
 
 def test_result_value_lookup_prefers_scenario_values():
     result = RunResult(spec=TINY.expand()[0],
-                       counters={"x": 1, "only_counter": 7},
+                       metrics={"counters": {"x": 1, "only_counter": 7}},
                        values={"x": 2.5})
     assert result.value("x") == 2.5
     assert result.value("only_counter") == 7

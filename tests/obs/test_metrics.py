@@ -8,7 +8,7 @@ import pytest
 
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.export import metrics_to_json
-from repro.sim.monitor import Monitor
+from repro.sim.monitor import Monitor, PacketRecord
 
 # -- counters and gauges ------------------------------------------------------
 
@@ -189,9 +189,23 @@ def test_monitor_observe_skips_series():
     mon = Monitor()
     mon.observe("occupancy", 2.0)
     assert mon.histogram("occupancy").count == 1
-    snap = mon.snapshot(include_packets=False)
+    snap = mon.snapshot()
     assert "series" not in snap
     assert snap["histograms"]["occupancy"]["count"] == 1
+
+
+def test_monitor_snapshot_carries_no_packet_digest():
+    """A snapshot is the registry plus the packet count: hashing every
+    record is :meth:`Monitor.packet_digest`'s job alone."""
+    mon = Monitor()
+    mon.log_packet(PacketRecord(time=0.5, sender=1, receiver=None,
+                                kind="beacon", port=2, size_bytes=20,
+                                delivered=True))
+    snap = mon.snapshot()
+    assert "packet_sha256" not in snap
+    assert snap["n_packets"] == 1
+    assert Monitor().snapshot() == {"counters": {}, "gauges": {},
+                                    "histograms": {}, "n_packets": 0}
 
 
 def test_monitor_reset_clears_registry():

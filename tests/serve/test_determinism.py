@@ -20,7 +20,7 @@ FLEET_KW = dict(seed=11, assess_every=20.0, warm_up=10.0)
 
 def unserved_digest(spec, total, slices, **kw):
     """The golden: same fleet config advanced with no server at all."""
-    fleet = build_fleet(spec, publish_trace=False, **kw)
+    fleet = build_fleet(spec, **kw)
     for _ in range(slices):
         fleet.advance(total / slices)
     return fleet.monitor.packet_digest()
@@ -195,7 +195,7 @@ def test_acceptance_hundred_node_fleet_under_hundred_clients():
                        "loss_db": 80.0, "at": 0.0}]}
 
     # Golden: unserved, fault queued before the same tick (tick 3).
-    golden_fleet = build_fleet("hundred", publish_trace=False, **kw)
+    golden_fleet = build_fleet("hundred", **kw)
     for step in range(6):
         if step == 3:
             golden_fleet.queue_fault_plan(plan)

@@ -13,7 +13,7 @@ WATCHED = (2, 3)
 
 def hybrid_fleet():
     return build_fleet("chain:5", mode="hybrid", seed=7, assess_every=20.0,
-                       warm_up=10.0, publish_trace=False)
+                       warm_up=10.0)
 
 
 def degrade(link, at):

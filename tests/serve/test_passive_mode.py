@@ -19,8 +19,7 @@ from repro.workloads.scenarios import QUIET_PROPAGATION
 from tests.serve.conftest import fetch_json
 
 SEED, WARM_UP, HORIZON = 11, 10.0, 50.0
-FLEET_KW = dict(seed=SEED, assess_every=20.0, warm_up=WARM_UP,
-                publish_trace=False)
+FLEET_KW = dict(seed=SEED, assess_every=20.0, warm_up=WARM_UP)
 
 
 def bare_digest() -> str:

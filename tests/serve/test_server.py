@@ -261,13 +261,30 @@ def test_sse_stream_delivers_trace_health_and_finding_events():
     asyncio.run(main())
 
 
+def test_events_for_an_unknown_fleet_is_a_404_with_no_subscriber():
+    """Like ``/metrics?fleet=nope``: a stream filtered to a fleet the
+    server lacks would carry nothing, yet its subscription would switch
+    every fleet's tracer on."""
+    async def main():
+        app, _ = make_app()
+        await app.start(auto_tick=False)
+        try:
+            status, payload = await fetch_json(app.port,
+                                               "/events?fleet=nope")
+            assert status == 404
+            assert payload["error"].startswith("unknown fleet 'nope'")
+            assert len(app.hub) == 0
+        finally:
+            await app.stop()
+
+    asyncio.run(main())
+
 
 def test_a_standing_finding_is_published_once():
     """Passive evidence (``silent_s``) changes at every assessment; the
     stream still names the broken link once, not once per assessment."""
     fleet = build_fleet("chain:5", mode="passive", seed=7,
                         assess_every=10.0, warm_up=10.0,
-                        publish_trace=False,
                         fault_plan=dict(LINK_DEGRADE, specs=[
                             dict(LINK_DEGRADE["specs"][0], at=30.0)]))
     sub = fleet.hub.subscribe()
@@ -288,8 +305,7 @@ def test_raising_advance_fails_only_that_fleet():
     which no tick would install, is a 409."""
     async def main():
         good, bad = (build_fleet("chain:3", name=name, seed=7,
-                                 assess_every=20.0, warm_up=5.0,
-                                 publish_trace=False)
+                                 assess_every=20.0, warm_up=5.0)
                      for name in ("good", "bad"))
         app = ServeApp([good, bad], tick_s=0.001, step_s=0.5)
         ticked = asyncio.Event()
