@@ -114,7 +114,7 @@ def _run_option(name: str) -> _t.Callable[[str], object]:
 
 
 def run_campaign_cli(args: argparse.Namespace) -> int:
-    from repro.analysis import aggregate_cells, render_table
+    from repro.analysis import render_table
     from repro.campaign import (Campaign, check_run_options, run_campaign,
                                 scenario_names)
     from repro.campaign.scenarios import import_scenario_module
@@ -157,9 +157,7 @@ def run_campaign_cli(args: argparse.Namespace) -> int:
         timeout_s=timeout_s, retries=retries, progress=progress,
     )
 
-    rows = [(r.spec.params_dict, {**r.counters, **r.values})
-            for r in out.ok]
-    cells = aggregate_cells(rows) if rows else []
+    cells = out.aggregate()
     if cells:
         print(render_table(
             ["cell", "metric", "n", "mean", "ci95"],

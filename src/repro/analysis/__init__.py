@@ -19,7 +19,6 @@ from repro.analysis.energy import (
 )
 from repro.analysis.metrics import (
     SeriesSummary,
-    count_by_kind,
     packets_between,
     summarize,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "SeriesSummary",
     "summarize",
     "packets_between",
-    "count_by_kind",
     "render_table",
     "render_series",
     "render_kv",

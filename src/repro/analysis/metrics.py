@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.sim.monitor import Monitor, PacketRecord
 
-__all__ = ["SeriesSummary", "summarize", "packets_between", "count_by_kind"]
+__all__ = ["SeriesSummary", "summarize", "packets_between"]
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,3 @@ def packets_between(monitor: Monitor, start: float,
         r for r in monitor.packets
         if start <= r.time < end and r.kind != "beacon"
     ]
-
-
-def count_by_kind(records: _t.Iterable[PacketRecord]) -> dict[str, int]:
-    """Tally transmissions by traffic class."""
-    out: dict[str, int] = {}
-    for record in records:
-        out[record.kind] = out.get(record.kind, 0) + 1
-    return out

@@ -660,7 +660,7 @@ class OnlineMonitor:
         if self._monitor is not None:
             c = self._c_beacons
             if c is None:
-                c = self._c_beacons = self._monitor.counter_obj(
+                c = self._c_beacons = self._monitor.registry.counter(
                     "diag.online.beacons")
             c.value += 1
 

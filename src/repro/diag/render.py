@@ -155,8 +155,7 @@ def health_view(report: DiagnosisReport, *,
                 nodes: _t.Iterable[int] = (),
                 links: _t.Iterable[tuple[int, int]] = (),
                 sim_time: float | None = None,
-                assessed_at: float | None = None,
-                extra: _t.Mapping[str, object] | None = None) -> dict:
+                assessed_at: float | None = None) -> dict:
     """The docsight-style health payload for one diagnosis report.
 
     ``nodes``/``links`` are the *watched* subjects: every one appears in
@@ -196,6 +195,4 @@ def health_view(report: DiagnosisReport, *,
         payload["sim_time"] = round(sim_time, 6)
     if assessed_at is not None:
         payload["assessed_at"] = round(assessed_at, 6)
-    if extra:
-        payload.update(extra)
     return payload

@@ -24,6 +24,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.faults.spec import FaultPlan, FaultSpec
+from repro.radio.medium import flip_bits
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.testbed import Testbed
@@ -89,14 +90,9 @@ class FaultInjector:
         return False
 
     def corrupt_payload(self, payload: bytes) -> bytes:
-        """A CRC-breaking copy of ``payload`` (1-3 bit flips)."""
-        data = bytearray(payload)
-        flips = int(self.rng.integers(1, 4))
-        for _ in range(flips):
-            idx = int(self.rng.integers(0, len(data)))
-            bit = int(self.rng.integers(0, 8))
-            data[idx] ^= 1 << bit
-        return bytes(data)
+        """A CRC-breaking copy of ``payload``: the medium's bit flipper,
+        drawing from the faults stream."""
+        return flip_bits(payload, self.rng)
 
     # -- compilation --------------------------------------------------------
 

@@ -251,7 +251,7 @@ class NeighborTable:
         monitor = self.node.monitor
         c = self._c_received
         if c is None:
-            c = self._c_received = monitor.counter_obj(
+            c = self._c_received = monitor.registry.counter(
                 "neighbors.beacons_received")
         c.value += 1
         self._update(packet.origin, name, (x, y), packet.seq, arrival)

@@ -166,13 +166,13 @@ class CsmaMac:
         if not frame.is_broadcast and frame.dst != self.node_id:
             c = self._c_filtered
             if c is None:
-                c = self._c_filtered = self.monitor.counter_obj(
+                c = self._c_filtered = self.monitor.registry.counter(
                     "mac.filtered_frames")
             c.value += 1
             return
         c = self._c_received
         if c is None:
-            c = self._c_received = self.monitor.counter_obj(
+            c = self._c_received = self.monitor.registry.counter(
                 "mac.received_frames")
         c.value += 1
         if self._receive_handler is not None:

@@ -112,7 +112,7 @@ class CommunicationStack:
             return
         c = self._c_received
         if c is None:
-            c = self._c_received = self.monitor.counter_obj(
+            c = self._c_received = self.monitor.registry.counter(
                 "stack.received_packets")
         c.value += 1
         if tracer.enabled:

@@ -307,9 +307,6 @@ class MetricsRegistry:
             return f"no metrics match prefix {prefix!r}"
         return "no metrics recorded"
 
-    def reset(self) -> None:
-        self._metrics.clear()
-
     def __getstate__(self):
         return self._metrics
 

@@ -54,9 +54,8 @@ class SimProfiler:
     def measure(self, event: "Event") -> None:
         """Dispatch ``event`` (calling its callbacks), timing the work.
 
-        Called by :meth:`Environment.run` and :meth:`Environment.step`
-        in place of the direct ``event._process()`` when a profiler is
-        attached.  The label is
+        Called by :meth:`Environment.run` in place of the direct
+        ``event._process()`` when a profiler is attached.  The label is
         resolved *before* dispatch because processing consumes the
         callback list.
         """

@@ -118,7 +118,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 __all__ = ["FrameArrival", "Transceiver", "RadioMedium",
            "CAPTURE_THRESHOLD_DB", "RANGE_MARGIN_SIGMAS",
            "RANGE_MARGIN_FLOOR_DB", "CORRUPT_DELIVERY_FRACTION",
-           "range_bound_m"]
+           "range_bound_m", "flip_bits"]
 
 #: Minimum SINR for decoding *in the presence of an overlapping frame*.
 #: The analytic PRR curve assumes Gaussian noise; a co-channel 802.15.4
@@ -158,6 +158,17 @@ def range_bound_m(propagation: LogDistancePropagation,
     budget = (max_tx_dbm - SENSITIVITY_DBM + margin
               - min(0.0, propagation.pinned_floor_db))
     return propagation.range_for_budget_m(budget)
+
+
+def flip_bits(payload: bytes, rng: np.random.Generator) -> bytes:
+    """A CRC-breaking copy of ``payload``: 1-3 random bit flips, every
+    draw from ``rng`` (the caller's own stream)."""
+    data = bytearray(payload)
+    for _ in range(int(rng.integers(1, 4))):
+        idx = int(rng.integers(0, len(data)))
+        bit = int(rng.integers(0, 8))
+        data[idx] ^= 1 << bit
+    return bytes(data)
 
 
 #: ``dbm_sum(NOISE_FLOOR_DBM)`` with no interferers round-trips to exactly
@@ -483,7 +494,7 @@ class RadioMedium:
         """
         c = self._c_repositions
         if c is None:
-            c = self._c_repositions = self.monitor.counter_obj(
+            c = self._c_repositions = self.monitor.registry.counter(
                 "medium.repositions")
         c.value += 1
         self._move_serial += 1
@@ -988,7 +999,7 @@ class RadioMedium:
                 outcome[off] = _LOST
             else:
                 outcome[off] = _CORRUPT
-                payload_of[off] = self._corrupt(payload0)
+                payload_of[off] = flip_bits(payload0, corrupt_rng)
                 deliver_offs.append(off)
 
         # Pass 4: PHY observables for every delivery, one batched draw
@@ -1037,7 +1048,7 @@ class RadioMedium:
             if code == _HD:
                 c = self._c_halfduplex
                 if c is None:
-                    c = self._c_halfduplex = monitor.counter_obj(
+                    c = self._c_halfduplex = monitor.registry.counter(
                         "medium.halfduplex_loss")
                 c.value += 1
                 if trace_on and is_dst:
@@ -1048,13 +1059,13 @@ class RadioMedium:
             if interfered[off]:
                 c = self._c_interfered
                 if c is None:
-                    c = self._c_interfered = monitor.counter_obj(
+                    c = self._c_interfered = monitor.registry.counter(
                         "medium.interfered_receptions")
                 c.value += 1
             if code == _LOST:
                 c = self._c_lost
                 if c is None:
-                    c = self._c_lost = monitor.counter_obj(
+                    c = self._c_lost = monitor.registry.counter(
                         "medium.lost_frames")
                 c.value += 1
                 if trace_on and is_dst:
@@ -1069,7 +1080,7 @@ class RadioMedium:
             if code == _CORRUPT:
                 c = self._c_corrupt
                 if c is None:
-                    c = self._c_corrupt = monitor.counter_obj(
+                    c = self._c_corrupt = monitor.registry.counter(
                         "medium.corrupted_frames")
                 c.value += 1
                 payload = payload_of[off]
@@ -1082,7 +1093,7 @@ class RadioMedium:
             delivery_pos += 1
             h = self._h_lqi
             if h is None:
-                h = self._h_lqi = monitor.histogram_obj("radio.lqi")
+                h = self._h_lqi = monitor.registry.histogram("radio.lqi")
             h.observe(lqi)
             if trace_on and (is_dst or is_broadcast):
                 tracer.emit(
@@ -1137,20 +1148,10 @@ class RadioMedium:
         ))
         c = self._c_tx
         if c is None:
-            c = self._c_tx = monitor.counter_obj("medium.transmissions")
+            c = self._c_tx = monitor.registry.counter("medium.transmissions")
         c.value += 1
         # Our half of the overlap cross-links is no longer needed; peers
         # that outlive us only read our snapshot (index/rx), so clearing
         # here plus _prune's sweep bounds retention to the busy period.
         tx.overlapping.clear()
         tx.overlap_senders.clear()
-
-    def _corrupt(self, payload: bytes) -> bytes:
-        """Flip a few random bits so the CRC checker has real work to do."""
-        data = bytearray(payload)
-        flips = max(1, int(self._corrupt_rng.integers(1, 4)))
-        for _ in range(flips):
-            idx = int(self._corrupt_rng.integers(0, len(data)))
-            bit = int(self._corrupt_rng.integers(0, 8))
-            data[idx] ^= 1 << bit
-        return bytes(data)

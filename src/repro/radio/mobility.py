@@ -306,7 +306,7 @@ class MobilityDriver:
         self.updates: dict[int, int] = {}
         #: Activation counter per kind, for tests and reports.
         self.activations: dict[str, int] = {}
-        self._c_updates = testbed.monitor.counter_obj("mobility.updates")
+        self._c_updates = testbed.monitor.registry.counter("mobility.updates")
         for spec in plan.specs:
             model = MODELS[spec.kind]
             for node_id in spec.nodes:

@@ -11,10 +11,13 @@ FleetSupervisor` instances behind the hand-rolled HTTP core:
                                       per-subject traffic lights)
 ``GET /health``                       traffic-light JSON for every fleet
 ``GET /fleets/<name>/health``         one fleet's health payload
+``GET /fleets/<name>/stats``          one fleet's metrics snapshot (JSON)
 ``GET /events``                       SSE stream of trace batches, new
                                       findings, health transitions and
                                       fault installations
+                                      (``?fleet=NAME``: that fleet's only)
 ``POST /fleets/<name>/faults``        inject a canonical-JSON FaultPlan
+``GET /fleets/<name>/faults``         the plans injected so far
 ``POST /campaigns``                   launch a campaign (202 + status
                                       URL)
 ``GET /campaigns``                    all submitted campaigns' status
@@ -79,8 +82,7 @@ class ServeApp:
     """One server process: fleets + hub + HTTP front end."""
 
     def __init__(self, fleets: _t.Iterable[FleetSupervisor], *,
-                 tick_s: float = 0.25, step_s: float = 1.0,
-                 hub: EventHub | None = None):
+                 tick_s: float = 0.25, step_s: float = 1.0):
         #: Wall-clock pause between ticks and simulated seconds per tick.
         #: A pause of 0 ticks as fast as the loop allows; NaN would never
         #: pause and infinity would never tick again.
@@ -90,7 +92,7 @@ class ServeApp:
                              f"of at least 0, got {self.tick_s:g}")
         self.step_s = positive_seconds("step_s", step_s)
         self.fleets: dict[str, FleetSupervisor] = {}
-        self.hub = hub if hub is not None else EventHub()
+        self.hub = EventHub()
         for fleet in fleets:
             if fleet.name in self.fleets:
                 raise ValueError(f"duplicate fleet name {fleet.name!r}")
@@ -212,7 +214,7 @@ class ServeApp:
                                                 f"{exc}"})
 
     def _route(self, request: Request) -> bytes:
-        method, path = request.method, request.path.rstrip("/") or "/"
+        method, path = request.method, request.path
         if path == "/" and method == "GET":
             return json_response(200, self._index())
         if path == "/metrics" and method == "GET":
@@ -257,7 +259,7 @@ class ServeApp:
                 snap["fleet"] = fleet.name
                 snap["sim_time"] = round(fleet.sim_time, 6)
                 return json_response(200, snap)
-        raise HttpError(404, f"no route for {method} {request.path}")
+        raise HttpError(404, f"no route for {method} {path}")
 
     def _fleet(self, name: str) -> FleetSupervisor:
         fleet = self.fleets.get(name)
@@ -278,6 +280,7 @@ class ServeApp:
                 "GET /fleets/<name>/health",
                 "GET /fleets/<name>/stats",
                 "POST /fleets/<name>/faults",
+                "GET /fleets/<name>/faults",
                 "POST /campaigns", "GET /campaigns",
                 "GET /campaigns/<name>",
             ],
@@ -447,14 +450,15 @@ class ServeApp:
         The subscription queue is bounded: if this client stops
         reading, ``drain()`` below parks *this* coroutine only, the
         queue fills, and the hub drops (and counts) further events for
-        it — the sim and every other client proceed untouched.  An
-        unknown ``?fleet=`` is a 404 before subscribing: a subscriber
-        switches tracing on, and this one would read nothing.
+        it — the sim and every other client proceed untouched.  A
+        ``?fleet=`` client subscribes to that fleet's events alone, and
+        turns tracing on for that fleet alone.  An unknown ``?fleet=``
+        is a 404 before subscribing.
         """
         only_fleet = request.param("fleet")
         if only_fleet:
             self._fleet(only_fleet)
-        sub = self.hub.subscribe()
+        sub = self.hub.subscribe(only_fleet)
         try:
             writer.transport.set_write_buffer_limits(high=SSE_WRITE_HIGH)
             writer.write(sse_headers())
@@ -463,8 +467,6 @@ class ServeApp:
             event_id = 0
             while True:
                 event = await sub.get()
-                if only_fleet and event.get("fleet") != only_fleet:
-                    continue
                 event_id += 1
                 writer.write(format_sse(event, event_id))
                 await writer.drain()

@@ -9,7 +9,8 @@ event-loop-safe point, from snapshot data: the rendered health JSON is
 cached as a string, trace events are batched out through the
 :class:`~repro.serve.hub.EventHub` and then cleared, and the metrics
 registry is only ever read between advances.  The tracer runs only
-while the hub has a subscriber, so a fleet nobody streams traces nothing.
+while the hub has a subscriber to this fleet's events (an unscoped one,
+or one scoped to this fleet), so a fleet nobody streams traces nothing.
 
 Determinism contract (asserted by ``tests/serve``): the injured or
 healthy world a supervisor produces depends **only** on the scenario,
@@ -147,12 +148,13 @@ class FleetSupervisor:
     def advance(self, sim_seconds: float) -> None:
         """Advance the fleet ``sim_seconds`` of simulated time.
 
-        Traces exactly when the hub has a subscriber (any, a ``?fleet=``
-        filter included), installs queued fault plans (the safe point),
-        runs the sim, fires any due health assessments at their fixed
-        simulated times, then publishes the tick's events.  Slicing a
-        total of T seconds into any number of ``advance`` calls yields
-        the same world as one call — partitioning is not an input.
+        Traces exactly when the hub has a subscriber to this fleet (an
+        unscoped one, or one whose ``?fleet=`` names it), installs
+        queued fault plans (the safe point), runs the sim, fires any
+        due health assessments at their fixed simulated times, then
+        publishes the tick's events.  Slicing a total of T seconds into
+        any number of ``advance`` calls yields the same world as one
+        call — partitioning is not an input.
 
         That invariant is why the target is ``_horizon + sim_seconds``
         rather than ``env.now + sim_seconds``: an assessment's probe
@@ -161,7 +163,7 @@ class FleetSupervisor:
         clock would make the world depend on where the tick boundaries
         fell.
         """
-        self.testbed.tracer.enabled = len(self.hub) > 0
+        self.testbed.tracer.enabled = self.hub.listening(self.name)
         self._install_pending()
         self._horizon += float(sim_seconds)
         target = self._horizon

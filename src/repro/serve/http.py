@@ -44,6 +44,8 @@ class Request:
     """One parsed HTTP request."""
 
     method: str
+    #: The URL path with trailing slashes stripped (``/events/`` is
+    #: ``/events``; the root stays ``/``), so every route matches once.
     path: str
     query: dict[str, list[str]] = field(default_factory=dict)
     headers: dict[str, str] = field(default_factory=dict)
@@ -117,7 +119,7 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
 
     return Request(
         method=method.upper(),
-        path=unquote(split.path) or "/",
+        path=unquote(split.path).rstrip("/") or "/",
         query=parse_qs(split.query),
         headers=headers,
         body=body,

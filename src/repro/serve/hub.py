@@ -3,7 +3,8 @@
 One :class:`EventHub` per server.  Fleet supervisors ``publish`` plain
 JSON-ready dicts; each connected ``/events`` client holds a
 :class:`Subscription` — a **bounded** queue its pump task drains into
-the socket.
+the socket.  A subscription scoped to one fleet (``/events?fleet=``)
+is offered only the events that carry that fleet's name.
 
 The bound is the whole point.  The simulator must never wait for a
 network peer: ``publish`` is synchronous and non-blocking, and when a
@@ -31,10 +32,13 @@ DEFAULT_QUEUE_LIMIT = 256
 class Subscription:
     """One subscriber's bounded event queue plus its drop accounting."""
 
-    __slots__ = ("id", "queue", "dropped", "delivered")
+    __slots__ = ("id", "fleet", "queue", "dropped", "delivered")
 
-    def __init__(self, sub_id: int, limit: int):
+    def __init__(self, sub_id: int, limit: int, fleet: str | None):
         self.id = sub_id
+        #: The one fleet whose events this subscriber takes, or None for
+        #: every event.
+        self.fleet = fleet
         self.queue: asyncio.Queue[dict] = asyncio.Queue(maxsize=limit)
         #: Events discarded because this queue was full.
         self.dropped = 0
@@ -63,8 +67,9 @@ class EventHub:
 
     # -- subscriber lifecycle ------------------------------------------------
 
-    def subscribe(self) -> Subscription:
-        sub = Subscription(next(self._ids), self.queue_limit)
+    def subscribe(self, fleet: str | None = None) -> Subscription:
+        """A new subscriber to every event, or to ``fleet``'s alone."""
+        sub = Subscription(next(self._ids), self.queue_limit, fleet)
         self._subs[sub.id] = sub
         return sub
 
@@ -78,17 +83,27 @@ class EventHub:
     def __len__(self) -> int:
         return len(self._subs)
 
+    def listening(self, fleet: str) -> bool:
+        """True while some subscriber takes ``fleet``'s events."""
+        return any(sub.fleet is None or sub.fleet == fleet
+                   for sub in self._subs.values())
+
     # -- publishing ----------------------------------------------------------
 
     def publish(self, event: dict) -> None:
-        """Offer ``event`` to every subscriber; never blocks.
+        """Offer ``event`` to every subscriber that takes it; never blocks.
 
-        A full queue drops the event *for that subscriber only* and
-        increments its ``dropped`` counter — the producing sim thread
-        is isolated from every consumer's pace.
+        Unscoped subscribers take every event; a scoped one takes only
+        events whose ``fleet`` is its own, so campaign events reach
+        unscoped subscribers alone.  A full queue drops the event *for
+        that subscriber only* and increments its ``dropped`` counter —
+        the producing sim thread is isolated from every consumer's pace.
         """
         self.total_published += 1
+        fleet = event.get("fleet")
         for sub in self._subs.values():
+            if sub.fleet is not None and sub.fleet != fleet:
+                continue
             try:
                 sub.queue.put_nowait(event)
                 sub.delivered += 1

@@ -19,7 +19,7 @@ from itertools import count
 
 from repro.errors import SimulationError
 from repro.obs.trace import Tracer
-from repro.sim.events import NORMAL, AllOf, AnyOf, Condition, Event, Timeout
+from repro.sim.events import NORMAL, AnyOf, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -38,11 +38,10 @@ class Environment:
     #: :meth:`pooled_timeout`); bounded so a burst cannot pin memory.
     _POOL_LIMIT = 1024
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
         self._eid = count()
-        self._active_process: Process | None = None
         self._timeout_pool: list[Timeout] = []
         #: Structured tracer shared by every subsystem of this world.
         #: Disabled by default; call sites guard on ``tracer.enabled``.
@@ -58,11 +57,6 @@ class Environment:
         """Current simulated time in seconds."""
         return self._now
 
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
     # -- scheduling --------------------------------------------------------
 
     def schedule(self, event: Event, delay: float = 0.0,
@@ -74,31 +68,6 @@ class Environment:
             self._heap, (self._now + delay, priority, next(self._eid), event)
         )
 
-    def peek(self) -> float:
-        """Timestamp of the next event, or ``Infinity`` if none pending."""
-        return self._heap[0][0] if self._heap else Infinity
-
-    def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
-        if not self._heap:
-            raise SimulationError("step() on an empty schedule")
-        when, _prio, _eid, event = heapq.heappop(self._heap)
-        self._now = when
-        profiler = self.profiler
-        if profiler is None:
-            event._process()
-        else:
-            profiler.measure(event)
-        if not event._ok and not event.defused:
-            # A failure nobody absorbed: surface it loudly.
-            raise event._exc  # type: ignore[misc]
-        if event.__class__ is Timeout and event._pooled:
-            self._recycle(event)
-
-    def _recycle(self, timeout: Timeout) -> None:
-        if len(self._timeout_pool) < self._POOL_LIMIT:
-            self._timeout_pool.append(timeout)
-
     def run(self, until: float | Event | None = None) -> object:
         """Run the simulation.
 
@@ -108,10 +77,11 @@ class Environment:
         * ``until=<Event>`` — run until that event processes and return its
           value; raise :class:`SimulationError` if the heap drains first.
 
-        One dispatch loop, inlined rather than calling :meth:`step` (a
-        frame per event is the difference between interactive and
-        sluggish on 100-node testbeds); a profiler attached mid-run (the
-        shell's `profile on`) measures from the next event on.
+        The engine's one dispatch loop: pop, set the clock, dispatch
+        (through the profiler when one is attached), surface unabsorbed
+        failures and recycle pooled timeouts.  A profiler attached
+        mid-run (the shell's `profile on`) measures from the next event
+        on.
         """
         horizon = Infinity
         target: Event | None = None
@@ -156,10 +126,6 @@ class Environment:
 
     # -- factories -----------------------------------------------------------
 
-    def event(self) -> Event:
-        """A bare, untriggered event (trigger with ``succeed``/``fail``)."""
-        return Event(self)
-
     def timeout(self, delay: float, value: object = None) -> Timeout:
         """An event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
@@ -174,7 +140,7 @@ class Environment:
 
         Use it **only** where the sole consumer is the immediate ``yield``
         (or a single ``add_callback``): holding a pooled timeout past its
-        firing — storing it, putting it in a :class:`Condition`, passing
+        firing — storing it, putting it in an :class:`AnyOf`, passing
         it to ``run(until=...)`` — reads recycled state.
         """
         pool = self._timeout_pool
@@ -214,13 +180,9 @@ class Environment:
         """Launch ``generator`` as a simulated process."""
         return Process(self, generator, name=name)
 
-    def any_of(self, events: _t.Sequence[Event]) -> Condition:
+    def any_of(self, events: _t.Sequence[Event]) -> AnyOf:
         """Condition that succeeds when any of ``events`` succeeds."""
         return AnyOf(self, events)
-
-    def all_of(self, events: _t.Sequence[Event]) -> Condition:
-        """Condition that succeeds when all of ``events`` succeed."""
-        return AllOf(self, events)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Environment t={self._now:.6f}s pending={len(self._heap)}>"

@@ -24,7 +24,7 @@ from repro.errors import SimulationError
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
 
-__all__ = ["PENDING", "Event", "Timeout", "Condition", "AnyOf", "AllOf"]
+__all__ = ["PENDING", "Event", "Timeout", "AnyOf"]
 
 #: Sentinel for "this event has no value yet".
 PENDING = object()
@@ -170,15 +170,15 @@ class Timeout(Event):
         env.schedule(self, delay=delay)
 
 
-class Condition(Event):
-    """Base for composite events over a fixed list of sub-events.
+class AnyOf(Event):
+    """Succeeds as soon as any of a fixed list of events succeeds.
 
-    Succeeds with a dict mapping each *triggered-and-successful* sub-event
-    to its value once the subclass-specific quorum is reached.  Fails with
-    the first sub-event failure (absorbing/defusing it).
+    The value is a dict mapping each processed, successful member to its
+    value.  An empty list succeeds at once.  The first member failure is
+    absorbed (defused) and fails the condition with the same exception.
     """
 
-    __slots__ = ("_events", "_count")
+    __slots__ = ("_events",)
 
     def __init__(self, env: "Environment", events: _t.Sequence[Event]):
         super().__init__(env)
@@ -186,15 +186,11 @@ class Condition(Event):
         for ev in self._events:
             if ev.env is not env:
                 raise SimulationError("condition spans multiple environments")
-        self._count = 0
         if not self._events:
             self.succeed({})
             return
         for ev in self._events:
             ev.add_callback(self._check)
-
-    def _quorum(self, count: int, total: int) -> bool:
-        raise NotImplementedError
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -203,26 +199,6 @@ class Condition(Event):
             event.defused = True
             self.fail(event.exception)  # type: ignore[arg-type]
             return
-        self._count += 1
-        if self._quorum(self._count, len(self._events)):
-            self.succeed(
-                {ev: ev._value for ev in self._events if ev.processed and ev.ok}
-            )
-
-
-class AnyOf(Condition):
-    """Succeeds as soon as any sub-event succeeds (or the list is empty)."""
-
-    __slots__ = ()
-
-    def _quorum(self, count: int, total: int) -> bool:
-        return count >= 1
-
-
-class AllOf(Condition):
-    """Succeeds once every sub-event has succeeded."""
-
-    __slots__ = ()
-
-    def _quorum(self, count: int, total: int) -> bool:
-        return count == total
+        self.succeed(
+            {ev: ev._value for ev in self._events if ev.processed and ev.ok}
+        )

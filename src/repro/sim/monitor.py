@@ -51,10 +51,6 @@ class Monitor:
         #: The typed metrics store behind this facade.
         self.registry = MetricsRegistry()
         self.packets: list[PacketRecord] = []
-        # Hot-path memos of registry lookups (count/observe run per
-        # frame); dropped on reset() together with the registry contents.
-        self._counter_memo: dict[str, Counter] = {}
-        self._histogram_memo: dict[str, Histogram] = {}
         #: Read-only per-beacon listeners (``repro.diag.online``), called
         #: as ``tap(receiver_id, origin_id, seq, arrival)`` on every
         #: decoded beacon reception at a beaconing node (a fleet member;
@@ -81,42 +77,20 @@ class Monitor:
         self.beacon_taps = tuple(t for t in self.beacon_taps if t is not tap)
 
     # -- counters ------------------------------------------------------------
+    #
+    # Per-frame hot paths bind ``registry.counter(name)`` (or
+    # ``.histogram(name)``) on first use and bump the live object, so a
+    # metric still enters snapshots only once something recorded it;
+    # these name-keyed helpers serve everything else.
 
     def count(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount``."""
-        counter = self._counter_memo.get(name)
-        if counter is None:
-            counter = self.registry.counter(name)
-            self._counter_memo[name] = counter
-        counter.inc(amount)
+        self.registry.counter(name).inc(amount)
 
     def counter(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never incremented)."""
         metric = self.registry.get(name)
         return metric.value if isinstance(metric, Counter) else 0
-
-    def counter_obj(self, name: str) -> Counter:
-        """The live :class:`Counter` behind ``name`` (get-or-create).
-
-        Hot paths bind this once and bump ``.value`` directly instead of
-        paying a name lookup per frame.  Creation still only happens at
-        the first call, so counters keep appearing in snapshots only
-        once something actually counted.
-        """
-        counter = self._counter_memo.get(name)
-        if counter is None:
-            counter = self.registry.counter(name)
-            self._counter_memo[name] = counter
-        return counter
-
-    def histogram_obj(self, name: str) -> Histogram:
-        """The live :class:`Histogram` behind ``name`` (get-or-create);
-        the :meth:`counter_obj` pattern for high-rate observables."""
-        histogram = self._histogram_memo.get(name)
-        if histogram is None:
-            histogram = self.registry.histogram(name)
-            self._histogram_memo[name] = histogram
-        return histogram
 
     @property
     def counters(self) -> dict[str, int]:
@@ -127,40 +101,21 @@ class Monitor:
 
     def observe(self, name: str, value: float) -> None:
         """Feed a value to histogram ``name``."""
-        histogram = self._histogram_memo.get(name)
-        if histogram is None:
-            histogram = self.registry.histogram(name)
-            self._histogram_memo[name] = histogram
-        histogram.observe(value)
+        self.registry.histogram(name).observe(value)
 
     def histogram(self, name: str) -> Histogram:
         """The histogram behind observations named ``name``."""
-        return self.histogram_obj(name)
+        return self.registry.histogram(name)
 
     def percentiles(self, name: str) -> dict[str, float | int | None]:
         """Summary (count/min/mean/max/p50/p90/p99) of ``name``."""
-        return self.histogram_obj(name).summary()
+        return self.registry.histogram(name).summary()
 
     # -- packets ---------------------------------------------------------------
 
     def log_packet(self, record: PacketRecord) -> None:
         """Append a transmission record (called by the radio medium)."""
         self.packets.append(record)
-
-    def packet_count(self, kind: str | None = None,
-                     predicate: _t.Callable[[PacketRecord], bool] | None = None,
-                     ) -> int:
-        """Count logged transmissions, optionally filtered.
-
-        ``kind`` filters on the record's traffic class; ``predicate`` is an
-        arbitrary extra filter applied after the kind match.
-        """
-        records: _t.Iterable[PacketRecord] = self.packets
-        if kind is not None:
-            records = (r for r in records if r.kind == kind)
-        if predicate is not None:
-            records = (r for r in records if predicate(r))
-        return sum(1 for _ in records)
 
     def packet_digest(self) -> str:
         """Order-sensitive SHA-256 of the full packet log.
@@ -190,10 +145,3 @@ class Monitor:
         snap = self.registry.snapshot()
         snap["n_packets"] = len(self.packets)
         return snap
-
-    def reset(self) -> None:
-        """Clear all collected data (metrics and packet log)."""
-        self.registry.reset()
-        self.packets.clear()
-        self._counter_memo.clear()
-        self._histogram_memo.clear()

@@ -58,11 +58,6 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    @property
-    def target(self) -> Event | None:
-        """The event the process is currently suspended on, if any."""
-        return self._target
-
     def interrupt(self, cause: object = None) -> None:
         """Throw :class:`ProcessInterrupt` into the generator.
 
@@ -93,7 +88,6 @@ class Process(Event):
             if not event._ok:
                 event.defused = True
             return
-        self.env._active_process = self
         self._target = None
         try:
             if event._ok:
@@ -102,14 +96,11 @@ class Process(Event):
                 event.defused = True
                 next_event = self._generator.throw(event._exc)  # type: ignore[arg-type]
         except StopIteration as stop:
-            self.env._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.env._active_process = None
             self.fail(exc)
             return
-        self.env._active_process = None
 
         if not isinstance(next_event, Event):
             error = SimulationError(

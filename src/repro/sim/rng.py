@@ -49,14 +49,6 @@ class RngRegistry:
             self._streams[name] = gen
         return gen
 
-    def fork(self, salt: int) -> "RngRegistry":
-        """A registry whose streams are independent of this one.
-
-        Used by parameter sweeps to give each trial its own world while
-        keeping trials reproducible: ``registry.fork(trial_index)``.
-        """
-        return RngRegistry((self.master_seed * 0x9E3779B1 + salt) & 0x7FFFFFFF)
-
     def names(self) -> list[str]:
         """Names of streams that have been materialised so far."""
         return sorted(self._streams)

@@ -3,7 +3,6 @@
 import math
 
 from repro.analysis import (
-    count_by_kind,
     packets_between,
     render_kv,
     render_series,
@@ -45,11 +44,6 @@ def test_packets_between_window_and_exclusion():
     mon.log_packet(record(9.0))
     window = packets_between(mon, 0.5, 5.0)
     assert [r.time for r in window] == [1.0, 3.0]
-
-
-def test_count_by_kind():
-    records = [record(1.0), record(2.0), record(3.0, kind="ping")]
-    assert count_by_kind(records) == {"data": 2, "ping": 1}
 
 
 def test_render_table_alignment():

@@ -195,6 +195,7 @@ def test_concurrent_transfers_to_two_peers():
     ReliableEndpoint(right, lambda o, m: inbox_r.append(m))
     p1 = tb.env.process(ep_hub.send(left.id, b"L" * 150))
     p2 = tb.env.process(ep_hub.send(right.id, b"R" * 150))
-    tb.env.run(until=tb.env.all_of([p1, p2]))
+    tb.env.run(until=p1)
+    tb.env.run(until=p2)
     assert inbox_l == [b"L" * 150]
     assert inbox_r == [b"R" * 150]

@@ -128,10 +128,8 @@ def test_multiple_findings_on_one_subject_keep_worst_light():
 
 def test_view_is_json_ready_and_carries_times():
     report = DiagnosisReport(findings=[make("lossy_link")], probes_run=5)
-    view = health_view(report, sim_time=12.5, assessed_at=10.0,
-                       extra={"fleet": "field"})
+    view = health_view(report, sim_time=12.5, assessed_at=10.0)
     round_tripped = json.loads(json.dumps(view))
     assert round_tripped["sim_time"] == 12.5
     assert round_tripped["assessed_at"] == 10.0
-    assert round_tripped["fleet"] == "field"
     assert round_tripped["probes_run"] == 5

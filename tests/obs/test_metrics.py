@@ -2,7 +2,6 @@
 monitor's delegation to the registry."""
 
 import json
-from unittest import mock
 
 import pytest
 
@@ -168,18 +167,21 @@ def test_monitor_record_feeds_histogram():
     assert percentiles["max"] == 4.0
 
 
-def test_monitor_histogram_lookups_share_one_memo():
-    """``observe``, ``histogram`` and ``percentiles`` resolve a name
-    through the monitor's memo, not a registry lookup per call."""
+def test_monitor_histogram_lookups_reach_the_registry_object():
+    """``observe``, ``histogram`` and ``percentiles`` all reach the
+    registry's one histogram for a name: the monitor keeps no index of
+    its own beside the registry."""
     mon = Monitor()
     mon.observe("rtt", 1.0)
-    hist = mon.histogram_obj("rtt")
-    with mock.patch.object(MetricsRegistry, "histogram",
-                           side_effect=AssertionError("registry lookup")):
-        mon.observe("rtt", 2.0)
-        mon.observe("rtt", 3.0)
-        assert mon.histogram("rtt") is hist
-        assert mon.percentiles("rtt")["count"] == 3
+    hist = mon.registry.get("rtt")
+    mon.observe("rtt", 2.0)
+    mon.observe("rtt", 3.0)
+    assert mon.histogram("rtt") is hist
+    assert mon.registry.histogram("rtt") is hist
+    assert hist.count == 3
+    assert mon.percentiles("rtt")["count"] == 3
+    assert not [name for name, value in vars(mon).items()
+                if isinstance(value, dict)]
 
 
 def test_monitor_observe_skips_series():
@@ -206,12 +208,3 @@ def test_monitor_snapshot_carries_no_packet_digest():
     assert snap["n_packets"] == 1
     assert Monitor().snapshot() == {"counters": {}, "gauges": {},
                                     "histograms": {}, "n_packets": 0}
-
-
-def test_monitor_reset_clears_registry():
-    mon = Monitor()
-    mon.count("x")
-    mon.observe("h", 1.0)
-    mon.reset()
-    assert mon.counter("x") == 0
-    assert len(mon.registry) == 0

@@ -57,3 +57,18 @@ def parse_prometheus(text: str) -> dict[str, float]:
         assert key, f"unparseable sample line: {line!r}"
         samples[key] = float(value)
     return samples
+
+
+async def open_events(port: int, path: str = "/events"):
+    """Open an SSE stream on ``path``.
+
+    Returns ``(head, comment, reader, writer)`` once the response head
+    and the server's opening comment have arrived; by then the client's
+    subscription exists.
+    """
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(f"GET {path} HTTP/1.1\r\nHost: test\r\n\r\n".encode())
+    await writer.drain()
+    head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout=10)
+    comment = await asyncio.wait_for(reader.readuntil(b"\n\n"), timeout=10)
+    return head, comment, reader, writer

@@ -11,7 +11,6 @@ suite uses) between served and unserved worlds.
 import asyncio
 
 from repro.serve import ServeApp, build_fleet
-from repro.serve.hub import EventHub
 
 from tests.serve.conftest import fetch
 
@@ -81,7 +80,8 @@ def test_stalled_sse_client_drops_events_but_not_packets():
         # A tiny queue bound makes the stall observable quickly, and
         # tiny kernel buffers make the pump park after a few frames
         # instead of letting the kernel absorb the whole run's events.
-        app = ServeApp([fleet], hub=EventHub(queue_limit=4))
+        app = ServeApp([fleet])
+        app.hub.queue_limit = 4
         await app.start(auto_tick=False)
         # Accepted connections inherit the listener's buffer sizing.
         app._server.sockets[0].setsockopt(
@@ -126,7 +126,8 @@ def test_healthy_and_stalled_subscribers_coexist():
         fleet = build_fleet("chain:5", **FLEET_KW)
         # queue_limit=2 plus tiny kernel buffers: the stalled reader
         # must start shedding well inside the run's event volume.
-        app = ServeApp([fleet], hub=EventHub(queue_limit=2))
+        app = ServeApp([fleet])
+        app.hub.queue_limit = 2
         await app.start(auto_tick=False)
         app._server.sockets[0].setsockopt(
             socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)

@@ -40,6 +40,30 @@ def test_publish_reaches_every_subscriber():
     run(main())
 
 
+def test_a_scoped_subscriber_takes_only_its_fleets_events():
+    """Unscoped subscribers take everything; one scoped to a fleet takes
+    only events naming that fleet, so no campaign event.  A fleet has a
+    listener while some subscriber takes its events."""
+    hub = EventHub()
+    assert not hub.listening("a")
+    scoped = hub.subscribe("a")
+    assert hub.listening("a") and not hub.listening("b")
+    events = [{"type": "trace", "fleet": "a"},
+              {"type": "trace", "fleet": "b"},
+              {"type": "campaign", "campaign": "c"}]
+    for event in events:
+        hub.publish(event)
+    assert scoped.delivered == 1 and scoped.dropped == 0
+    assert scoped.queue.get_nowait() == events[0]
+    everything = hub.subscribe()
+    assert hub.listening("b")
+    for event in events:
+        hub.publish(event)
+    assert [everything.queue.get_nowait() for _ in events] == events
+    assert scoped.delivered == 2
+    assert hub.total_published == 6
+
+
 def test_full_queue_drops_and_counts_without_blocking():
     async def main():
         hub = EventHub(queue_limit=2)

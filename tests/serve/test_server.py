@@ -10,7 +10,12 @@ import json
 
 from repro.serve import ServeApp, build_fleet
 
-from tests.serve.conftest import fetch, fetch_json, parse_prometheus
+from tests.serve.conftest import (
+    fetch,
+    fetch_json,
+    open_events,
+    parse_prometheus,
+)
 
 LINK_DEGRADE = {
     "enabled": True,
@@ -43,6 +48,70 @@ def test_index_lists_fleets_and_endpoints():
             await app.stop()
 
     asyncio.run(main())
+
+
+def test_every_listed_endpoint_routes():
+    """Each entry of ``GET /``'s ``endpoints``, with ``<name>`` filled
+    in, reaches a handler: none answers ``404 no route``.  The POST
+    bodies are malformed JSON, so those answer 400 and change nothing,
+    and ``/events`` is read only as far as its opening comment."""
+    async def main():
+        app, fleet = make_app()
+        await app.start(auto_tick=False)
+        try:
+            _, index = await fetch_json(app.port, "/")
+            assert "GET /fleets/<name>/faults" in index["endpoints"]
+            for entry in index["endpoints"]:
+                method, path = entry.split(" ")
+                path = path.replace("<name>", fleet.name)
+                if path == "/events":
+                    head, _, _, writer = await open_events(app.port, path)
+                    status = int(head.split(b" ")[1])
+                    writer.close()
+                    body = b""
+                else:
+                    status, _, body = await fetch(
+                        app.port, path, method,
+                        b"not json" if method == "POST" else None)
+                assert not (status == 404 and b"no route" in body), entry
+        finally:
+            await app.stop()
+
+    asyncio.run(main())
+
+
+def test_events_with_a_trailing_slash_streams():
+    """``/events/`` is ``/events``, as ``/metrics/`` is ``/metrics``."""
+    async def main():
+        app, _ = make_app()
+        await app.start(auto_tick=False)
+        try:
+            head, comment, _, writer = await open_events(app.port,
+                                                         "/events/")
+            assert head.startswith(b"HTTP/1.1 200")
+            assert comment == b": repro.serve event stream\n\n"
+            assert len(app.hub) == 1
+            writer.close()
+        finally:
+            await app.stop()
+
+    asyncio.run(main())
+
+
+def test_assessor_health_names_the_fleet():
+    """``HealthAssessor.health(fleet=...)`` is the path that puts a
+    fleet's name into ``/health``: pending, and after an assessment,
+    where the payload stays JSON-ready."""
+    fleet = build_fleet("chain:3", seed=7, assess_every=20.0, warm_up=5.0)
+    assert fleet.health_payload["fleet"] == fleet.name
+    assert fleet.assessor.health(fleet="field") == {
+        "status": "pending", "mode": "active", "assessments": 0,
+        "sim_time": round(fleet.sim_time, 6), "fleet": "field"}
+    fleet.assessor.assess()
+    view = json.loads(json.dumps(fleet.assessor.health(fleet="field")))
+    assert view["fleet"] == "field"
+    assert view["assessments"] == 1
+    assert view["status"] == "green"
 
 
 def test_metrics_exposition_parses_and_carries_fleet_label():
@@ -263,8 +332,7 @@ def test_sse_stream_delivers_trace_health_and_finding_events():
 
 def test_events_for_an_unknown_fleet_is_a_404_with_no_subscriber():
     """Like ``/metrics?fleet=nope``: a stream filtered to a fleet the
-    server lacks would carry nothing, yet its subscription would switch
-    every fleet's tracer on."""
+    server lacks would carry nothing."""
     async def main():
         app, _ = make_app()
         await app.start(auto_tick=False)

@@ -1,20 +1,25 @@
 """A served fleet traces only while an ``/events`` client listens.
 
 Each ``FleetSupervisor.advance`` switches the packet-lifecycle tracer on
-exactly when the fleet's event hub has a subscriber, then publishes and
-clears what that advance recorded.  Pinned world: ``chain:5``, seed 11,
-advanced 8 x 5 s.  Tracing draws nothing and schedules nothing, so the
-packet digest is the same whoever listens, and a listener gets the same
-trace batches for the ticks it was connected as one that listened from
-the start.
+exactly when the fleet's event hub has a subscriber to that fleet's
+events (an unscoped one, or one whose ``?fleet=`` names it), then
+publishes and clears what that advance recorded.  Pinned world:
+``chain:5``, seed 11, advanced 8 x 5 s.  Tracing draws nothing and
+schedules nothing, so the packet digest is the same whoever listens,
+and a listener gets the same trace batches for the ticks it was
+connected as one that listened from the start.  On a server of two
+fleets, a ``?fleet=`` client reads, and traces, its own fleet alone.
 """
 
+import asyncio
 import hashlib
 import json
 
 import pytest
 
-from repro.serve import build_fleet
+from repro.serve import ServeApp, build_fleet
+
+from tests.serve.conftest import open_events
 
 TICKS = 8
 #: ``Monitor.packet_digest()`` of the pinned world after 8 x 5 s.
@@ -100,3 +105,48 @@ def test_a_late_subscriber_gets_the_pinned_ticks_it_listened_to(pinned):
     assert all(full[3:6])
     assert ticks[:3] + ticks[6:] == [[]] * 5
     assert fleet.monitor.packet_digest() == PACKET_DIGEST
+
+
+async def stream_two_fleets(path):
+    """Advance two ``chain:3`` fleets, ``a`` (seed 3) and ``b`` (seed 4),
+    4 x 5 s behind one server with one client on ``path``.
+
+    Returns every event the client read (as many as the hub delivered
+    to it) and each fleet's tracer state after each advance.
+    """
+    fleets = [build_fleet("chain:3", seed=seed, name=name, warm_up=1.0)
+              for name, seed in (("a", 3), ("b", 4))]
+    app = ServeApp(fleets)
+    await app.start(auto_tick=False)
+    try:
+        _, _, reader, writer = await open_events(app.port, path)
+        (sub,) = app.hub.subscribers
+        traced = {fleet.name: [] for fleet in fleets}
+        for _ in range(4):
+            for fleet in fleets:
+                fleet.advance(5.0)
+                traced[fleet.name].append(fleet.testbed.tracer.enabled)
+            await asyncio.sleep(0)
+        events = []
+        while len(events) < sub.delivered:
+            frame = await asyncio.wait_for(reader.readuntil(b"\n\n"),
+                                           timeout=10)
+            events.append(json.loads(frame.split(b"data: ", 1)[1]))
+        assert sub.dropped == 0
+        writer.close()
+        return events, traced
+    finally:
+        await app.stop()
+
+
+def test_a_fleet_scoped_client_reads_and_traces_only_its_fleet():
+    events, traced = asyncio.run(stream_two_fleets("/events?fleet=a"))
+    assert events and {event["fleet"] for event in events} == {"a"}
+    assert {event["type"] for event in events} == {"trace"}
+    assert traced == {"a": [True] * 4, "b": [False] * 4}
+
+
+def test_an_unscoped_client_reads_and_traces_every_fleet():
+    events, traced = asyncio.run(stream_two_fleets("/events"))
+    assert {event["fleet"] for event in events} == {"a", "b"}
+    assert traced == {"a": [True] * 4, "b": [True] * 4}

@@ -3,17 +3,12 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Infinity
+from repro.sim import Environment, Event
 
 
 def test_clock_starts_at_zero():
     env = Environment()
     assert env.now == 0.0
-
-
-def test_clock_custom_start():
-    env = Environment(initial_time=5.0)
-    assert env.now == 5.0
 
 
 def test_timeout_advances_clock():
@@ -40,7 +35,8 @@ def test_run_until_number_processes_only_due_events():
 
 
 def test_run_until_past_raises():
-    env = Environment(initial_time=10.0)
+    env = Environment()
+    env.run(until=10.0)
     with pytest.raises(SimulationError):
         env.run(until=5.0)
 
@@ -65,28 +61,10 @@ def test_equal_time_events_process_in_insertion_order():
     assert order == [0, 1, 2, 3, 4]
 
 
-def test_step_empty_schedule_raises():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.step()
-
-
-def test_peek_empty_is_infinity():
-    env = Environment()
-    assert env.peek() == Infinity
-
-
-def test_peek_returns_next_timestamp():
-    env = Environment()
-    env.timeout(2.0)
-    env.timeout(1.0)
-    assert env.peek() == 1.0
-
-
 def test_schedule_into_past_raises():
     env = Environment()
     with pytest.raises(SimulationError):
-        env.schedule(env.event(), delay=-1.0)
+        env.schedule(Event(env), delay=-1.0)
 
 
 def test_run_until_event_returns_value():
@@ -105,7 +83,7 @@ def test_run_until_event_already_processed():
 
 def test_run_until_event_never_triggered_raises():
     env = Environment()
-    pending = env.event()
+    pending = Event(env)
     env.timeout(1.0)
     with pytest.raises(SimulationError):
         env.run(until=pending)
@@ -113,7 +91,7 @@ def test_run_until_event_never_triggered_raises():
 
 def test_unhandled_failure_crashes_run():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     ev.fail(ValueError("boom"))
     with pytest.raises(ValueError, match="boom"):
         env.run()
@@ -121,7 +99,7 @@ def test_unhandled_failure_crashes_run():
 
 def test_defused_failure_does_not_crash():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     ev.fail(ValueError("boom"))
     ev.defused = True
     env.run()  # should not raise
@@ -129,7 +107,7 @@ def test_defused_failure_does_not_crash():
 
 def test_succeed_twice_raises():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     ev.succeed(1)
     with pytest.raises(SimulationError):
         ev.succeed(2)
@@ -138,7 +116,7 @@ def test_succeed_twice_raises():
 def test_fail_requires_exception():
     env = Environment()
     with pytest.raises(SimulationError):
-        env.event().fail("not an exception")  # type: ignore[arg-type]
+        Event(env).fail("not an exception")  # type: ignore[arg-type]
 
 
 def test_negative_timeout_raises():
@@ -150,13 +128,13 @@ def test_negative_timeout_raises():
 def test_event_value_before_trigger_raises():
     env = Environment()
     with pytest.raises(SimulationError):
-        _ = env.event().value
+        _ = Event(env).value
 
 
 def test_event_ok_before_trigger_raises():
     env = Environment()
     with pytest.raises(SimulationError):
-        _ = env.event().ok
+        _ = Event(env).ok
 
 
 def test_callback_after_processed_fires_immediately():

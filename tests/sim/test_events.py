@@ -1,20 +1,8 @@
-"""Unit tests for conditions (AnyOf / AllOf) and event composition."""
+"""Unit tests for the AnyOf condition and event composition."""
 
 import pytest
 
-from repro.sim import Environment
-
-
-def test_all_of_waits_for_all():
-    env = Environment()
-
-    def worker():
-        t1 = env.timeout(1.0, value="a")
-        t2 = env.timeout(3.0, value="b")
-        result = yield env.all_of([t1, t2])
-        return (env.now, sorted(result.values()))
-
-    assert env.run(until=env.process(worker())) == (3.0, ["a", "b"])
+from repro.sim import Environment, Event
 
 
 def test_any_of_fires_on_first():
@@ -34,22 +22,12 @@ def test_any_of_as_timeout_pattern():
     env = Environment()
 
     def worker():
-        data = env.event()  # never triggered: models a lost reply
+        data = Event(env)  # never triggered: models a lost reply
         deadline = env.timeout(0.5, value="timeout")
         result = yield env.any_of([data, deadline])
         return list(result.values())
 
     assert env.run(until=env.process(worker())) == ["timeout"]
-
-
-def test_empty_all_of_succeeds_immediately():
-    env = Environment()
-
-    def worker():
-        result = yield env.all_of([])
-        return result
-
-    assert env.run(until=env.process(worker())) == {}
 
 
 def test_empty_any_of_succeeds_immediately():
@@ -83,7 +61,7 @@ def test_condition_fails_when_member_fails():
 
     def worker():
         try:
-            yield env.all_of([env.process(failing_child()), env.timeout(5.0)])
+            yield env.any_of([env.process(failing_child()), env.timeout(5.0)])
         except ValueError:
             return "propagated"
 
@@ -96,20 +74,7 @@ def test_condition_rejects_foreign_events():
     from repro.errors import SimulationError
 
     with pytest.raises(SimulationError):
-        env.all_of([other.timeout(1.0)])
-
-
-def test_all_of_result_maps_events_to_values():
-    env = Environment()
-    t1 = env.timeout(1.0, value=10)
-    t2 = env.timeout(2.0, value=20)
-
-    def worker():
-        result = yield env.all_of([t1, t2])
-        return result
-
-    result = env.run(until=env.process(worker()))
-    assert result == {t1: 10, t2: 20}
+        env.any_of([other.timeout(1.0)])
 
 
 def test_any_of_processes_losers_without_crash():

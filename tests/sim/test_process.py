@@ -199,20 +199,6 @@ def test_interrupted_process_can_keep_working():
     assert env.run(until=proc) == 3.0
 
 
-def test_active_process_visible_during_resume():
-    env = Environment()
-    seen = []
-
-    def worker():
-        seen.append(env.active_process)
-        yield env.timeout(1.0)
-
-    proc = env.process(worker())
-    env.run()
-    assert seen == [proc]
-    assert env.active_process is None
-
-
 def test_process_name_defaults_to_generator_name():
     env = Environment()
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.monitor import Monitor, PacketRecord
+from repro.sim.monitor import Monitor
 from repro.units import (
     BYTE_AIRTIME,
     MS,
@@ -60,52 +60,3 @@ def test_counters_default_zero():
     assert mon.counter("x") == 4
 
 
-def test_packet_count_filters():
-    mon = Monitor()
-    for i, kind in enumerate(("ping", "ping", "beacon")):
-        mon.log_packet(PacketRecord(
-            time=float(i), sender=1, receiver=2, kind=kind, port=None,
-            size_bytes=10, delivered=(i != 1),
-        ))
-    assert mon.packet_count() == 3
-    assert mon.packet_count(kind="ping") == 2
-    assert mon.packet_count(kind="ping",
-                            predicate=lambda r: r.delivered) == 1
-
-
-def test_packet_count_predicate_without_kind():
-    mon = Monitor()
-    for i in range(4):
-        mon.log_packet(PacketRecord(
-            time=float(i), sender=1, receiver=2, kind="data", port=None,
-            size_bytes=10 * (i + 1), delivered=True,
-        ))
-    assert mon.packet_count(predicate=lambda r: r.size_bytes > 20) == 2
-
-
-def test_packet_count_unmatched_kind_is_zero():
-    mon = Monitor()
-    mon.log_packet(PacketRecord(time=0.0, sender=1, receiver=2,
-                                kind="ping", port=None, size_bytes=1,
-                                delivered=True))
-    assert mon.packet_count(kind="beacon") == 0
-    assert mon.packet_count(kind="ping",
-                            predicate=lambda r: not r.delivered) == 0
-
-
-def test_packet_count_empty_log():
-    assert Monitor().packet_count() == 0
-    assert Monitor().packet_count(kind="ping") == 0
-
-
-def test_reset_clears_everything():
-    mon = Monitor()
-    mon.count("x")
-    mon.observe("s", 1.0)
-    mon.log_packet(PacketRecord(time=0, sender=1, receiver=None,
-                                kind="d", port=None, size_bytes=1,
-                                delivered=True))
-    mon.reset()
-    assert mon.counter("x") == 0
-    assert mon.histogram("s").count == 0
-    assert mon.packets == []
