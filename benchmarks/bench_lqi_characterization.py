@@ -31,7 +31,8 @@ def sample_link(distance, seed=4, jam=False, jam_offset=42.5):
     tx = tb.add_node("tx", (0.0, 0.0))
     rx = tb.add_node("rx", (distance, 0.0))
     arrivals = []
-    rx.xcvr.set_receive_handler(arrivals.append)
+    rx.xcvr.set_receive_handler(
+        lambda batch: arrivals.extend(map(batch.arrival, batch.rows)))
     jammer = None
     if jam:
         # An interferer near the receiver, far enough from the sender

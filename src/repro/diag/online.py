@@ -48,7 +48,8 @@ from repro.kernel.neighbors import DEFAULT_BEACON_INTERVAL
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.testbed import Testbed
-    from repro.radio.medium import FrameArrival
+    from repro.net.packet import Packet
+    from repro.radio.medium import FrameBatch, Row
 
 __all__ = [
     "WindowStats",
@@ -418,10 +419,11 @@ INTERFERENCE_MIN_LINKS = 3
 INTERFERENCE_MIN_FRACTION = 0.5
 #: Inter-arrival drift detection: the recent-window mean must sit
 #: ``DRIFT_Z`` standard errors AND ``DRIFT_REL`` (relative) away
-#: from the *nominal* beacon period, ``DEFAULT_BEACON_INTERVAL`` — a
-#: protocol constant the diagnosis tool knows, so a fault can never
-#: contaminate the reference the way it could a learned baseline.
-#: Beacon jitter is ±10 % uniform (σ ≈ 5.8 %): 32 samples put the SE
+#: from the *nominal* beacon period — the interval the origin was set
+#: to (``DEFAULT_BEACON_INTERVAL`` until an ``update`` retunes it, and
+#: always for a detached monitor), which the diagnosis tool knows, so a
+#: fault can never contaminate the reference the way it could a learned
+#: baseline.  Beacon jitter is ±10 % uniform (σ ≈ 5.8 %): 32 samples put the SE
 #: near 1 %, the 4-SE gate near 4 %.  A sliding window is re-tested
 #: every poll on every link, so 4-σ excursions *will* eventually
 #: occur; the absolute gate is what rejects them — 4.5 % puts the
@@ -438,8 +440,8 @@ class _LinkState:
     """Per directed link (origin -> receiver): all detector state."""
 
     __slots__ = ("lqi", "rssi", "loss", "loss_window", "intervals",
-                 "baseline_window", "baseline_interval", "last_seq",
-                 "last_heard", "beacons", "channel")
+                 "baseline_window", "baseline_interval", "nominal",
+                 "last_seq", "last_heard", "beacons", "channel")
 
     def __init__(self):
         self.lqi = EwmaDetector(
@@ -456,16 +458,28 @@ class _LinkState:
         self.intervals = WindowStats(DRIFT_WINDOW)
         self.baseline_window = WindowStats(BASELINE_INTERVALS)
         self.baseline_interval: tuple[float, float] | None = None
+        #: The beacon interval the origin was set to when its intervals
+        #: were measured: the drift reference.
+        self.nominal = DEFAULT_BEACON_INTERVAL
         self.last_seq: int | None = None
         self.last_heard = 0.0
         self.beacons = 0
         self.channel: int | None = None
 
     def observe(self, *, seq: int, lqi: float, rssi: float,
-                channel: int | None, now: float) -> None:
+                channel: int | None, now: float, nominal: float) -> None:
         if channel is not None:
             self.channel = channel
         self.beacons += 1
+        retuned = nominal != self.nominal
+        if retuned:
+            # The origin's interval setting changed: the cadence measured
+            # so far says nothing about the new one, and the first beacon
+            # since still spans an old-setting period.
+            self.nominal = nominal
+            self.intervals = WindowStats(DRIFT_WINDOW)
+            self.baseline_window = WindowStats(BASELINE_INTERVALS)
+            self.baseline_interval = None
         if self.last_seq is not None:
             gap = (seq - self.last_seq) & 0xFFFF
             if 0 < gap <= MAX_GAP:
@@ -475,8 +489,9 @@ class _LinkState:
                 self.loss.update(0.0)
                 self.loss_window.push(0.0)
                 interval = (now - self.last_heard) / gap
-                self.intervals.push(interval)
-                if self.baseline_interval is None:
+                if not retuned:
+                    self.intervals.push(interval)
+                if self.baseline_interval is None and not retuned:
                     self.baseline_window.push(interval)
                     if self.baseline_window.full:
                         self.baseline_interval = (
@@ -507,7 +522,7 @@ class _LinkState:
     def expected_interval(self) -> float:
         if self.baseline_interval is not None and self.baseline_interval[0] > 0:
             return self.baseline_interval[0]
-        return DEFAULT_BEACON_INTERVAL
+        return self.nominal
 
     def silent_for(self, now: float, floor: float = -math.inf) -> float:
         """Seconds since last heard, not counting time before ``floor``
@@ -524,15 +539,16 @@ class _LinkState:
     def drift_ratio(self) -> float | None:
         """Relative inter-arrival shift vs. the nominal period, or None.
 
-        The reference is the *configured* beacon period (a protocol
-        constant, immune to contamination by the fault being hunted),
-        and the shift must clear both a statistical gate (``DRIFT_Z``
-        standard errors of the recent-window mean) and an absolute one
-        (``DRIFT_REL``), so ordinary beacon jitter never qualifies.
+        The reference is the *configured* beacon period (the interval
+        the origin was set to, immune to contamination by the fault
+        being hunted), and the shift must clear both a statistical gate
+        (``DRIFT_Z`` standard errors of the recent-window mean) and an
+        absolute one (``DRIFT_REL``), so ordinary beacon jitter never
+        qualifies.
         """
         if not self.intervals.full:
             return None
-        nominal = DEFAULT_BEACON_INTERVAL
+        nominal = self.nominal
         se = max(math.sqrt(self.intervals.variance / self.intervals.count),
                  1e-6 * nominal)
         shift = self.intervals.mean - nominal
@@ -568,7 +584,6 @@ class OnlineMonitor:
         self._paused = False
         self._anchor_floor = -math.inf
         self._pause_idx = 0
-        self._c_beacons = None
         self._new = NewFindings()
         self.beacons_seen = 0
         self.last_polled_at: float | None = None
@@ -634,35 +649,56 @@ class OnlineMonitor:
             now = self.testbed.env.now
         self._anchor_floor = float(now)
 
-    def _tap(self, receiver: int, origin: int, seq: int,
-             arrival: "FrameArrival") -> None:
-        self.observe_beacon(receiver, origin, seq=seq,
-                            lqi=float(arrival.lqi), rssi=float(arrival.rssi),
-                            channel=arrival.channel, now=arrival.time)
+    def _tap(self, packet: "Packet", batch: "FrameBatch",
+             rows: "list[Row]") -> None:
+        """The beacon tap: one call per beacon batch, over the rows the
+        fleet members took."""
+        origin = packet.origin
+        seq = packet.seq
+        channel = batch.channel
+        now = batch.time
+        nominal = self._nominal(origin)
+        for row in rows:
+            self._ingest(origin, row[0].node_id, seq, float(row[4]),
+                         float(row[3]), channel, now, nominal)
+        self._count(len(rows))
 
     # -- ingestion -------------------------------------------------------
 
     def observe_beacon(self, receiver: int, origin: int, *, seq: int,
                        lqi: float, rssi: float, channel: int | None = None,
                        now: float) -> None:
-        """Feed one received beacon (the tap's entry point; synthetic
-        tests call it directly)."""
-        key = (int(origin), int(receiver))
+        """Feed one received beacon (synthetic tests call this; the tap
+        feeds whole batches)."""
+        origin = int(origin)
+        self._ingest(origin, int(receiver), int(seq), float(lqi),
+                     float(rssi), channel, float(now), self._nominal(origin))
+        self._count(1)
+
+    def _nominal(self, origin: int) -> float:
+        """The beacon interval ``origin`` is set to: the drift reference.
+        A detached monitor knows only the default."""
+        if self.testbed is None:
+            return DEFAULT_BEACON_INTERVAL
+        return self.testbed.node(origin).neighbors.beacon_interval
+
+    def _ingest(self, origin: int, receiver: int, seq: int, lqi: float,
+                rssi: float, channel: int | None, now: float,
+                nominal: float) -> None:
+        key = (origin, receiver)
         state = self._links.get(key)
         if state is None:
             state = self._links[key] = _LinkState()
         if self._paused or state.last_heard < self._anchor_floor:
-            state.anchor(seq=int(seq), channel=channel, now=float(now))
+            state.anchor(seq=seq, channel=channel, now=now)
         else:
-            state.observe(seq=int(seq), lqi=float(lqi), rssi=float(rssi),
-                          channel=channel, now=float(now))
-        self.beacons_seen += 1
+            state.observe(seq=seq, lqi=lqi, rssi=rssi, channel=channel,
+                          now=now, nominal=nominal)
+
+    def _count(self, beacons: int) -> None:
+        self.beacons_seen += beacons
         if self._monitor is not None:
-            c = self._c_beacons
-            if c is None:
-                c = self._c_beacons = self._monitor.registry.counter(
-                    "diag.online.beacons")
-            c.value += 1
+            self._monitor.count("diag.online.beacons", beacons)
 
     # -- reduction -------------------------------------------------------
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.errors import ProcessInterrupt
 from repro.net.packet import ANY_NODE, Packet
 from repro.net.ports import WellKnownPorts
-from repro.radio.medium import FrameArrival
+from repro.radio.medium import FrameBatch, Row
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.node import SensorNode
@@ -35,13 +35,6 @@ EWMA_ALPHA = 0.3
 
 _BEACON_FMT = ">ffB"  # x, y, name length; name bytes follow
 _BEACON_HEADER_BYTES = struct.calcsize(_BEACON_FMT)
-
-#: Last successfully decoded beacon payload: (payload bytes, x, y, name).
-#: One broadcast beacon reaches every in-range receiver as the *same*
-#: payload object (the parse memo in Packet.from_bytes shares the slice),
-#: so repeats skip the struct unpack and UTF-8 decode.  Identity-keyed on
-#: immutable bytes; the decoded fields are immutable and safe to share.
-_beacon_memo: tuple[bytes, float, float, str] | None = None
 
 
 @dataclass(slots=True)
@@ -92,11 +85,9 @@ class NeighborTable:
         self._blacklist: set[int] = set()
         self._seq = 0
         self._rng = node.rng.stream(f"neighbors.jitter.{node.id}")
-        # Lazily bound handle for the per-beacon receive counter (created
-        # on first increment so it stays out of untouched snapshots).
-        self._c_received = None
-        node.stack.ports.subscribe(
-            WellKnownPorts.NEIGHBOR, self._on_beacon, name="neighbor-beacons"
+        node.stack.ports.subscribe_batch(
+            WellKnownPorts.NEIGHBOR, NeighborTable._on_beacon, self,
+            name="neighbor-beacons",
         )
         #: A non-beaconing node (the management workstation) hears its
         #: neighborhood but never advertises itself, so routing protocols
@@ -229,63 +220,78 @@ class NeighborTable:
         self.node.stack.broadcast(packet, kind="beacon")
         self.node.monitor.count("neighbors.beacons_sent")
 
-    def _on_beacon(self, packet: Packet, arrival: FrameArrival | None) -> None:
-        global _beacon_memo
-        if arrival is None or packet.origin == self.node.id:
-            return
-        payload = packet.payload
-        memo = _beacon_memo
-        if memo is not None and memo[0] is payload:
-            x, y, name = memo[1], memo[2], memo[3]
-        else:
-            try:
-                x, y, name_len = struct.unpack_from(_BEACON_FMT, payload)
-                name = payload[
-                    _BEACON_HEADER_BYTES:_BEACON_HEADER_BYTES + name_len
-                ].decode("utf-8")
-            except (struct.error, UnicodeDecodeError):
-                self.node.monitor.count("neighbors.malformed_beacons")
-                return
-            if type(payload) is bytes:
-                _beacon_memo = (payload, x, y, name)
-        monitor = self.node.monitor
-        c = self._c_received
-        if c is None:
-            c = self._c_received = monitor.registry.counter(
-                "neighbors.beacons_received")
-        c.value += 1
-        self._update(packet.origin, name, (x, y), packet.seq, arrival)
-        taps = monitor.beacon_taps
-        if taps and self.beaconing:
-            for tap in taps:
-                tap(self.node.id, packet.origin, packet.seq, arrival)
+    @staticmethod
+    def _on_beacon(packet: Packet, batch: FrameBatch,
+                   tables: "list[NeighborTable]", rows: list[Row]) -> None:
+        """The neighbor service's receive entry: one beacon, decoded once.
 
-    def _update(self, node_id: int, name: str,
-                position: tuple[float, float], seq: int,
-                arrival: FrameArrival) -> None:
-        now = self.node.env.now
-        entry = self._entries.get(node_id)
-        if entry is None:
-            self._expire()
-            if len(self._entries) >= self.capacity:
-                self._evict()
-            entry = NeighborEntry(
-                node_id=node_id, name=name, position=position,
-                lqi=float(arrival.lqi), rssi=float(arrival.rssi),
-                first_heard=now, last_heard=now, beacons_received=1,
-                first_seq=seq, last_seq=seq,
-                enabled=node_id not in self._blacklist,
-            )
-            self._entries[node_id] = entry
+        The stack calls it once for a frame's run of beacon rows;
+        ``tables[i]`` took ``rows[i]``.  Each table folds the row's LQI
+        and RSSI into its entry for the beacon's origin, and the beacon
+        taps then read the rows the fleet members took, in one call.
+        Static, like the stack's entry, so one span sees every batch.
+        """
+        origin = packet.origin
+        # A node never takes its own beacon as a neighbor's.  The sender
+        # hears none of its own frames, so only a beacon someone else
+        # put on the air under another origin can reach that node.
+        if origin != batch.sender and any(
+                table.node.id == origin for table in tables):
+            kept = [(t, r) for t, r in zip(tables, rows) if t.node.id != origin]
+            if not kept:
+                return
+            tables = [t for t, _ in kept]
+            rows = [r for _, r in kept]
+        monitor = tables[0].node.monitor
+        payload = packet.payload
+        try:
+            x, y, name_len = struct.unpack_from(_BEACON_FMT, payload)
+            name = payload[
+                _BEACON_HEADER_BYTES:_BEACON_HEADER_BYTES + name_len
+            ].decode("utf-8")
+        except (struct.error, UnicodeDecodeError):
+            monitor.count("neighbors.malformed_beacons", len(tables))
             return
+        monitor.count("neighbors.beacons_received", len(tables))
+        position = (x, y)
+        seq = packet.seq
+        now = batch.time
+        keep = 1 - EWMA_ALPHA
         alpha = EWMA_ALPHA
-        entry.name = name
-        entry.position = position
-        entry.lqi = (1 - alpha) * entry.lqi + alpha * arrival.lqi
-        entry.rssi = (1 - alpha) * entry.rssi + alpha * arrival.rssi
-        entry.last_heard = now
-        entry.beacons_received += 1
-        entry.last_seq = seq
+        tapped: list[Row] = []
+        for table, row in zip(tables, rows):
+            entry = table._entries.get(origin)
+            if entry is None:
+                table._add(origin, name, position, seq, row[4], row[3], now)
+            else:
+                entry.name = name
+                entry.position = position
+                entry.lqi = keep * entry.lqi + alpha * row[4]
+                entry.rssi = keep * entry.rssi + alpha * row[3]
+                entry.last_heard = now
+                entry.beacons_received += 1
+                entry.last_seq = seq
+            if table.beaconing:
+                tapped.append(row)
+        taps = monitor.beacon_taps
+        if taps and tapped:
+            for tap in taps:
+                tap(packet, batch, tapped)
+
+    def _add(self, node_id: int, name: str, position: tuple[float, float],
+             seq: int, lqi: int, rssi: int, now: float) -> None:
+        """A first beacon from ``node_id``: a new entry, making room by
+        expiring silent neighbors and then evicting the longest-silent."""
+        self._expire()
+        if len(self._entries) >= self.capacity:
+            self._evict()
+        self._entries[node_id] = NeighborEntry(
+            node_id=node_id, name=name, position=position,
+            lqi=float(lqi), rssi=float(rssi),
+            first_heard=now, last_heard=now, beacons_received=1,
+            first_seq=seq, last_seq=seq,
+            enabled=node_id not in self._blacklist,
+        )
 
     def _expire(self) -> None:
         now = self.node.env.now

@@ -21,7 +21,7 @@ import typing as _t
 
 from repro.mac.frame import Frame
 from repro.mac.queue import TxQueue
-from repro.radio.medium import FrameArrival, RadioMedium, Transceiver
+from repro.radio.medium import FrameBatch, RadioMedium, Transceiver
 from repro.sim.engine import Environment
 from repro.sim.monitor import Monitor
 from repro.sim.rng import RngRegistry
@@ -61,22 +61,24 @@ class CsmaMac:
         self.queue = TxQueue(env, capacity=queue_capacity,
                              tracer=env.tracer, owner=self.node_id)
         self._rng = rng.stream(f"mac.backoff.{self.node_id}")
-        # Lazily bound handles for the per-frame receive counters
-        # (created on first increment so untouched counters stay out of
-        # snapshots).
-        self._c_received = None
-        self._c_filtered = None
-        self._receive_handler: _t.Callable[[FrameArrival], None] | None = None
-        xcvr.set_receive_handler(self._on_arrival)
+        # Receiving is the radio's hardware address recognition: a
+        # unicast frame for another node stops there, and corrupted
+        # frames go up too — the communication stack's CRC checker
+        # (Figure 2 of the paper) is the component that discards them.
+        xcvr.address_recognition = True
         self._tx_process = env.process(self._tx_loop(), name=f"mac-tx-{self.node_id}")
 
     # -- upper-layer interface ------------------------------------------------
 
     def set_receive_handler(
-        self, handler: _t.Callable[[FrameArrival], None]
+        self, handler: _t.Callable[[FrameBatch], None] | None,
+        upper: _t.Any = None,
     ) -> None:
-        """Install the network-stack delivery callback."""
-        self._receive_handler = handler
+        """Install the network-stack delivery callback: ``handler(batch)``
+        gets the rows of each :class:`~repro.radio.medium.FrameBatch`
+        that address recognition accepted (see
+        :meth:`Transceiver.set_receive_handler`)."""
+        self.xcvr.set_receive_handler(handler, upper)
 
     def send(self, frame: Frame) -> bool:
         """Enqueue a frame for transmission.
@@ -152,28 +154,3 @@ class CsmaMac:
             tracer.emit("mac.drop", self.env.now, node=self.node_id,
                         packet=frame.trace_id, reason="cca_exhausted")
         return False
-
-    # -- receive path ------------------------------------------------------------
-
-    def _on_arrival(self, arrival: FrameArrival) -> None:
-        """Filter by MAC address and hand good frames up the stack.
-
-        Corrupted frames are passed up too: the communication stack's CRC
-        checker (Figure 2 of the paper) is the component responsible for
-        discarding them.
-        """
-        frame = arrival.frame
-        if not frame.is_broadcast and frame.dst != self.node_id:
-            c = self._c_filtered
-            if c is None:
-                c = self._c_filtered = self.monitor.registry.counter(
-                    "mac.filtered_frames")
-            c.value += 1
-            return
-        c = self._c_received
-        if c is None:
-            c = self._c_received = self.monitor.registry.counter(
-                "mac.received_frames")
-        c.value += 1
-        if self._receive_handler is not None:
-            self._receive_handler(arrival)

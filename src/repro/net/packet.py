@@ -125,14 +125,6 @@ class Packet:
         body = header + self.payload + encode_entries(self.hop_quality)
         return append_crc(body)
 
-    #: Last successful (raw bytes, parsed template) pair.  A broadcast
-    #: frame is parsed once per receiver with the *same* bytes object;
-    #: repeats skip the CRC walk and header unpack and get a fresh
-    #: mutable copy of the template instead.  Identity-keyed, so a hit
-    #: is only possible while the cache itself keeps the key alive, and
-    #: only immutable ``bytes`` keys are ever cached.
-    _parse_memo: "tuple[bytes, Packet] | None" = None
-
     @classmethod
     def from_bytes(cls, data: bytes) -> "Packet":
         """Parse and CRC-verify a serialised packet.
@@ -140,9 +132,6 @@ class Packet:
         Raises :class:`~repro.errors.CrcError` on corruption and
         :class:`HeaderError` on structurally impossible layouts.
         """
-        memo = Packet._parse_memo
-        if memo is not None and memo[0] is data:
-            return memo[1]._fast_copy(cls)
         body = split_and_verify(data)
         if len(body) < HEADER_BYTES:
             raise HeaderError(f"packet body of {len(body)} B has no header")
@@ -175,15 +164,13 @@ class Packet:
         packet.padding_enabled = bool(flags & _FLAG_PADDING)
         packet.hop_count = hop_count
         packet.hop_quality = decode_entries(pad_bytes)
-        if type(data) is bytes:
-            # A bytearray could mutate under the cache; never key on one.
-            # The template is a private copy: callers mutate the packets
-            # they are handed (ttl, padding) and must not taint the memo.
-            Packet._parse_memo = (data, packet._fast_copy(cls))
         return packet
 
-    def _fast_copy(self, cls: "type[Packet]") -> "Packet":
-        """Field-for-field copy skipping ``__init__`` validation."""
+    def _fast_copy(self) -> "Packet":
+        """Field-for-field copy skipping ``__init__`` validation: the
+        stack parses a frame once and hands each receiver that may
+        mutate its packet (ttl, padding) a copy of its own."""
+        cls = type(self)
         packet = cls.__new__(cls)
         packet.port = self.port
         packet.origin = self.origin

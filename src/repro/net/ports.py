@@ -17,7 +17,7 @@ from repro.errors import PortInUse
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
-    from repro.radio.medium import FrameArrival
+    from repro.radio.medium import FrameArrival, FrameBatch, Row
 
 __all__ = ["PortMap", "Subscription", "WellKnownPorts"]
 
@@ -42,14 +42,27 @@ class WellKnownPorts:
 #: observables of the hop the packet came in on, or None for loopback.
 PortHandler = _t.Callable[["Packet", "_t.Optional[FrameArrival]"], None]
 
+#: Batch handler signature: (packet, batch, owners, rows) — one call for
+#: a run of ``batch``'s rows that carry ``packet`` to subscriptions
+#: sharing the handler; ``owners[i]`` is the subscribing object of the
+#: node that took ``rows[i]``.
+BatchHandler = _t.Callable[
+    ["Packet", "FrameBatch", "list[_t.Any]", "list[Row]"], None]
+
 
 @dataclass
 class Subscription:
-    """One process's claim on a port."""
+    """One process's claim on a port.
+
+    A batch subscription (``owner`` set, see
+    :meth:`PortMap.subscribe_batch`) takes a beacon's rows together and
+    never sees a :class:`~repro.radio.medium.FrameArrival`.
+    """
 
     port: int
     name: str
-    handler: PortHandler
+    handler: "PortHandler | BatchHandler"
+    owner: _t.Any = None
 
 
 class PortMap:
@@ -69,6 +82,17 @@ class PortMap:
             )
         sub = Subscription(port=port, name=name, handler=handler)
         self._subs[port] = sub
+        return sub
+
+    def subscribe_batch(self, port: int, handler: BatchHandler, owner: _t.Any,
+                        name: str = "?") -> Subscription:
+        """Claim ``port`` for radio deliveries only, taken a batch at a
+        time: the stack calls ``handler(packet, batch, owners, rows)``
+        once for a run of one frame's rows whose subscriptions share the
+        handler, and never builds a per-row packet copy or arrival.  A
+        loopback or routed packet on the port is accepted and dropped."""
+        sub = self.subscribe(port, handler, name)
+        sub.owner = owner
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
@@ -96,5 +120,6 @@ class PortMap:
         if sub is None:
             self.unmatched += 1
             return False
-        sub.handler(packet, arrival)
+        if sub.owner is None:
+            sub.handler(packet, arrival)
         return True

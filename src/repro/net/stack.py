@@ -23,7 +23,7 @@ from repro.mac.frame import BROADCAST, Frame
 from repro.net.packet import Packet
 from repro.net.ports import PortMap
 from repro.obs.trace import packet_trace_id
-from repro.radio.medium import FrameArrival
+from repro.radio.medium import FrameBatch, Row
 from repro.sim.engine import Environment
 from repro.sim.monitor import Monitor
 
@@ -41,10 +41,7 @@ class CommunicationStack:
         self.tracer = env.tracer
         self.node_id = node_id
         self.ports = PortMap()
-        # Lazily bound handle for the hottest receive counter (created
-        # on first increment so it stays out of untouched snapshots).
-        self._c_received = None
-        mac.set_receive_handler(self._on_frame)
+        mac.set_receive_handler(CommunicationStack._on_frame, self)
 
     # -- send path -----------------------------------------------------------
 
@@ -86,39 +83,98 @@ class CommunicationStack:
 
     # -- receive path ------------------------------------------------------------
 
-    def _on_frame(self, arrival: FrameArrival) -> None:
-        """CRC-check, parse, and port-match one incoming frame."""
-        tracer = self.tracer
-        try:
-            packet = Packet.from_bytes(arrival.payload)
-        except CrcError:
-            self.monitor.count("stack.crc_drops")
-            if tracer.enabled:
-                # The payload is garbage, so the packet id comes from the
-                # frame metadata the sender stamped.
-                tracer.emit("stack.drop", self.env.now, node=self.node_id,
-                            packet=arrival.frame.trace_id,
-                            reason="crc_fail", sender=arrival.sender)
-            return
-        except (HeaderError, PacketError):
-            # A frame can be corrupted into a shape whose CRC accidentally
-            # re-validates but whose header is impossible; or genuinely
-            # malformed senders exist.  Either way: drop and count.
-            self.monitor.count("stack.header_drops")
-            if tracer.enabled:
-                tracer.emit("stack.drop", self.env.now, node=self.node_id,
-                            packet=arrival.frame.trace_id,
-                            reason="header_invalid", sender=arrival.sender)
-            return
-        c = self._c_received
-        if c is None:
-            c = self._c_received = self.monitor.registry.counter(
-                "stack.received_packets")
-        c.value += 1
-        if tracer.enabled:
-            tracer.emit("stack.rx", self.env.now, node=self.node_id,
-                        packet=packet_trace_id(packet.origin, packet.port,
-                                               packet.seq),
-                        sender=arrival.sender, port=packet.port)
-        if not self.ports.dispatch(packet, arrival):
-            self.monitor.count("stack.unmatched_packets")
+    @staticmethod
+    def _on_frame(batch: FrameBatch) -> None:
+        """CRC-check, parse and port-match one transmission's deliveries.
+
+        One call per batch the radio accepted; each row's stack is
+        ``row[0].upper``, and every row shares its world's monitor and
+        tracer.  The rows whose payload survived the air share one
+        parse; each corrupted copy is parsed on its own.  Rows go to
+        their node's port subscriber in id order: a batch subscriber
+        (the neighbor service) takes its run of rows in one call, any
+        other gets a fresh :class:`Packet` and a
+        :class:`~repro.radio.medium.FrameArrival` built for its row.
+
+        Static, and installed from the class, so that a span wrapped
+        around the class attribute before the node is built sees every
+        batch.
+        """
+        rows = batch.rows
+        lead = rows[0][0].upper
+        monitor = lead.monitor
+        tracer = lead.tracer
+        traced = tracer.enabled
+        clean: Packet | str | None = None
+        received = crc_drops = header_drops = unmatched = 0
+        run_handler = run_packet = None
+        owners: list = []
+        run_rows: list[Row] = []
+        for row in rows:
+            if row[2]:
+                if clean is None:
+                    clean = _parse(row[1])
+                packet = clean
+            else:
+                packet = _parse(row[1])
+            stack = row[0].upper
+            if type(packet) is str:
+                if packet == "crc_fail":
+                    crc_drops += 1
+                else:
+                    # A frame can be corrupted into a shape whose CRC
+                    # accidentally re-validates but whose header is
+                    # impossible; or genuinely malformed senders exist.
+                    header_drops += 1
+                if traced:
+                    # The payload is garbage, so the packet id comes from
+                    # the frame metadata the sender stamped.
+                    tracer.emit("stack.drop", batch.time, node=stack.node_id,
+                                packet=batch.frame.trace_id, reason=packet,
+                                sender=batch.sender)
+                continue
+            received += 1
+            if traced:
+                tracer.emit("stack.rx", batch.time, node=stack.node_id,
+                            packet=packet_trace_id(packet.origin, packet.port,
+                                                   packet.seq),
+                            sender=batch.sender, port=packet.port)
+            ports = stack.ports
+            sub = ports._subs.get(packet.port)
+            if sub is None:
+                ports.unmatched += 1
+                unmatched += 1
+            elif sub.owner is not None:
+                if sub.handler is not run_handler or packet is not run_packet:
+                    if owners:
+                        run_handler(run_packet, batch, owners, run_rows)
+                    run_handler, run_packet = sub.handler, packet
+                    owners, run_rows = [], []
+                owners.append(sub.owner)
+                run_rows.append(row)
+            else:
+                if owners:
+                    run_handler(run_packet, batch, owners, run_rows)
+                    owners, run_rows = [], []
+                sub.handler(packet._fast_copy() if packet is clean else packet,
+                            batch.arrival(row))
+        if owners:
+            run_handler(run_packet, batch, owners, run_rows)
+        if received:
+            monitor.count("stack.received_packets", received)
+        if crc_drops:
+            monitor.count("stack.crc_drops", crc_drops)
+        if header_drops:
+            monitor.count("stack.header_drops", header_drops)
+        if unmatched:
+            monitor.count("stack.unmatched_packets", unmatched)
+
+
+def _parse(payload: bytes) -> "Packet | str":
+    """The packet in ``payload``, or the reason the stack drops it."""
+    try:
+        return Packet.from_bytes(payload)
+    except CrcError:
+        return "crc_fail"
+    except (HeaderError, PacketError):
+        return "header_invalid"

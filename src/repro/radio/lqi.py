@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.sim.rng import RngRegistry
 
 __all__ = ["LQI_MIN", "LQI_MAX", "LqiModel", "lqi_from_sinr"]
@@ -54,7 +52,7 @@ class LqiModel:
             value += float(self._rng.normal(0.0, self.noise_sigma))
         return int(min(LQI_MAX, max(LQI_MIN, round(value))))
 
-    def readings(self, sinrs_db: np.ndarray) -> list[int]:
+    def readings(self, sinrs_db: list[float]) -> list[int]:
         """LQI values for many frames, one batched noise draw.
 
         Stream-equivalent to ``len(sinrs_db)`` scalar :meth:`reading`
@@ -65,8 +63,8 @@ class LqiModel:
         n = len(sinrs_db)
         if n == 0:
             return []
-        values = [lqi_from_sinr(s) for s in np.asarray(sinrs_db).tolist()]
+        values = [lqi_from_sinr(s) for s in sinrs_db]
         if self.noise_sigma > 0:
             noise = self._rng.normal(0.0, self.noise_sigma, size=n)
-            values = [v + float(d) for v, d in zip(values, noise)]
+            values = [v + d for v, d in zip(values, noise.tolist())]
         return [int(min(LQI_MAX, max(LQI_MIN, round(v)))) for v in values]

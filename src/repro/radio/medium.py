@@ -11,7 +11,8 @@ simulated testbed flows.  For each transmission it:
    802.15.4 link model and delivers the frame — intact, corrupted (the
    stack's CRC checker then discards it), or not at all;
 4. stamps each delivery with the receiver-side observables LiteView
-   collects: RSSI register reading and LQI; and
+   collects: RSSI register reading and LQI, and hands a frame's
+   deliveries up the receive layers as one :class:`FrameBatch`; and
 5. logs every transmission to the monitor (Figure 7 counts these).
 
 Hot-path design
@@ -115,7 +116,7 @@ from repro.units import dbm_sum
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.mac.frame import Frame
 
-__all__ = ["FrameArrival", "Transceiver", "RadioMedium",
+__all__ = ["FrameArrival", "FrameBatch", "Transceiver", "RadioMedium",
            "CAPTURE_THRESHOLD_DB", "RANGE_MARGIN_SIGMAS",
            "RANGE_MARGIN_FLOOR_DB", "CORRUPT_DELIVERY_FRACTION",
            "range_bound_m", "flip_bits"]
@@ -213,11 +214,49 @@ class FrameArrival:
         )
 
 
+#: One delivery of a :class:`FrameBatch`: ``(transceiver, payload,
+#: crc_ok, rssi, lqi, sinr_db, rx_power_dbm)``.  ``payload`` is the
+#: frame's own bytes when ``crc_ok``, else that receiver's corrupted copy.
+Row = tuple["Transceiver", bytes, bool, int, int, float, float]
+
+
+@_t.final
+class FrameBatch:
+    """One transmission as its receivers got it, handed up once.
+
+    The medium builds one batch per frame at end-of-air: the frame, its
+    sender, channel and time, and one :data:`Row` per delivery in
+    receiver-id order.  Each receive layer takes the whole batch in one
+    call (the radio filters it, the stack parses the clean payload once,
+    the neighbor service decodes a beacon once) instead of one call per
+    receiver.  A handler that wants one receiver's view asks for
+    :meth:`arrival`.
+    """
+
+    __slots__ = ("frame", "sender", "channel", "time", "rows")
+
+    def __init__(self, frame: "Frame", sender: int, channel: int,
+                 time: float, rows: list[Row]) -> None:
+        self.frame = frame
+        self.sender = sender
+        self.channel = channel
+        self.time = time
+        self.rows = rows
+
+    def arrival(self, row: Row) -> FrameArrival:
+        """The :class:`FrameArrival` of one row, built for it alone."""
+        xcvr, payload, crc_ok, rssi, lqi, sinr_db, rx_power_dbm = row
+        return FrameArrival(self.frame, payload, self.sender, xcvr.node_id,
+                            self.channel, rx_power_dbm, sinr_db, rssi, lqi,
+                            crc_ok, self.time)
+
+
 class Transceiver:
     """One node's radio front end, attached to the shared medium."""
 
     __slots__ = ("medium", "node_id", "_position", "config", "enabled",
-                 "_receive_handler", "_transmitting_until")
+                 "address_recognition", "_receive_handler", "upper",
+                 "_transmitting_until")
 
     def __init__(self, medium: "RadioMedium", node_id: int,
                  position: tuple[float, float], config: RadioConfig):
@@ -227,7 +266,14 @@ class Transceiver:
         self.config = config
         #: Radio on/off; an off radio neither receives nor carrier-senses.
         self.enabled = True
-        self._receive_handler: _t.Callable[[FrameArrival], None] | None = None
+        #: The CC2420's hardware address recognition, which the MAC turns
+        #: on: a unicast frame for another node stops at the radio, and
+        #: the MAC's receive counters are kept here.
+        self.address_recognition = False
+        self._receive_handler: _t.Callable[[FrameBatch], None] | None = None
+        #: The per-node object the receive handler serves (the node's
+        #: communication stack), which a shared handler reaches per row.
+        self.upper: _t.Any = None
         self._transmitting_until = -1.0
 
     @property
@@ -243,20 +289,72 @@ class Transceiver:
         self.medium._reposition(self.node_id, self._position)
 
     def set_receive_handler(
-        self, handler: _t.Callable[[FrameArrival], None]
+        self, handler: _t.Callable[[FrameBatch], None] | None,
+        upper: _t.Any = None,
     ) -> None:
-        """Install the MAC-layer delivery callback."""
+        """Install the delivery callback: ``handler(batch)`` gets this
+        radio's rows of each :class:`FrameBatch`, together with the rows
+        of any radio next to it in id order that shares the handler.
+        ``upper`` is the per-node object the handler reaches per row as
+        ``row[0].upper``."""
         self._receive_handler = handler
+        self.upper = upper
 
     @property
     def is_transmitting(self) -> bool:
         """True while a frame of ours is on the air."""
         return self._transmitting_until > self.medium.env.now
 
-    def deliver(self, arrival: FrameArrival) -> None:
-        """Hand an arrival to the MAC (no-op if the radio is off)."""
-        if self.enabled and self._receive_handler is not None:
-            self._receive_handler(arrival)
+    @staticmethod
+    def deliver(batch: FrameBatch) -> None:
+        """The radios' receive entry, one call per transmission.
+
+        Rows whose radio is off go no further.  A radio with address
+        recognition on drops a unicast frame for another node
+        (``mac.filtered_frames``) and takes the rest
+        (``mac.received_frames``), both counted once per batch.  The
+        kept rows go up in id order, one handler call per run of
+        consecutive rows that share a handler: every node of a testbed
+        shares its stack's, so a frame goes up in one call.
+
+        Static, and called through the class, so that a span wrapped
+        around the class attribute sees every batch.
+        """
+        frame = batch.frame
+        dst = None if frame.is_broadcast else frame.dst
+        filtered = received = 0
+        runs: list[tuple[_t.Callable[[FrameBatch], None], list[Row]]] = []
+        handler = None
+        kept: list[Row] = []
+        for row in batch.rows:
+            xcvr = row[0]
+            if not xcvr.enabled:
+                continue
+            if xcvr.address_recognition:
+                if dst is not None and xcvr.node_id != dst:
+                    filtered += 1
+                    continue
+                received += 1
+            h = xcvr._receive_handler
+            if h is None:
+                continue
+            if h is not handler:
+                handler = h
+                kept = []
+                runs.append((h, kept))
+            kept.append(row)
+        if filtered or received:
+            monitor = batch.rows[0][0].medium.monitor
+            if filtered:
+                monitor.count("mac.filtered_frames", filtered)
+            if received:
+                monitor.count("mac.received_frames", received)
+        for h, rows in runs:
+            if len(rows) == len(batch.rows):
+                h(batch)
+            else:
+                h(FrameBatch(frame, batch.sender, batch.channel, batch.time,
+                             rows))
 
 
 class _CandidateIndex:
@@ -882,7 +980,8 @@ class RadioMedium:
         3. scalar corruption draws for the failures (interleaved
            random()/integers() calls cannot batch);
         4. batched RSSI and LQI draws over the deliveries;
-        5. emit counters, trace events, and deliveries in id order.
+        5. emit counters and trace events in id order, and hand the
+           deliveries up as one :class:`FrameBatch`.
         """
         idx = tx.index
         ids = idx.ids
@@ -1009,20 +1108,24 @@ class RadioMedium:
         lqi_of: list[int] = []
         if deliver_offs:
             rssi_of = self.rssi_model.readings(
-                np.array([rx_list[off] for off in deliver_offs])
-            )
+                [rx_list[off] for off in deliver_offs])
             lqi_of = self.lqi_model.readings(
-                np.array([sinr_of[off] for off in deliver_offs])
-            )
+                [sinr_of[off] for off in deliver_offs])
 
-        # Pass 5: counters, trace events, deliveries — id order, exactly
-        # the per-receiver sequence the scalar loop produced.
+        # Pass 5: counters, trace events and the batch's rows — id order,
+        # exactly the per-receiver sequence the scalar loop produced.
+        # The rows go up in one batch after the walk.  With the tracer
+        # on, each row goes up as its own batch right after its
+        # ``radio.rx``, so the lifecycle timeline keeps everything done
+        # for one receiver before the next.
         env_now = self.env.now
         tracer = self.tracer
         trace_on = tracer.enabled
         monitor = self.monitor
         dst = frame.dst
         is_broadcast = frame.is_broadcast
+        channel = tx.channel
+        rows: list[Row] = []
         delivered_to_dst = False
         any_delivered = False
         delivery_pos = 0
@@ -1095,25 +1198,27 @@ class RadioMedium:
             if h is None:
                 h = self._h_lqi = monitor.registry.histogram("radio.lqi")
             h.observe(lqi)
-            if trace_on and (is_dst or is_broadcast):
-                tracer.emit(
-                    "radio.rx", env_now, node=rid,
-                    packet=frame.trace_id, sender=sender_id,
-                    crc_ok=crc_ok, rssi=rssi, lqi=lqi,
-                    sinr_db=round(sinr_of[off], 3),
-                )
-            arrival = FrameArrival(
-                frame=frame, payload=payload,
-                sender=sender_id, receiver=rid, channel=tx.channel,
-                rx_power_dbm=rx_list[off], sinr_db=sinr_of[off],
-                rssi=rssi, lqi=lqi,
-                crc_ok=crc_ok, time=env_now,
-            )
-            xcvrs[off].deliver(arrival)
+            row = (xcvrs[off], payload, crc_ok, rssi, lqi, sinr_of[off],
+                   rx_list[off])
+            if trace_on:
+                if is_dst or is_broadcast:
+                    tracer.emit(
+                        "radio.rx", env_now, node=rid,
+                        packet=frame.trace_id, sender=sender_id,
+                        crc_ok=crc_ok, rssi=rssi, lqi=lqi,
+                        sinr_db=round(sinr_of[off], 3),
+                    )
+                Transceiver.deliver(FrameBatch(frame, sender_id, channel,
+                                               env_now, [row]))
+            else:
+                rows.append(row)
             if crc_ok:
                 any_delivered = True
                 if is_dst:
                     delivered_to_dst = True
+        if rows:
+            Transceiver.deliver(FrameBatch(frame, sender_id, channel,
+                                           env_now, rows))
 
         # An addressed destination the spatial bound excluded never
         # appears in the loop above; its lifecycle trace still owes the

@@ -9,8 +9,6 @@ LiteView results carry register values and this module converts both ways.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.radio.cc2420 import RSSI_OFFSET_DBM
 from repro.sim.rng import RngRegistry
 
@@ -57,17 +55,19 @@ class RssiModel:
             noisy += float(self._rng.normal(0.0, self.noise_sigma_db))
         return dbm_to_reading(noisy)
 
-    def readings(self, received_powers_dbm: np.ndarray) -> list[int]:
+    def readings(self, received_powers_dbm: list[float]) -> list[int]:
         """Register values for many frames, one batched noise draw.
 
         A numpy Generator fills an array from the same bitstream as
         repeated scalar draws, so this consumes exactly what ``len(...)``
-        calls to :meth:`reading` would.
+        calls to :meth:`reading` would; a float64 sum is the same in
+        Python as in numpy, so the values match too.
         """
         n = len(received_powers_dbm)
         if n == 0:
             return []
-        noisy = np.asarray(received_powers_dbm, dtype=float)
+        noisy = received_powers_dbm
         if self.noise_sigma_db > 0:
-            noisy = noisy + self._rng.normal(0.0, self.noise_sigma_db, size=n)
-        return [dbm_to_reading(p) for p in noisy.tolist()]
+            noise = self._rng.normal(0.0, self.noise_sigma_db, size=n)
+            noisy = [p + d for p, d in zip(noisy, noise.tolist())]
+        return [dbm_to_reading(p) for p in noisy]

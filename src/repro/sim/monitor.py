@@ -51,18 +51,19 @@ class Monitor:
         #: The typed metrics store behind this facade.
         self.registry = MetricsRegistry()
         self.packets: list[PacketRecord] = []
-        #: Read-only per-beacon listeners (``repro.diag.online``), called
-        #: as ``tap(receiver_id, origin_id, seq, arrival)`` on every
-        #: decoded beacon reception at a beaconing node (a fleet member;
-        #: the workstation does not beacon).  A tuple so the disabled
-        #: check in the kernel hot path is one attribute read + truth
-        #: test, and so iteration never races a registration.
+        #: Read-only beacon listeners (``repro.diag.online``), called as
+        #: ``tap(packet, batch, rows)`` once per decoded beacon batch:
+        #: the beacon, its :class:`~repro.radio.medium.FrameBatch`, and
+        #: the rows taken at beaconing nodes (fleet members; the
+        #: workstation does not beacon).  A tuple so the disabled check
+        #: in the kernel hot path is one attribute read + truth test, and
+        #: so iteration never races a registration.
         self.beacon_taps: tuple = ()
 
     # -- beacon taps -----------------------------------------------------------
 
     def add_beacon_tap(self, tap: _t.Callable) -> None:
-        """Register a per-beacon listener (idempotent).
+        """Register a beacon listener (idempotent).
 
         Taps must be read-only with respect to the simulation: they may
         not send packets, schedule events or draw randomness — the
@@ -73,15 +74,17 @@ class Monitor:
             self.beacon_taps = (*self.beacon_taps, tap)
 
     def remove_beacon_tap(self, tap: _t.Callable) -> None:
-        """Unregister a per-beacon listener (no-op if absent)."""
+        """Unregister a beacon listener (no-op if absent)."""
         self.beacon_taps = tuple(t for t in self.beacon_taps if t is not tap)
 
     # -- counters ------------------------------------------------------------
     #
-    # Per-frame hot paths bind ``registry.counter(name)`` (or
+    # Per-receiver hot paths bind ``registry.counter(name)`` (or
     # ``.histogram(name)``) on first use and bump the live object, so a
     # metric still enters snapshots only once something recorded it;
-    # these name-keyed helpers serve everything else.
+    # these name-keyed helpers serve everything else, including the
+    # receive layers' counts, added once per frame batch (and only when
+    # non-zero, for the same reason).
 
     def count(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount``."""

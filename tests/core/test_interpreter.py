@@ -183,6 +183,43 @@ def test_watch_across_a_walk_names_no_link_into_the_workstation(
     assert "No problems diagnosed" in out
 
 
+def _watch_a_retuned_node(drift=None):
+    """Watch a quiet 4-chain for 120 s after the user retunes node 2's
+    beacons from the default 2 s to 1 s, optionally with node 2's clock
+    running ``drift`` fast from then on."""
+    from repro.core.deploy import deploy_liteview
+    from repro.faults import FaultPlan, FaultSpec, install_faults
+    from repro.workloads import build_chain
+    from repro.workloads.scenarios import QUIET_PROPAGATION
+
+    testbed = build_chain(4, seed=3, propagation_kwargs=QUIET_PROPAGATION)
+    dep = deploy_liteview(testbed, warm_up=10.0)
+    dep.login(2)
+    dep.run("watch on")
+    dep.run("neighborsetup")
+    assert "1000 ms" in dep.run("update freq=1000")
+    if drift is not None:
+        install_faults(testbed, FaultPlan(name="drift", specs=(
+            FaultSpec(kind="clock_drift", at=testbed.env.now, nodes=(2,),
+                      drift=drift),)))
+    testbed.run(until=testbed.env.now + 120.0)
+    return dep.run("watch report")
+
+
+def test_watch_takes_the_retuned_interval_as_the_drift_reference():
+    """The drift check compares a link's cadence with the interval its
+    origin was set to, so the user's own retune is no clock fault (it
+    read ``beacon interval shifted -50.4%`` against the 2-s default)."""
+    out = _watch_a_retuned_node()
+    assert "No problems diagnosed" in out
+
+
+def test_watch_names_clock_drift_after_a_retune():
+    out = _watch_a_retuned_node(drift=0.08)
+    assert "[hotspot] node 2" in out
+    assert "shifted -7." in out
+
+
 def test_watch_off_keeps_the_report_and_help_mentions_watch(
         chain_deployment):
     dep = logged_in(chain_deployment)

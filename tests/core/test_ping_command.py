@@ -108,18 +108,17 @@ def test_ping_reply_reports_queue_occupancy(chain_deployment):
     backlog = target.mac.queue_occupancy
     assert backlog >= 3
 
-    # Deliver a probe synthetically and catch the reply in the queue.
-    from repro.radio.medium import FrameArrival
+    # Deliver a probe synthetically, as a one-row batch through the
+    # target's stack, and catch the reply in the queue.
+    from repro.net.stack import CommunicationStack
+    from repro.radio.medium import FrameBatch
     probe = PingProbe(token=9, length=16)
     packet = Packet(port=WellKnownPorts.PING, origin=1, dest=2,
                     payload=probe.to_bytes())
-    arrival = FrameArrival(
-        frame=Frame(src=1, dst=2, payload=packet.to_bytes(), kind="ping"),
-        payload=packet.to_bytes(), sender=1, receiver=2, channel=17,
-        rx_power_dbm=-60.0, sinr_db=20.0, rssi=-15, lqi=108, crc_ok=True,
-        time=tb.env.now,
-    )
-    dep.ping_services[2]._answer_probe(packet, arrival)
+    wire = packet.to_bytes()
+    CommunicationStack._on_frame(FrameBatch(
+        Frame(src=1, dst=2, payload=wire, kind="ping"), 1, 17, tb.env.now,
+        [(target.xcvr, wire, True, -15, 108, 20.0, -60.0)]))
     reply_frame = target.mac.queue._items[-1]
     reply_packet = Packet.from_bytes(reply_frame.payload)
     reply = PingReply.from_bytes(reply_packet.payload)

@@ -17,7 +17,8 @@ def build_macs(world, positions):
 def test_send_delivers_to_neighbor(quiet_world):
     macs = build_macs(quiet_world, {1: (0, 0), 2: (5, 0)})
     heard = []
-    macs[2].set_receive_handler(heard.append)
+    macs[2].set_receive_handler(
+        lambda batch: heard.extend(map(batch.arrival, batch.rows)))
     macs[1].send(Frame(src=1, dst=2, payload=b"ping"))
     quiet_world.env.run(until=0.1)
     assert len(heard) == 1
@@ -27,8 +28,10 @@ def test_send_delivers_to_neighbor(quiet_world):
 def test_broadcast_reaches_all_neighbors(quiet_world):
     macs = build_macs(quiet_world, {1: (0, 0), 2: (5, 0), 3: (0, 5)})
     heard2, heard3 = [], []
-    macs[2].set_receive_handler(heard2.append)
-    macs[3].set_receive_handler(heard3.append)
+    macs[2].set_receive_handler(
+        lambda batch: heard2.extend(map(batch.arrival, batch.rows)))
+    macs[3].set_receive_handler(
+        lambda batch: heard3.extend(map(batch.arrival, batch.rows)))
     macs[1].send(Frame(src=1, dst=BROADCAST, payload=b"hi"))
     quiet_world.env.run(until=0.1)
     assert len(heard2) == 1 and len(heard3) == 1
@@ -37,7 +40,8 @@ def test_broadcast_reaches_all_neighbors(quiet_world):
 def test_unicast_filtered_at_non_destination(quiet_world):
     macs = build_macs(quiet_world, {1: (0, 0), 2: (5, 0), 3: (0, 5)})
     heard3 = []
-    macs[3].set_receive_handler(heard3.append)
+    macs[3].set_receive_handler(
+        lambda batch: heard3.extend(map(batch.arrival, batch.rows)))
     macs[1].send(Frame(src=1, dst=2, payload=b"private"))
     quiet_world.env.run(until=0.1)
     assert heard3 == []
@@ -47,7 +51,8 @@ def test_unicast_filtered_at_non_destination(quiet_world):
 def test_queue_drains_in_order(quiet_world):
     macs = build_macs(quiet_world, {1: (0, 0), 2: (5, 0)})
     heard = []
-    macs[2].set_receive_handler(lambda a: heard.append(a.payload))
+    macs[2].set_receive_handler(
+        lambda batch: heard.extend(row[1] for row in batch.rows))
     for i in range(5):
         assert macs[1].send(Frame(src=1, dst=2, payload=bytes([i])))
     quiet_world.env.run(until=0.5)
@@ -77,7 +82,8 @@ def test_backoff_separates_contending_senders(quiet_world):
     succeed thanks to random initial backoff."""
     macs = build_macs(quiet_world, {1: (0, 0), 2: (5, 0), 3: (2.5, 2.5)})
     heard = []
-    macs[3].set_receive_handler(lambda a: heard.append(a.sender))
+    macs[3].set_receive_handler(
+        lambda batch: heard.extend(batch.sender for _ in batch.rows))
     delivered = 0
     trials = 20
     for _ in range(trials):

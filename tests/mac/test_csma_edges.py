@@ -15,7 +15,8 @@ def build_pair(world):
 def test_radio_off_drops_queued_frames(quiet_world):
     (a, mac_a), (b, mac_b) = build_pair(quiet_world)
     heard = []
-    mac_b.set_receive_handler(heard.append)
+    mac_b.set_receive_handler(
+        lambda batch: heard.extend(map(batch.arrival, batch.rows)))
     a.enabled = False
     mac_a.send(Frame(src=1, dst=2, payload=b"doomed"))
     quiet_world.env.run(until=1.0)
@@ -26,7 +27,8 @@ def test_radio_off_drops_queued_frames(quiet_world):
 def test_radio_reenabled_resumes_transmission(quiet_world):
     (a, mac_a), (b, mac_b) = build_pair(quiet_world)
     heard = []
-    mac_b.set_receive_handler(heard.append)
+    mac_b.set_receive_handler(
+        lambda batch: heard.extend(map(batch.arrival, batch.rows)))
     a.enabled = False
     mac_a.send(Frame(src=1, dst=2, payload=b"lost"))
     quiet_world.env.run(until=0.5)

@@ -2,8 +2,8 @@
 
 A mote's radio hands the stack whatever decodes; the stack (and every
 port subscriber above it) must drop garbage gracefully.  We synthesise
-arrivals with hypothesis-generated payloads and feed them through the
-full dispatch path of a node running every service.
+one-row frame batches with hypothesis-generated payloads and feed them
+through the full dispatch path of a node running every service.
 """
 
 from hypothesis import given, settings
@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from repro.core.deploy import deploy_liteview
 from repro.mac.frame import Frame
 from repro.net import Packet, append_crc
-from repro.radio.medium import FrameArrival
+from repro.net.stack import CommunicationStack
+from repro.radio.medium import FrameBatch
 from repro.workloads import build_chain
 from repro.workloads.scenarios import QUIET_PROPAGATION
 
@@ -27,20 +28,18 @@ def loaded_node():
     return testbed, testbed.node(1)
 
 
-def synth_arrival(node, payload: bytes) -> FrameArrival:
-    return FrameArrival(
-        frame=Frame(src=2, dst=node.id, payload=payload, kind="data"),
-        payload=payload, sender=2, receiver=node.id, channel=17,
-        rx_power_dbm=-60.0, sinr_db=20.0, rssi=-15, lqi=108,
-        crc_ok=True, time=node.env.now,
-    )
+def deliver(node, payload: bytes) -> None:
+    """Hand ``payload`` to the node's stack as a clean one-row batch."""
+    CommunicationStack._on_frame(FrameBatch(
+        Frame(src=2, dst=node.id, payload=payload, kind="data"), 2, 17,
+        node.env.now, [(node.xcvr, payload, True, -15, 108, 20.0, -60.0)]))
 
 
 @given(st.binary(min_size=0, max_size=100))
 @settings(max_examples=120, deadline=None)
 def test_random_bytes_never_crash_the_stack(loaded_node, payload):
     testbed, node = loaded_node
-    node.stack._on_frame(synth_arrival(node, payload))
+    deliver(node, payload)
     # Drain whatever the garbage provoked; must not raise.
     testbed.run(until=testbed.env.now + 0.01)
 
@@ -57,7 +56,7 @@ def test_valid_packets_with_random_bodies_never_crash(loaded_node, port,
     must be rejected without scheduler damage."""
     testbed, node = loaded_node
     packet = Packet(port=port, origin=2, dest=node.id, payload=body)
-    node.stack._on_frame(synth_arrival(node, packet.to_bytes()))
+    deliver(node, packet.to_bytes())
     testbed.run(until=testbed.env.now + 0.01)
 
 
@@ -67,5 +66,5 @@ def test_crc_valid_garbage_headers_never_crash(loaded_node, body):
     """Bytes with a *valid CRC trailer* but arbitrary header content
     exercise the header validation path specifically."""
     testbed, node = loaded_node
-    node.stack._on_frame(synth_arrival(node, append_crc(body)))
+    deliver(node, append_crc(body))
     testbed.run(until=testbed.env.now + 0.01)

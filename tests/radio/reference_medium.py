@@ -10,7 +10,9 @@ only the radios inside its sender's range bound at start-of-frame, the
 bound :func:`repro.radio.medium.range_bound_m` computes for production
 too.  A radio that was not inside it at start-of-frame (it hopped onto
 the channel, or moved, since) samples the frame's mean power in
-``ambient_power_dbm`` only if it is inside the bound now.
+``ambient_power_dbm`` only if it is inside the bound now.  Each delivery
+goes up on its own, as a one-row :class:`~repro.radio.medium.FrameBatch`,
+right after its reading and trace event.
 
 Production must reproduce every arrival, reading, counter and packet
 record of this class byte for byte.  Plug it into a full testbed with
@@ -33,7 +35,7 @@ from repro.radio.cc2420 import (
 from repro.radio.lqi import LqiModel
 from repro.radio.medium import (
     CAPTURE_THRESHOLD_DB,
-    FrameArrival,
+    FrameBatch,
     Transceiver,
     range_bound_m,
 )
@@ -249,10 +251,9 @@ class ReferenceMedium:
                 tracer.emit("radio.rx", now, node=rid, packet=frame.trace_id,
                             sender=tx.sender, crc_ok=crc_ok, rssi=rssi,
                             lqi=lqi, sinr_db=round(sinr, 3))
-            receiver.deliver(FrameArrival(
-                frame=frame, payload=payload, sender=tx.sender, receiver=rid,
-                channel=tx.channel, rx_power_dbm=rx_power, sinr_db=sinr,
-                rssi=rssi, lqi=lqi, crc_ok=crc_ok, time=now))
+            Transceiver.deliver(FrameBatch(
+                frame, tx.sender, tx.channel, now,
+                [(receiver, payload, crc_ok, rssi, lqi, sinr, rx_power)]))
             if crc_ok:
                 any_delivered = True
                 delivered_to_dst = delivered_to_dst or rid == frame.dst

@@ -15,7 +15,8 @@ def attach_pair(world, distance=5.0, **cfg):
 
 def collect(xcvr):
     arrivals = []
-    xcvr.set_receive_handler(arrivals.append)
+    xcvr.set_receive_handler(
+        lambda batch: arrivals.extend(map(batch.arrival, batch.rows)))
     return arrivals
 
 

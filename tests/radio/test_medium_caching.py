@@ -20,7 +20,8 @@ from repro.radio.medium import _ActiveTransmission
 
 def _collect(xcvr):
     arrivals = []
-    xcvr.set_receive_handler(arrivals.append)
+    xcvr.set_receive_handler(
+        lambda batch: arrivals.extend(map(batch.arrival, batch.rows)))
     return arrivals
 
 

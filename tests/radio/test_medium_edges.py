@@ -73,7 +73,8 @@ def test_moving_a_node_changes_reception(quiet_world):
     a = quiet_world.medium.attach(1, (0.0, 0.0))
     b = quiet_world.medium.attach(2, (2000.0, 0.0))
     heard = []
-    b.set_receive_handler(heard.append)
+    b.set_receive_handler(
+        lambda batch: heard.extend(map(batch.arrival, batch.rows)))
 
     def tx():
         yield quiet_world.medium.transmit(
@@ -95,7 +96,8 @@ def test_receiver_changing_channel_mid_frame_misses_it(quiet_world):
     a = quiet_world.medium.attach(1, (0.0, 0.0))
     b = quiet_world.medium.attach(2, (20.0, 0.0))
     heard = []
-    b.set_receive_handler(heard.append)
+    b.set_receive_handler(
+        lambda batch: heard.extend(map(batch.arrival, batch.rows)))
 
     def tx():
         yield quiet_world.medium.transmit(
@@ -130,8 +132,10 @@ def test_receivers_moving_mid_frame_keep_the_start_of_frame_snapshot(
     joiner = m.attach(3, (5000.0, 0.0))
     left_heard = []
     joined_heard = []
-    leaver.set_receive_handler(left_heard.append)
-    joiner.set_receive_handler(joined_heard.append)
+    leaver.set_receive_handler(
+        lambda batch: left_heard.extend(map(batch.arrival, batch.rows)))
+    joiner.set_receive_handler(
+        lambda batch: joined_heard.extend(map(batch.arrival, batch.rows)))
     ch = a.config.channel
 
     def tx():

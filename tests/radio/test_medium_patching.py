@@ -126,10 +126,11 @@ class _Run:
             xcvr = medium.attach(nid, _place(self.world, how, nid))
             xcvr.set_receive_handler(self._record)
 
-    def _record(self, arrival):
-        self.arrivals.append((arrival.sender, arrival.receiver,
-                              arrival.rx_power_dbm, arrival.rssi,
-                              arrival.lqi, arrival.crc_ok))
+    def _record(self, batch):
+        for arrival in map(batch.arrival, batch.rows):
+            self.arrivals.append((arrival.sender, arrival.receiver,
+                                  arrival.rx_power_dbm, arrival.rssi,
+                                  arrival.lqi, arrival.crc_ok))
 
     def apply(self, step):
         medium = self.world.medium

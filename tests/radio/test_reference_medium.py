@@ -154,11 +154,12 @@ def _play(medium_cls, world) -> dict:
     medium = medium_cls(env, rng, monitor, propagation)
     observed: list[tuple] = []
 
-    def on_arrival(a):
-        observed.append((
-            "rx", a.time.hex(), a.frame.trace_id, a.sender, a.receiver,
-            a.channel, a.rx_power_dbm.hex(), a.sinr_db.hex(), a.rssi,
-            a.lqi, a.crc_ok, a.payload))
+    def on_arrival(batch):
+        for a in map(batch.arrival, batch.rows):
+            observed.append((
+                "rx", a.time.hex(), a.frame.trace_id, a.sender, a.receiver,
+                a.channel, a.rx_power_dbm.hex(), a.sinr_db.hex(), a.rssi,
+                a.lqi, a.crc_ok, a.payload))
 
     xcvrs = {}
     for nid, (pos, level, channel) in enumerate(radios, start=1):
