@@ -16,19 +16,24 @@ Not a paper experiment — the perf gate for the passive detection path
     two noisy end-to-end timings.
 
 ``online_listener_attached_overhead`` (recorded, report-only)
-    What a fleet that *opts into* passive mode pays: CPU-time median
-    of interleaved attached-vs-detached pairs of the 100-node minute,
-    with an :class:`OnlineMonitor` tapping every beacon reception (one
-    tap call per beacon batch) and polled on the serve layer's
-    assessment cadence.  Every reception still runs two EWMA detectors,
-    a CUSUM and ring pushes in pure Python, so this lands in the tens of
-    percent; the budget passive mode actually buys is *network* overhead
-    — zero probe packets — which the determinism suite asserts
-    byte-exactly.
+    What a fleet that *opts into* passive mode pays: within one attached
+    100-node minute, the time spent inside :meth:`OnlineMonitor._tap`
+    (one call per beacon batch) and :meth:`OnlineMonitor.poll` (the
+    serve layer's assessment cadence), over the rest of that same
+    minute — timed by a wrapper around the two methods, as perfbench's
+    ``online.tap`` span times them; the median of five minutes.  Both
+    parts come from one run, so host-speed drift between runs cannot
+    move the ratio (a ratio of two separate attached and detached
+    minutes spread from 38% to 92% over five pairs).  Every reception
+    still runs two EWMA detectors, a CUSUM and ring pushes in pure
+    Python, so this lands in the tens of percent; the budget passive
+    mode actually buys is *network* overhead — zero probe packets —
+    which the determinism suite asserts byte-exactly.
 """
 
 import time
 import timeit
+from unittest import mock
 
 from repro.core.deploy import deploy_liteview
 from repro.diag import OnlineMonitor
@@ -65,6 +70,31 @@ def cpu_minute(attached):
     start = time.process_time()
     run_minute(attached)
     return time.process_time() - start
+
+
+def listener_share_of_minute():
+    """One attached minute: the seconds spent in the tap and the poll
+    over the seconds spent in everything else."""
+    inside = [0.0]
+    clock = time.perf_counter
+
+    def timed(fn):
+        def span(*args, **kwargs):
+            start = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] += clock() - start
+        return span
+
+    # Patched on the class before the world is built: ``attach`` binds
+    # the wrapped ``_tap``.
+    with mock.patch.object(OnlineMonitor, "_tap", timed(OnlineMonitor._tap)), \
+            mock.patch.object(OnlineMonitor, "poll", timed(OnlineMonitor.poll)):
+        start = clock()
+        run_minute(attached=True)
+        total = clock() - start
+    return inside[0] / (total - inside[0])
 
 
 def test_tap_guard_overhead_under_two_percent(record_metric, report):
@@ -114,20 +144,15 @@ def test_attached_listener_cost(benchmark, record_metric, report):
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         return
 
-    # Interleaved pairs: CPU-frequency drift hits both sides alike.
-    ratios = []
-    for _ in range(5):
-        t_off = cpu_minute(attached=False)
-        t_on = cpu_minute(attached=True)
-        ratios.append(t_on / t_off - 1.0)
-    ratios.sort()
-    overhead = ratios[len(ratios) // 2]
+    # Tap and poll time over the rest of the same minute, per minute.
+    ratios = [listener_share_of_minute() for _ in range(5)]
+    overhead = sorted(ratios)[len(ratios) // 2]
 
     benchmark.pedantic(lambda: run_minute(attached=True),
                        rounds=5, iterations=1)
     record_metric("online_listener_attached_overhead", overhead,
-                  ceiling=MAX_ATTACHED_OVERHEAD, pairs=len(ratios),
-                  beacons=online.beacons_seen,
+                  ceiling=MAX_ATTACHED_OVERHEAD, minutes=len(ratios),
+                  samples=ratios, beacons=online.beacons_seen,
                   links=online.links_tracked)
     report(
         "online_overhead_attached",
@@ -135,8 +160,10 @@ def test_attached_listener_cost(benchmark, record_metric, report):
             "passive listener attached overhead (100-node minute)",
             f"  beacons tapped          {online.beacons_seen}",
             f"  links tracked           {online.links_tracked}",
+            "  measure                 tap + poll time / rest of the",
+            "                          same attached minute",
             f"  median overhead         {overhead * 100:8.2f} %",
-            "  all samples             "
+            "  samples (run order)     "
             + ", ".join(f"{r * 100:.1f}%" for r in ratios),
             f"  sanity ceiling          {MAX_ATTACHED_OVERHEAD * 100:8.0f} %",
             "  network overhead        0 probe packets (asserted in",

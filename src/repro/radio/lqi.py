@@ -56,15 +56,21 @@ class LqiModel:
         """LQI values for many frames, one batched noise draw.
 
         Stream-equivalent to ``len(sinrs_db)`` scalar :meth:`reading`
-        calls (a Generator fills arrays from the same bitstream), and the
-        sigmoid is evaluated with ``math.exp`` per element so the values
-        match the scalar path bit-for-bit.
+        calls (a Generator fills arrays from the same bitstream), and
+        :func:`lqi_from_sinr` runs inline — ``math.exp`` per element, the
+        same operands in the same order — so the values match the scalar
+        path bit-for-bit.
         """
         n = len(sinrs_db)
         if n == 0:
             return []
-        values = [lqi_from_sinr(s) for s in sinrs_db]
         if self.noise_sigma > 0:
-            noise = self._rng.normal(0.0, self.noise_sigma, size=n)
-            values = [v + d for v, d in zip(values, noise.tolist())]
-        return [int(min(LQI_MAX, max(LQI_MIN, round(v)))) for v in values]
+            noise = self._rng.normal(0.0, self.noise_sigma, size=n).tolist()
+        else:
+            noise = [0.0] * n  # x + 0.0 == x: no value moves
+        exp, lo, hi = math.exp, LQI_MIN, LQI_MAX
+        span, k, mid = LQI_MAX - LQI_MIN, -_SLOPE, _MIDPOINT_DB
+        return [lo if (v := round(lo + span * (1.0 / (1.0 + exp(k * (s - mid))))
+                                  + d)) < lo
+                else hi if v > hi else v
+                for s, d in zip(sinrs_db, noise)]

@@ -103,7 +103,7 @@ from repro.radio.cc2420 import (
     RadioConfig,
 )
 from repro.radio.lqi import LqiModel
-from repro.radio.modulation import packet_reception_ratio
+from repro.radio.modulation import reception_decisions
 from repro.radio.propagation import LogDistancePropagation
 from repro.radio.rssi import RssiModel
 from repro.radio.spatial import SpatialGrid
@@ -177,8 +177,11 @@ def flip_bits(payload: bytes, rng: np.random.Generator) -> bytes:
 #: identical to the historical per-receiver call while skipping it.
 _NOISE_ONLY_DBM = dbm_sum(NOISE_FLOOR_DBM)
 
-# Per-receiver outcome codes used inside RadioMedium._complete.
-_SKIP, _OFF, _RANGE, _HD, _LOST, _CORRUPT, _OK = range(7)
+# Per-receiver outcome codes used inside RadioMedium._complete: the two
+# deliveries, then the drops, each drop's trace reason at its code.
+_OK, _CORRUPT, _LOST, _COLLIDED, _OFF, _RANGE, _HD = range(7)
+_DROP_REASONS = (None, None, "channel_loss", "collision", "radio_off",
+                 "out_of_range", "half_duplex")
 
 
 @_t.final
@@ -403,13 +406,14 @@ class _ActiveTransmission:
     """Bookkeeping for one in-flight frame."""
 
     __slots__ = ("sender", "channel", "tx_power_dbm", "start", "end",
-                 "index", "rx_list", "overlapping", "overlap_senders",
-                 "pos", "gate_m", "move_serial")
+                 "index", "rx_list", "audible", "overlapping",
+                 "overlap_senders", "pos", "gate_m", "move_serial")
 
     def __init__(self, sender: int, channel: int, tx_power_dbm: float,
                  start: float, end: float, index: _CandidateIndex,
-                 rx_list: list[float], pos: tuple[float, float],
-                 gate_m: float, move_serial: int) -> None:
+                 rx_list: list[float], audible: list[int],
+                 pos: tuple[float, float], gate_m: float,
+                 move_serial: int) -> None:
         self.sender = sender
         self.channel = channel
         self.tx_power_dbm = tx_power_dbm
@@ -432,6 +436,10 @@ class _ActiveTransmission:
         #: round-trips on ~40-element arrays dominate small-frame cost.
         self.index = index
         self.rx_list = rx_list
+        #: Ascending offsets of the candidates whose start-of-frame power
+        #: reaches ``SENSITIVITY_DBM``: the only receivers end-of-frame
+        #: can deliver to.  The others stay in ``rx_list`` as energy.
+        self.audible = audible
         #: Same-channel transmissions whose airtime overlaps ours
         #: (interference), and the senders of *any* overlapping
         #: transmission (half-duplex: a transmitting radio cannot hear).
@@ -495,18 +503,14 @@ class RadioMedium:
             "medium.idx.patched")
         self._gauge_rows_rebuilt = monitor.registry.gauge(
             "medium.rows.rebuilt")
-        # Lazily bound handles for the per-receiver counters (created on
-        # first increment so untouched counters stay out of snapshots).
-        self._c_halfduplex = None
-        self._c_interfered = None
-        self._c_lost = None
-        self._c_corrupt = None
+        # Lazily bound handles for the per-frame and per-move counters
+        # (created on first increment so untouched counters stay out of
+        # snapshots).
         self._c_tx = None
         self._c_repositions = None
         #: Every reposition ever applied; the overlap gate in
         #: :meth:`transmit` holds only between frames no move separates.
         self._move_serial = 0
-        self._h_lqi = None
         # -- cached vectorized state (see module docstring) -------------
         #: Global geometry epoch: bumped on attach and on any move the
         #: grid cannot localize (grid not built yet).  A *localized* move
@@ -907,14 +911,22 @@ class RadioMedium:
         # sub_offsets is always arange-minus-sender, so inserting the
         # sender's -inf at its own offset rebuilds the full id-ordered
         # row without a numpy scatter (values bit-identical).
-        rx_list: list[float] = (tx_power - loss).tolist() if count else []
+        if count:
+            rx = tx_power - loss
+            rx_list: list[float] = rx.tolist()
+            # No NaN in ``rx``, so ``>=`` is the exact complement of the
+            # per-receiver ``rx < SENSITIVITY_DBM`` test.
+            audible: list[int] = sub_offsets[rx >= SENSITIVITY_DBM].tolist()
+        else:
+            rx_list = []
+            audible = []
         rx_list.insert(idx.offset_of[sender_id], float("-inf"))
 
         gate_m = self._range_m
         serial = self._move_serial
         tx = _ActiveTransmission(
             sender_id, channel, tx_power, now, now + airtime, idx, rx_list,
-            xcvr._position, gate_m, serial
+            audible, xcvr._position, gate_m, serial
         )
         sx, sy = tx.pos
         for other in self._active:
@@ -970,24 +982,34 @@ class RadioMedium:
         record only actual receptions (a per-absent-listener drop event
         for every distant node would bury the timeline).
 
-        The walk over receivers is split into RNG-ordered passes so every
-        stream is consumed in the same sorted-id order as the historical
-        scalar loop, while the draws themselves are batched:
+        Only the audible candidates (``tx.audible``: start-of-frame power
+        at or above sensitivity) can receive, so the walk visits only
+        them, in id order, in RNG-ordered passes.  Every stream is
+        consumed in the same sorted-id order as the historical scalar
+        loop, while the draws themselves are batched:
 
-        1. classify each receiver (off / out of range / half-duplex /
+        1. classify each audible receiver (off / half-duplex /
            candidate) and compute SINR + capture — no RNG;
-        2. one batched reception draw over the captured candidates;
+        2. one batched reception draw over the captured candidates,
+           settled by :func:`reception_decisions`;
         3. scalar corruption draws for the failures (interleaved
            random()/integers() calls cannot batch);
-        4. batched RSSI and LQI draws over the deliveries;
-        5. emit counters and trace events in id order, and hand the
-           deliveries up as one :class:`FrameBatch`.
+        4. batched RSSI and LQI draws over the deliveries, and their
+           rows;
+        5. the rows handed up as one :class:`FrameBatch` — or, with the
+           tracer on, a walk in id order that emits each receiver's
+           events and hands its row up alone — then the outcome
+           counters, raised once.
+
+        With the tracer on, an addressed destination the walk would skip
+        (a member that is not audible, off or half-duplex) joins pass 5
+        at its id-order position, so its ``radio.drop`` lands where a
+        walk over every member put it.
         """
         idx = tx.index
         ids = idx.ids
         xcvrs = idx.xcvrs
         rx_list = tx.rx_list
-        member_count = len(ids)
         sender_id = tx.sender
         overlapping = tx.overlapping
         overlap_senders = tx.overlap_senders
@@ -1009,32 +1031,24 @@ class RadioMedium:
                 noise_only = dbm_sum(noise_floor)
             fault_corrupt_on = faults.corrupt_active
 
-        # Pass 1: classification (no RNG).  One fused walk: the
-        # sensitivity test runs inline (``rx < threshold`` is the exact
-        # complement of the historical ``rx >= threshold`` — received
-        # powers are never NaN) and zip replaces four list indexings per
-        # candidate; this loop runs once per member per transmission.
-        outcome = [_SKIP] * member_count
+        # Pass 1: classification (no RNG), radio on/off first, then half
+        # duplex, then SINR and capture.  Every candidate starts as a
+        # loss; pass 3 turns the receptions into deliveries.
+        outcome = [_LOST] * len(ids)
+        sinr_of = [0.0] * len(ids)
         cand_offs: list[int] = []
-        interfered = [False] * member_count
-        was_captured = [False] * member_count
-        sinr_of = [0.0] * member_count
-        off = -1
-        for rid, rx_xcvr, rx_power in zip(ids, xcvrs, rx_list):
-            off += 1
-            if rid == sender_id:
+        captured_sinrs: list[float] = []
+        halfduplex = interfered = 0
+        for off in tx.audible:
+            if not xcvrs[off].enabled:
                 continue
-            if not rx_xcvr.enabled:
-                outcome[off] = _OFF
-                continue
-            if rx_power < SENSITIVITY_DBM:
-                outcome[off] = _RANGE
-                continue
+            rid = ids[off]
             # Half-duplex: a node that transmitted during our airtime
             # cannot have received us.
             if overlap_senders and rid in overlap_senders:
-                outcome[off] = _HD
+                halfduplex += 1
                 continue
+            rx_power = rx_list[off]
             captured = True
             if overlapping:
                 interference = [
@@ -1042,7 +1056,7 @@ class RadioMedium:
                     if (p := o.power_at(rid)) is not None
                 ]
                 if interference:
-                    interfered[off] = True
+                    interfered += 1
                     sinr = rx_power - dbm_sum(noise_floor, *interference)
                     # Capture gates on the signal-to-*interference* ratio:
                     # a correlator cannot separate two comparable
@@ -1056,21 +1070,18 @@ class RadioMedium:
             else:
                 sinr = rx_power - noise_only
             sinr_of[off] = sinr
-            was_captured[off] = captured
             cand_offs.append(off)
+            if captured:
+                captured_sinrs.append(sinr)
+            else:
+                outcome[off] = _COLLIDED
 
         # Pass 2: one reception draw per *captured* candidate, id order
         # (the scalar loop short-circuited the draw for uncaptured ones).
-        success = [False] * member_count
-        captured_offs = [off for off in cand_offs if was_captured[off]]
-        if captured_offs:
-            prr = packet_reception_ratio(
-                np.array([sinr_of[off] for off in captured_offs]),
-                frame_bytes,
-            )
-            draws = self._loss_rng.random(size=len(captured_offs))
-            for off, ok in zip(captured_offs, (draws < prr).tolist()):
-                success[off] = ok
+        won = iter(reception_decisions(
+            captured_sinrs,
+            self._loss_rng.random(size=len(captured_sinrs)).tolist(),
+            frame_bytes) if captured_sinrs else ())
 
         # Pass 3: corruption decisions for the failures, id order.  These
         # stay scalar: each corrupted delivery interleaves a uniform with
@@ -1080,8 +1091,9 @@ class RadioMedium:
         corrupt_rng = self._corrupt_rng
         payload_of: dict[int, bytes] = {}
         deliver_offs: list[int] = []
+        lost = 0
         for off in cand_offs:
-            if success[off]:
+            if outcome[off] == _LOST and next(won):
                 # Fault-injected corruption converts a clean reception
                 # into a CRC-failing delivery; its draws come from the
                 # injector's dedicated stream, and the medium's own
@@ -1095,7 +1107,7 @@ class RadioMedium:
                     outcome[off] = _OK
                 deliver_offs.append(off)
             elif (corrupt_rng.random() >= fraction) or not payload0:
-                outcome[off] = _LOST
+                lost += 1
             else:
                 outcome[off] = _CORRUPT
                 payload_of[off] = flip_bits(payload0, corrupt_rng)
@@ -1103,21 +1115,28 @@ class RadioMedium:
 
         # Pass 4: PHY observables for every delivery, one batched draw
         # per stream, id order.  Drawn exactly once so the trace path can
-        # reuse them — enabling tracing must not shift the streams.
-        rssi_of: list[int] = []
-        lqi_of: list[int] = []
+        # reuse them — enabling tracing must not shift the streams.  The
+        # LQI histogram appears with the medium's first delivery.
+        rows: list[Row] = []
         if deliver_offs:
             rssi_of = self.rssi_model.readings(
                 [rx_list[off] for off in deliver_offs])
             lqi_of = self.lqi_model.readings(
                 [sinr_of[off] for off in deliver_offs])
+            observe = self.monitor.registry.histogram("radio.lqi").observe
+            for lqi in lqi_of:
+                observe(lqi)
+            rows = [(xcvrs[off], payload_of.get(off, payload0),
+                     off not in payload_of, rssi, lqi, sinr_of[off],
+                     rx_list[off])
+                    for off, rssi, lqi in zip(deliver_offs, rssi_of, lqi_of)]
 
-        # Pass 5: counters, trace events and the batch's rows — id order,
-        # exactly the per-receiver sequence the scalar loop produced.
-        # The rows go up in one batch after the walk.  With the tracer
-        # on, each row goes up as its own batch right after its
-        # ``radio.rx``, so the lifecycle timeline keeps everything done
-        # for one receiver before the next.
+        # Pass 5: hand the rows up.  Untraced, they go up as one batch.
+        # With the tracer on, the walk takes every candidate in id order
+        # (and an owed destination drop), emitting what the scalar loop
+        # emitted for each, and each row goes up as its own batch right
+        # after its ``radio.rx``, so the lifecycle timeline keeps
+        # everything done for one receiver before the next.
         env_now = self.env.now
         tracer = self.tracer
         trace_on = tracer.enabled
@@ -1125,100 +1144,57 @@ class RadioMedium:
         dst = frame.dst
         is_broadcast = frame.is_broadcast
         channel = tx.channel
-        rows: list[Row] = []
-        delivered_to_dst = False
-        any_delivered = False
-        delivery_pos = 0
-        for off in range(member_count):
-            code = outcome[off]
-            if code == _SKIP:
-                continue
-            rid = ids[off]
-            is_dst = rid == dst
-            if code == _OFF:
-                if trace_on and is_dst:
-                    tracer.emit("radio.drop", env_now, node=rid,
-                                packet=frame.trace_id, reason="radio_off",
-                                sender=sender_id)
-                continue
-            if code == _RANGE:
-                if trace_on and is_dst:
-                    tracer.emit("radio.drop", env_now, node=rid,
-                                packet=frame.trace_id, reason="out_of_range",
-                                sender=sender_id,
-                                rx_power_dbm=round(rx_list[off], 3))
-                continue
-            if code == _HD:
-                c = self._c_halfduplex
-                if c is None:
-                    c = self._c_halfduplex = monitor.registry.counter(
-                        "medium.halfduplex_loss")
-                c.value += 1
-                if trace_on and is_dst:
-                    tracer.emit("radio.drop", env_now, node=rid,
-                                packet=frame.trace_id, reason="half_duplex",
-                                sender=sender_id)
-                continue
-            if interfered[off]:
-                c = self._c_interfered
-                if c is None:
-                    c = self._c_interfered = monitor.registry.counter(
-                        "medium.interfered_receptions")
-                c.value += 1
-            if code == _LOST:
-                c = self._c_lost
-                if c is None:
-                    c = self._c_lost = monitor.registry.counter(
-                        "medium.lost_frames")
-                c.value += 1
-                if trace_on and is_dst:
-                    tracer.emit(
-                        "radio.drop", env_now, node=rid,
-                        packet=frame.trace_id,
-                        reason=("channel_loss" if was_captured[off]
-                                else "collision"),
-                        sender=sender_id, sinr_db=round(sinr_of[off], 3),
-                    )
-                continue
-            if code == _CORRUPT:
-                c = self._c_corrupt
-                if c is None:
-                    c = self._c_corrupt = monitor.registry.counter(
-                        "medium.corrupted_frames")
-                c.value += 1
-                payload = payload_of[off]
-                crc_ok = False
-            else:
-                payload = payload0
-                crc_ok = True
-            rssi = rssi_of[delivery_pos]
-            lqi = lqi_of[delivery_pos]
-            delivery_pos += 1
-            h = self._h_lqi
-            if h is None:
-                h = self._h_lqi = monitor.registry.histogram("radio.lqi")
-            h.observe(lqi)
-            row = (xcvrs[off], payload, crc_ok, rssi, lqi, sinr_of[off],
-                   rx_list[off])
-            if trace_on:
-                if is_dst or is_broadcast:
+        if trace_on:
+            walk = cand_offs
+            dst_off = idx.offset_of.get(dst)
+            if (dst_off is not None and dst != sender_id
+                    and dst_off not in cand_offs):
+                if not xcvrs[dst_off].enabled:
+                    outcome[dst_off] = _OFF
+                elif rx_list[dst_off] < SENSITIVITY_DBM:
+                    outcome[dst_off] = _RANGE
+                else:
+                    outcome[dst_off] = _HD
+                walk = sorted([*cand_offs, dst_off])
+            rows_left = iter(rows)
+            for off in walk:
+                code = outcome[off]
+                rid = ids[off]
+                if code >= _LOST:
+                    if rid == dst:
+                        if code == _RANGE:
+                            extra = {"rx_power_dbm": round(rx_list[off], 3)}
+                        elif code <= _COLLIDED:
+                            extra = {"sinr_db": round(sinr_of[off], 3)}
+                        else:
+                            extra = {}
+                        tracer.emit("radio.drop", env_now, node=rid,
+                                    packet=frame.trace_id,
+                                    reason=_DROP_REASONS[code],
+                                    sender=sender_id, **extra)
+                    continue
+                row = next(rows_left)
+                if rid == dst or is_broadcast:
                     tracer.emit(
                         "radio.rx", env_now, node=rid,
                         packet=frame.trace_id, sender=sender_id,
-                        crc_ok=crc_ok, rssi=rssi, lqi=lqi,
-                        sinr_db=round(sinr_of[off], 3),
+                        crc_ok=row[2], rssi=row[3], lqi=row[4],
+                        sinr_db=round(row[5], 3),
                     )
                 Transceiver.deliver(FrameBatch(frame, sender_id, channel,
                                                env_now, [row]))
-            else:
-                rows.append(row)
-            if crc_ok:
-                any_delivered = True
-                if is_dst:
-                    delivered_to_dst = True
-        if rows:
+        elif rows:
             Transceiver.deliver(FrameBatch(frame, sender_id, channel,
                                            env_now, rows))
+
+        # The outcome counters, once per frame (a count of zero creates
+        # no counter).
+        for name, n in (("medium.halfduplex_loss", halfduplex),
+                        ("medium.interfered_receptions", interfered),
+                        ("medium.lost_frames", lost),
+                        ("medium.corrupted_frames", len(payload_of))):
+            if n:
+                monitor.count(name, n)
 
         # An addressed destination the spatial bound excluded never
         # appears in the loop above; its lifecycle trace still owes the
@@ -1242,6 +1218,11 @@ class RadioMedium:
                                 sender=sender_id,
                                 rx_power_dbm=round(est, 3))
 
+        if is_broadcast:
+            delivered = _OK in outcome
+        else:
+            dst_off = idx.offset_of.get(dst)
+            delivered = dst_off is not None and outcome[dst_off] == _OK
         monitor.log_packet(PacketRecord(
             time=tx.start,
             sender=sender_id,
@@ -1249,7 +1230,7 @@ class RadioMedium:
             kind=frame.kind,
             port=frame.port,
             size_bytes=frame_bytes,
-            delivered=any_delivered if is_broadcast else delivered_to_dst,
+            delivered=delivered,
         ))
         c = self._c_tx
         if c is None:

@@ -61,13 +61,16 @@ class RssiModel:
         A numpy Generator fills an array from the same bitstream as
         repeated scalar draws, so this consumes exactly what ``len(...)``
         calls to :meth:`reading` would; a float64 sum is the same in
-        Python as in numpy, so the values match too.
+        Python as in numpy, and :func:`dbm_to_reading` runs inline, so
+        the values match too.
         """
         n = len(received_powers_dbm)
         if n == 0:
             return []
-        noisy = received_powers_dbm
         if self.noise_sigma_db > 0:
-            noise = self._rng.normal(0.0, self.noise_sigma_db, size=n)
-            noisy = [p + d for p, d in zip(noisy, noise.tolist())]
-        return [dbm_to_reading(p) for p in noisy]
+            noise = self._rng.normal(0.0, self.noise_sigma_db, size=n).tolist()
+        else:
+            noise = [0.0] * n  # p + 0.0 == p: no reading moves
+        lo, hi, offset = _MIN_READING, _MAX_READING, RSSI_OFFSET_DBM
+        return [lo if (v := round(p + d - offset)) < lo else hi if v > hi else v
+                for p, d in zip(received_powers_dbm, noise)]

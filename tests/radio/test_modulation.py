@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.radio import bit_error_rate, packet_reception_ratio, snr_db_for_prr
@@ -50,11 +50,17 @@ def test_waterfall_region_location():
     assert packet_reception_ratio(-2.0, 50) < 0.5 < packet_reception_ratio(0.0, 50)
 
 
-def test_vectorised_matches_scalar():
-    snrs = np.array([-5.0, 0.0, 3.0, 10.0])
-    vec = packet_reception_ratio(snrs, 40)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-20.0, 12.0), min_size=1, max_size=40),
+       st.integers(1, 127))
+def test_vectorised_matches_scalar(snrs, length):
+    """A scalar SINR gets exactly its element of the batch: the scalar
+    reference medium and the production medium share one curve."""
+    prr = packet_reception_ratio(np.array(snrs), length)
+    ber = bit_error_rate(np.array(snrs))
     for i, snr in enumerate(snrs):
-        assert vec[i] == pytest.approx(packet_reception_ratio(float(snr), 40))
+        assert packet_reception_ratio(snr, length) == prr[i]
+        assert bit_error_rate(snr) == ber[i]
 
 
 def test_vectorised_ber_shape():

@@ -1,7 +1,9 @@
 """Unit tests for the RSSI and LQI observable models."""
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.radio import (
@@ -76,3 +78,63 @@ def test_good_links_report_lqi_near_paper_values():
 def test_lqi_rejects_negative_sigma():
     with pytest.raises(ValueError):
         LqiModel(RngRegistry(1), noise_sigma=-0.1)
+
+
+# -- batched readings == scalar readings ---------------------------------------
+
+def _lqi_tie_sinrs():
+    """SINRs whose noise-free LQI is exactly ``k + 0.5``: ``round``'s ties.
+
+    The sigmoid's fraction is 1/8 or 7/8 when ``exp`` returns exactly 7
+    or 1/7, which some double near ``-/+2 ln 7`` gives.
+    """
+    found = []
+    for target in (-2.0 * math.log(7.0), 2.0 * math.log(7.0)):
+        s = target
+        for _ in range(64):
+            value = lqi_from_sinr(s)
+            if value % 1.0 == 0.5:
+                found.append(s)
+                break
+            s = math.nextafter(s, math.inf)
+    return found
+
+
+RSSI_EXTREMES = [-400.0, -173.0, -172.5, -172.4, 81.5, 82.0, 82.5, 300.0]
+RSSI_TIES = [-65.5, -64.5, -45.5, -44.5, -100.5]
+LQI_EXTREMES = [-60.0, -20.0, 0.0, 12.0, 60.0]
+
+powers = st.lists(
+    st.floats(-130.0, 10.0) | st.sampled_from(RSSI_EXTREMES + RSSI_TIES),
+    max_size=30)
+sinrs = st.lists(
+    st.floats(-30.0, 40.0) | st.sampled_from(LQI_EXTREMES + _lqi_tie_sinrs()),
+    max_size=30)
+PARITY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@PARITY
+@given(powers, st.sampled_from([0.0, 1.0, 40.0]), st.integers(0, 2**32))
+def test_rssi_readings_match_scalar_readings(xs, sigma, seed):
+    batched = RssiModel(RngRegistry(seed), noise_sigma_db=sigma)
+    scalar = RssiModel(RngRegistry(seed), noise_sigma_db=sigma)
+    assert batched.readings(xs) == [scalar.reading(x) for x in xs]
+    # ... and the two consumed the stream alike.
+    assert batched.readings([-70.0]) == [scalar.reading(-70.0)]
+
+
+@PARITY
+@given(sinrs, st.sampled_from([0.0, 1.5, 40.0]), st.integers(0, 2**32))
+def test_lqi_readings_match_scalar_readings(xs, sigma, seed):
+    batched = LqiModel(RngRegistry(seed), noise_sigma=sigma)
+    scalar = LqiModel(RngRegistry(seed), noise_sigma=sigma)
+    assert batched.readings(xs) == [scalar.reading(x) for x in xs]
+    assert batched.readings([3.0]) == [scalar.reading(3.0)]
+
+
+def test_noise_free_readings_hit_the_clamps_and_ties():
+    assert [lqi_from_sinr(s) for s in _lqi_tie_sinrs()] == [57.5, 102.5]
+    rssi = RssiModel(RngRegistry(1), noise_sigma_db=0.0)
+    assert rssi.readings([-400.0, 300.0, -65.5, -64.5]) == [-128, 127, -20, -20]
+    lqi = LqiModel(RngRegistry(1), noise_sigma=0.0)
+    assert lqi.readings([-60.0, 60.0, *_lqi_tie_sinrs()]) == [50, 110, 58, 102]
