@@ -97,7 +97,8 @@ def listener_share_of_minute():
     return inside[0] / (total - inside[0])
 
 
-def test_tap_guard_overhead_under_two_percent(record_metric, report):
+def test_tap_guard_overhead_under_two_percent(benchmark, record_metric,
+                                              report):
     """The default path: no listener attached, only the guard runs."""
     testbed, _ = run_minute(attached=False)
     receptions = testbed.monitor.counter("neighbors.beacons_received")
@@ -110,23 +111,32 @@ def test_tap_guard_overhead_under_two_percent(record_metric, report):
         "monitor.beacon_taps and None",
         globals={"monitor": monitor}, number=n) / n
 
-    t_off = min(cpu_minute(attached=False) for _ in range(3))
+    # The three detached minutes run through the fixture, so they are
+    # this bench's timing record; the fastest one's CPU time is the
+    # scenario runtime.
+    t_off = min(benchmark.pedantic(
+        lambda: [cpu_minute(attached=False) for _ in range(3)],
+        rounds=1, iterations=1))
     fraction = batches * guard_cost / t_off
-    record_metric("online_detector_overhead", fraction,
-                  budget=MAX_GUARD_OVERHEAD, receptions=receptions,
-                  batches=batches, guard_ns=guard_cost * 1e9)
-    report(
-        "online_overhead_guard",
-        "\n".join([
-            "online-detector guard overhead (100-node minute, detached)",
-            f"  beacon receptions        {receptions}",
-            f"  guard runs (<= beacons)  {batches}",
-            f"  per-guard cost           {guard_cost * 1e9:8.1f} ns",
-            f"  scenario runtime         {t_off * 1e3:8.1f} ms",
-            f"  implied overhead         {fraction * 100:8.4f} %",
-            f"  budget                   {MAX_GUARD_OVERHEAD * 100:8.1f} %",
-        ]),
-    )
+    if not getattr(benchmark, "disabled", False):
+        # Measuring mode only: a CI smoke run asserts the bound below
+        # but writes no timing table.
+        record_metric("online_detector_overhead", fraction,
+                      budget=MAX_GUARD_OVERHEAD, receptions=receptions,
+                      batches=batches, guard_ns=guard_cost * 1e9)
+        report(
+            "online_overhead_guard",
+            "\n".join([
+                "online-detector guard overhead (100-node minute, detached)",
+                f"  beacon receptions        {receptions}",
+                f"  guard runs (<= beacons)  {batches}",
+                f"  per-guard cost           {guard_cost * 1e9:8.1f} ns",
+                f"  scenario runtime         {t_off * 1e3:8.1f} ms",
+                f"  implied overhead         {fraction * 100:8.4f} %",
+                f"  budget                   "
+                f"{MAX_GUARD_OVERHEAD * 100:8.1f} %",
+            ]),
+        )
     assert fraction < MAX_GUARD_OVERHEAD, (
         f"tap guard overhead {fraction:.2%} exceeds "
         f"{MAX_GUARD_OVERHEAD:.0%}")

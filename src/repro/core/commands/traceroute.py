@@ -90,7 +90,6 @@ class TracerouteService:
         #: (session, hop_index) pairs already continued, to suppress
         #: duplicate task initiation if a probe is retransmitted.
         self._continued: set[tuple[int, int]] = set()
-        self._jitter_rng = node.rng.stream(f"traceroute.jitter.{node.id}")
         node.stack.ports.subscribe(
             WellKnownPorts.TRACEROUTE, self._on_packet, name="traceroute"
         )
@@ -223,9 +222,11 @@ class TracerouteService:
             # nodes likewise "add random waiting time before sending back
             # replies").  This hold-and-release is also what makes some
             # reports arrive at the source back-to-back (Figure 5).
+            # The stream is made at its first draw: most nodes never
+            # report a hop.
+            jitter = node.rng.stream(f"traceroute.jitter.{node.id}")
             yield node.env.timeout(hop_index * float(
-                self._jitter_rng.uniform(REPORT_JITTER_MIN,
-                                         REPORT_JITTER_MAX)
+                jitter.uniform(REPORT_JITTER_MIN, REPORT_JITTER_MAX)
             ))
             protocol.send(
                 origin, WellKnownPorts.TRACEROUTE, report.to_bytes(),

@@ -74,7 +74,6 @@ class RuntimeController:
         #: Replies wait a uniform draw from [0, response_backoff] before
         #: transmitting — the group-response collision avoidance.
         self.response_backoff = float(response_backoff)
-        self._rng = node.rng.stream(f"controller.{node.id}")
         self.endpoint = ReliableEndpoint(node, self._on_request)
         #: Action a handler deferred until after its reply is delivered
         #: (e.g. a channel switch, which would otherwise strand the
@@ -97,8 +96,11 @@ class RuntimeController:
     def _serve(self, origin: int, msg_type: int, request_id: int,
                body: bytes):
         if self.response_backoff > 0:
+            # The stream is made at its first draw: most nodes never
+            # serve a request.
+            rng = self.node.rng.stream(f"controller.{self.node.id}")
             yield self.node.env.timeout(
-                float(self._rng.uniform(0.0, self.response_backoff))
+                float(rng.uniform(0.0, self.response_backoff))
             )
         try:
             handler = self._handlers().get(msg_type)

@@ -104,7 +104,7 @@ from repro.radio.cc2420 import (
 )
 from repro.radio.lqi import LqiModel
 from repro.radio.modulation import reception_decisions
-from repro.radio.propagation import LogDistancePropagation
+from repro.radio.propagation import MAX_NODE_ID, LogDistancePropagation
 from repro.radio.rssi import RssiModel
 from repro.radio.spatial import SpatialGrid
 from repro.sim.engine import Environment
@@ -544,7 +544,13 @@ class RadioMedium:
 
     def attach(self, node_id: int, position: tuple[float, float],
                config: RadioConfig | None = None) -> Transceiver:
-        """Register a node's radio at ``position``."""
+        """Register a node's radio at ``position``.
+
+        ``node_id`` must lie in ``0..MAX_NODE_ID``: a 16-bit address that
+        is not the broadcast address, so no two links share a
+        :func:`~repro.radio.propagation.link_key`."""
+        if not 0 <= node_id <= MAX_NODE_ID:
+            raise RadioError(f"node id {node_id} outside 0..{MAX_NODE_ID}")
         if node_id in self._xcvrs:
             raise RadioError(f"node {node_id} already attached to the medium")
         xcvr = Transceiver(self, node_id, position, config or RadioConfig())

@@ -26,10 +26,10 @@ draw with the curve.
 
 from __future__ import annotations
 
+import math
 from array import array
 
 import numpy as np
-from scipy.special import comb
 
 __all__ = ["bit_error_rate", "packet_reception_ratio", "snr_db_for_prr",
            "reception_decisions", "PRR_CERTAIN_SINR_DB",
@@ -37,9 +37,11 @@ __all__ = ["bit_error_rate", "packet_reception_ratio", "snr_db_for_prr",
            "PRR_BRACKET_SLACK"]
 
 # Precomputed series terms: k = 2..16, coefficient (-1)^k * C(16, k),
-# exponent factor 20 * (1/k - 1).
+# exponent factor 20 * (1/k - 1).  Every coefficient is an integer well
+# inside a double's 53 bits, so each is exact.
 _K = np.arange(2, 17)
-_COEFF = ((-1.0) ** _K) * comb(16, _K)
+_COEFF = np.array([(-1) ** k * math.comb(16, k) for k in _K.tolist()],
+                  dtype=float)
 _EXPO = 20.0 * (1.0 / _K - 1.0)
 
 

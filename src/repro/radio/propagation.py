@@ -26,7 +26,19 @@ import numpy as np
 
 from repro.sim.rng import RngRegistry
 
-__all__ = ["LogDistancePropagation", "distance_matrix"]
+__all__ = ["LogDistancePropagation", "distance_matrix", "link_key",
+           "MAX_NODE_ID"]
+
+#: Largest node id a medium accepts.  Packet headers carry addresses in
+#: 16 bits, and 0xFFFF is the broadcast address (``mac.frame.BROADCAST``,
+#: ``net.packet.ANY_NODE``), which no node may own.
+MAX_NODE_ID = 0xFFFE
+
+
+def link_key(src: int, dst: int) -> int:
+    """The per-link tables' key for the directed link src→dst: one int,
+    not a tuple.  Distinct for every pair of ids that fit 16 bits."""
+    return src << 16 | dst
 
 
 def distance_matrix(positions: np.ndarray) -> np.ndarray:
@@ -79,11 +91,12 @@ class LogDistancePropagation:
         self.fading_sigma_db = float(fading_sigma_db)
         self._shadow_rng = rng.stream("propagation.shadowing")
         self._fading_rng = rng.stream("propagation.fading")
-        self._shadowing: dict[tuple[int, int], float] = {}
+        #: Static shadowing per directed link, keyed by :func:`link_key`.
+        self._shadowing: dict[int, float] = {}
         #: Fault-injection overlay: extra loss (dB) per directed link,
         #: added on top of path loss and shadowing.  Empty outside fault
         #: plans, so the untouched case costs one falsy check.
-        self._penalties: dict[tuple[int, int], float] = {}
+        self._penalties: dict[int, float] = {}
         #: Bumped whenever an *existing* link's loss can change: a pinned
         #: shadowing value or an injected penalty.  The medium keys its
         #: cached per-sender mean-loss rows on this.  A lazy draw does not
@@ -142,7 +155,7 @@ class LogDistancePropagation:
         Drawn lazily on first use and cached for the lifetime of the
         model, so a link's character is stable across the whole run.
         """
-        key = (src, dst)
+        key = link_key(src, dst)
         value = self._shadowing.get(key)
         if value is None:
             value = float(
@@ -155,12 +168,12 @@ class LogDistancePropagation:
         """src→dst's shadowing if drawn or pinned, else the 0 dB mean: a
         read that draws nothing, for planners that must not change the
         world they plan."""
-        return self._shadowing.get((src, dst), 0.0)
+        return self._shadowing.get(link_key(src, dst), 0.0)
 
     def set_link_shadowing_db(self, src: int, dst: int, value: float) -> None:
         """Pin a link's shadowing (used by tests and fault injection —
         e.g. forcing a broken or strongly asymmetric link)."""
-        self._shadowing[(src, dst)] = float(value)
+        self._shadowing[link_key(src, dst)] = float(value)
         if value < self.pinned_floor_db:
             self.pinned_floor_db = float(value)
         self.link_epoch += 1
@@ -169,7 +182,7 @@ class LogDistancePropagation:
 
     def link_penalty_db(self, src: int, dst: int) -> float:
         """Injected extra loss on the directed link src→dst (0 when sound)."""
-        return self._penalties.get((src, dst), 0.0)
+        return self._penalties.get(link_key(src, dst), 0.0)
 
     def set_link_penalty_db(self, src: int, dst: int, value: float) -> None:
         """Set the injected extra loss on src→dst (``0`` removes it).
@@ -180,7 +193,7 @@ class LogDistancePropagation:
         :attr:`link_epoch` bump makes the medium rebuild its cached
         mean-loss rows.
         """
-        key = (src, dst)
+        key = link_key(src, dst)
         if value:
             self._penalties[key] = float(value)
             if value < self.pinned_floor_db:
@@ -199,26 +212,28 @@ class LogDistancePropagation:
         sorted ascending (the medium's draw-order contract).
         """
         table = self._shadowing
-        out = np.empty(len(dst_ids), dtype=float)
+        base = src << 16  # link_key, with the shift made once per row
+        keys = [base | dst for dst in dst_ids.tolist()]
+        out = np.empty(len(keys), dtype=float)
         missing: list[tuple[int, int]] = []
-        for i, dst in enumerate(dst_ids.tolist()):
-            value = table.get((src, dst))
+        for i, key in enumerate(keys):
+            value = table.get(key)
             if value is None:
-                missing.append((i, dst))
+                missing.append((i, key))
             else:
                 out[i] = value
         if missing:
             draws = self._shadow_rng.normal(
                 0.0, self.shadowing_sigma_db, size=len(missing)
             )
-            for (i, dst), draw in zip(missing, draws):
+            for (i, key), draw in zip(missing, draws):
                 value = float(draw)
-                table[(src, dst)] = value
+                table[key] = value
                 out[i] = value
         if self._penalties:
             penalties = self._penalties
-            for i, dst in enumerate(dst_ids.tolist()):
-                out[i] += penalties.get((src, dst), 0.0)
+            for i, key in enumerate(keys):
+                out[i] += penalties.get(key, 0.0)
         return out
 
     def fading_row(self, count: int) -> np.ndarray:
@@ -235,7 +250,7 @@ class LogDistancePropagation:
         loss = self.deterministic_loss_db(distance_m)
         loss += self.link_shadowing_db(src, dst)
         if self._penalties:
-            loss += self._penalties.get((src, dst), 0.0)
+            loss += self._penalties.get(link_key(src, dst), 0.0)
         if self.fading_sigma_db > 0:
             loss += float(self._fading_rng.normal(0.0, self.fading_sigma_db))
         return float(loss)
@@ -251,6 +266,6 @@ class LogDistancePropagation:
         return tx_power_dbm - (
             self.deterministic_loss_db(distance_m)
             + self.link_shadowing_db(src, dst)
-            + (self._penalties.get((src, dst), 0.0) if self._penalties
-               else 0.0)
+            + (self._penalties.get(link_key(src, dst), 0.0)
+               if self._penalties else 0.0)
         )

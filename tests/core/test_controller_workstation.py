@@ -9,6 +9,20 @@ from repro.core.wire import MsgType
 from repro.errors import CommandTimeout
 
 
+def test_rarely_drawn_streams_wait_for_their_first_draw(chain_deployment):
+    """A warmed chain that has served no request and reported no hop has
+    made no controller or traceroute stream; the first request makes the
+    serving node's controller stream and no other."""
+    dep = chain_deployment(4)
+    names = dep.testbed.rng.names()
+    assert any(name.startswith("neighbors.jitter.") for name in names)
+    assert not [name for name in names
+                if name.startswith(("controller.", "traceroute.jitter."))]
+    assert dep.workstation.call(1, MsgType.GET_RADIO).ok
+    assert [name for name in dep.testbed.rng.names()
+            if name.startswith("controller.")] == ["controller.1"]
+
+
 def test_get_radio_roundtrip(chain_deployment):
     dep = chain_deployment(2)
     reply = dep.workstation.call(1, MsgType.GET_RADIO)

@@ -32,6 +32,18 @@ def test_double_attach_rejected(world):
         world.medium.attach(1, (1, 1))
 
 
+def test_attach_rejects_ids_outside_sixteen_bits(world):
+    """Ids must fit a packet header's 16 bits, the link tables keying each
+    directed link by both ids packed into one int, and no node may own
+    the broadcast address."""
+    for node_id in (0x10000, BROADCAST, -1):
+        with pytest.raises(RadioError, match="outside 0..65534"):
+            world.medium.attach(node_id, (0, 0))
+    world.medium.attach(BROADCAST - 1, (0, 0))
+    world.medium.attach(0, (1, 1))
+    assert world.medium.node_ids() == [0, BROADCAST - 1]
+
+
 def test_lookup_missing_raises(world):
     with pytest.raises(RadioError):
         world.medium.transceiver(99)

@@ -16,6 +16,7 @@ import pytest
 from repro.mac.frame import BROADCAST, Frame
 from repro.radio import RadioConfig
 from repro.radio.medium import _ActiveTransmission
+from repro.radio.propagation import link_key
 
 
 def _collect(xcvr):
@@ -172,7 +173,7 @@ def fresh_row(m, src, ids, positions):
     own = positions[ids.index(src)]
     others = [off for off, nid in enumerate(ids) if nid != src]
     dists = np.sqrt(((positions[others] - own) ** 2).sum(axis=-1))
-    shadow = np.array([prop._shadowing[(src, ids[off])]
+    shadow = np.array([prop._shadowing[link_key(src, ids[off])]
                        + prop.link_penalty_db(src, ids[off])
                        for off in others])
     return prop.deterministic_loss_db(dists) + shadow

@@ -1,11 +1,34 @@
 """Unit and property tests for the 802.15.4 link model."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.radio import bit_error_rate, packet_reception_ratio, snr_db_for_prr
+from repro.radio import modulation
+
+
+def test_series_coefficients_equal_scipys():
+    """The BER series' coefficients, built from ``math.comb``, equal bit
+    for bit the ones SciPy's ``comb`` gave, which every golden run was
+    recorded with.  SciPy is imported here only: the simulator never
+    loads it."""
+    from scipy.special import comb
+
+    k = np.arange(2, 17)
+    assert np.array_equal(modulation._COEFF, ((-1.0) ** k) * comb(16, k))
+    assert modulation._COEFF.dtype == np.float64
+
+
+def test_bit_success_table_digest():
+    """The reception kernel's bit-success table, byte for byte, as the
+    golden runs were recorded with on this platform's numpy and libm (a
+    same-host companion to the exact coefficient check above)."""
+    assert hashlib.sha256(modulation._BIT_OK.tobytes()).hexdigest() == (
+        "2a4775f63912d2c5515f5100b691d20340cbaa684e2cc2a23abb85c10e2c031a")
 
 
 def test_high_snr_is_nearly_error_free():

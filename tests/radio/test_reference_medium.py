@@ -154,12 +154,15 @@ def _play(medium_cls, world) -> dict:
     medium = medium_cls(env, rng, monitor, propagation)
     observed: list[tuple] = []
 
+    # Each observation records how many trace events precede it, so a
+    # delivery or a sample out of place among the trace events differs.
     def on_arrival(batch):
         for a in map(batch.arrival, batch.rows):
             observed.append((
-                "rx", a.time.hex(), a.frame.trace_id, a.sender, a.receiver,
-                a.channel, a.rx_power_dbm.hex(), a.sinr_db.hex(), a.rssi,
-                a.lqi, a.crc_ok, a.payload))
+                "rx", len(env.tracer.events), a.time.hex(),
+                a.frame.trace_id, a.sender, a.receiver, a.channel,
+                a.rx_power_dbm.hex(), a.sinr_db.hex(), a.rssi, a.lqi,
+                a.crc_ok, a.payload))
 
     xcvrs = {}
     for nid, (pos, level, channel) in enumerate(radios, start=1):
@@ -185,8 +188,8 @@ def _play(medium_cls, world) -> dict:
         elif kind == "toggle":
             xcvr.enabled = not xcvr.enabled
         else:
-            observed.append(("sample", env.now.hex(), nid,
-                             medium.cca_busy(xcvr),
+            observed.append(("sample", len(env.tracer.events),
+                             env.now.hex(), nid, medium.cca_busy(xcvr),
                              medium.ambient_power_dbm(xcvr).hex()))
 
     def change_link():
