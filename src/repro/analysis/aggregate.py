@@ -15,25 +15,27 @@ import math
 import typing as _t
 from dataclasses import dataclass
 
-__all__ = ["CellAggregate", "mean_ci", "aggregate_cells"]
+__all__ = ["CellAggregate", "mean_ci", "aggregate_cells", "CONFIDENCE"]
+
+#: Level of every confidence interval the tables report.
+CONFIDENCE = 0.95
 
 
-def _t_critical(confidence: float, df: int) -> float:
-    """Two-sided Student-t critical value at ``confidence`` for ``df``."""
+def _t_critical(df: int) -> float:
+    """Two-sided Student-t critical value at :data:`CONFIDENCE` for
+    ``df``."""
     from scipy.stats import t
-    return float(t.ppf(0.5 + confidence / 2.0, df))
+    return float(t.ppf(0.5 + CONFIDENCE / 2.0, df))
 
 
-def mean_ci(values: _t.Sequence[float], confidence: float = 0.95,
-            ) -> tuple[float, float]:
-    """``(mean, half_width)`` of the two-sided Student-t interval.
+def mean_ci(values: _t.Sequence[float]) -> tuple[float, float]:
+    """``(mean, half_width)`` of the two-sided Student-t interval at
+    :data:`CONFIDENCE`.
 
     ``half_width`` is NaN for fewer than two samples — a single trial
     has no spread estimate, and pretending otherwise would make tables
     lie.  Empty input raises.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("mean_ci of no samples")
@@ -42,7 +44,7 @@ def mean_ci(values: _t.Sequence[float], confidence: float = 0.95,
     if n < 2:
         return mean, math.nan
     var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
-    half = _t_critical(confidence, n - 1) * math.sqrt(var / n)
+    half = _t_critical(n - 1) * math.sqrt(var / n)
     return mean, half
 
 
@@ -55,9 +57,8 @@ class CellAggregate:
     n: int
     mean: float
     std: float            # sample standard deviation (ddof=1; 0 if n == 1)
-    ci_low: float         # NaN bounds when n == 1
+    ci_low: float         # NaN bounds when n == 1, else at CONFIDENCE
     ci_high: float
-    confidence: float
 
     @property
     def half_width(self) -> float:
@@ -67,7 +68,7 @@ class CellAggregate:
         if math.isnan(self.ci_low):
             return f"{self.mean:.3g} (n={self.n})"
         return (f"{self.mean:.3g} ± {self.half_width:.2g} "
-                f"(n={self.n}, {self.confidence:.0%})")
+                f"(n={self.n}, {CONFIDENCE:.0%})")
 
 
 def _numeric(value: object) -> bool:
@@ -78,7 +79,6 @@ def aggregate_cells(
     rows: _t.Iterable[tuple[_t.Mapping[str, object],
                             _t.Mapping[str, object]]],
     metrics: _t.Sequence[str] | None = None,
-    confidence: float = 0.95,
 ) -> list[CellAggregate]:
     """Combine ``(params, values)`` rows into per-cell, per-metric stats.
 
@@ -106,7 +106,7 @@ def aggregate_cells(
         params, series = cells[key]
         for metric in sorted(series):
             vals = series[metric]
-            mean, half = mean_ci(vals, confidence)
+            mean, half = mean_ci(vals)
             n = len(vals)
             if n < 2:
                 std, lo, hi = 0.0, math.nan, math.nan
@@ -116,6 +116,6 @@ def aggregate_cells(
                 lo, hi = mean - half, mean + half
             out.append(CellAggregate(
                 params=params, metric=metric, n=n, mean=mean, std=std,
-                ci_low=lo, ci_high=hi, confidence=confidence,
+                ci_low=lo, ci_high=hi,
             ))
     return out

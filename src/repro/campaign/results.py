@@ -140,14 +140,13 @@ class CampaignResult:
             runs.sort(key=lambda r: r.spec.replicate)
         return cells
 
-    def aggregate(self, metrics: _t.Sequence[str] | None = None,
-                  confidence: float = 0.95):
-        """Per-cell mean/CI of named observables (see
+    def aggregate(self):
+        """Per-cell mean/CI of every numeric observable (see
         :func:`repro.analysis.aggregate.aggregate_cells`)."""
         from repro.analysis.aggregate import aggregate_cells
         rows = [(run.spec.params_dict, {**run.counters, **run.values})
                 for run in self.ok]
-        return aggregate_cells(rows, metrics=metrics, confidence=confidence)
+        return aggregate_cells(rows)
 
     def __len__(self) -> int:
         return len(self.runs)

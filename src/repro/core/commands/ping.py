@@ -130,8 +130,7 @@ class PingService:
     # -- client ------------------------------------------------------------------
 
     def ping(self, target: int, *, rounds: int = 1,
-             length: int = DEFAULT_LENGTH, routing_port: int = 0,
-             timeout: float = DEFAULT_ROUND_TIMEOUT):
+             length: int = DEFAULT_LENGTH, routing_port: int = 0):
         """Run the ping command; a generator to spawn as a process.
 
         Returns a :class:`PingResult`.  ``routing_port=0`` probes a
@@ -171,7 +170,8 @@ class PingService:
             waiter = Event(node.env)
             self._waiting[token] = waiter
             outcome = yield node.env.any_of(
-                [waiter, node.env.timeout(timeout, value="timeout")]
+                [waiter, node.env.timeout(DEFAULT_ROUND_TIMEOUT,
+                                          value="timeout")]
             )
             values = list(outcome.values())
             if values == ["timeout"]:

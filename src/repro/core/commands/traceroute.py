@@ -25,6 +25,7 @@ command" — the overhead bench (Figure 7) quantifies this.
 from __future__ import annotations
 
 import typing as _t
+from collections import OrderedDict
 
 from repro.core.results import (
     LinkObservation,
@@ -53,6 +54,9 @@ PROBE_TIMEOUT = 0.25
 #: One-hop probe attempts (a lost reply would otherwise kill the whole
 #: downstream tail of the traceroute).
 PROBE_ATTEMPTS = 2
+#: How long a node remembers a hop it continued: a prober resends a
+#: probe only within its attempts' reply windows.
+CONTINUED_MEMORY_S = PROBE_ATTEMPTS * PROBE_TIMEOUT
 #: Hop budget: a traceroute stops extending beyond this depth.
 MAX_HOPS = 32
 #: Report hold-back (seconds *per hop of depth*): before a hop's report
@@ -87,9 +91,12 @@ class TracerouteService:
         self._reply_waiters: dict[int, Event] = {}
         #: Sources collecting reports: session → callback(report).
         self._collectors: dict[int, _t.Callable[[TraceReport], None]] = {}
-        #: (session, hop_index) pairs already continued, to suppress
-        #: duplicate task initiation if a probe is retransmitted.
-        self._continued: set[tuple[int, int]] = set()
+        #: Hops continued recently, ``(origin, session, hop_index)`` →
+        #: time, to suppress duplicate task initiation if a probe is
+        #: retransmitted.  Sessions are unique only per origin, and only
+        #: until that origin's 16-bit counter wraps.
+        self._continued: OrderedDict[tuple[int, int, int], float] = (
+            OrderedDict())
         node.stack.ports.subscribe(
             WellKnownPorts.TRACEROUTE, self._on_packet, name="traceroute"
         )
@@ -122,11 +129,16 @@ class TracerouteService:
         )
         self.node.stack.send(out, arrival.sender, kind="traceroute")
         # Step 5 of Figure 4: the probed node carries the traceroute on.
-        key = (probe.session, probe.hop_index)
+        now = self.node.env.now
+        continued = self._continued
+        while continued and next(iter(continued.values())) < (
+                now - CONTINUED_MEMORY_S):
+            continued.popitem(last=False)
+        key = (probe.origin, probe.session, probe.hop_index)
         if (self.node.id != probe.final_dest
                 and probe.hop_index < MAX_HOPS
-                and key not in self._continued):
-            self._continued.add(key)
+                and key not in continued):
+            continued[key] = now
             self.node.threads.spawn(
                 "traceroute-task",
                 self._task(
@@ -241,8 +253,7 @@ class TracerouteService:
     # -- client ------------------------------------------------------------------
 
     def traceroute(self, target: int, *, rounds: int = 1, length: int = 32,
-                   routing_port: int = WellKnownPorts.GEOGRAPHIC,
-                   timeout: float = DEFAULT_ROUND_TIMEOUT):
+                   routing_port: int = WellKnownPorts.GEOGRAPHIC):
         """Run the traceroute command; a generator to spawn as a process.
 
         Returns a :class:`TracerouteResult` whose hops carry both the
@@ -311,7 +322,8 @@ class TracerouteService:
                 ),
             )
             outcome = yield node.env.any_of(
-                [done, node.env.timeout(timeout, value="timeout")]
+                [done, node.env.timeout(DEFAULT_ROUND_TIMEOUT,
+                                        value="timeout")]
             )
             if "reached" in outcome.values():
                 # The final hop reported, but earlier hops' reports may

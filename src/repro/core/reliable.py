@@ -40,7 +40,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.node import SensorNode
 
 __all__ = ["ReliableEndpoint", "CHUNK_BYTES", "MAX_CHUNKS", "ACK_TIMEOUT",
-           "BACKOFF_CAP"]
+           "BACKOFF_CAP", "MAX_ATTEMPTS"]
 
 _DATA_FMT = ">BHBBB"
 _DATA_HEADER = struct.calcsize(_DATA_FMT)
@@ -61,6 +61,9 @@ _COMPLETED_MEMORY = 64
 ACK_TIMEOUT = 0.06
 #: Ceiling on the exponential ack-deadline multiplier of a stall run.
 BACKOFF_CAP = 8.0
+#: Retry budget: consecutive attempts without progress before a send
+#: gives up (any acknowledged chunk resets the count).
+MAX_ATTEMPTS = 10
 
 
 class ReliableEndpoint:
@@ -71,7 +74,6 @@ class ReliableEndpoint:
 
     def __init__(self, node: "SensorNode",
                  on_message: _t.Callable[[int, bytes], None], *,
-                 max_attempts: int = 10,
                  initial_batch: int = 4,
                  min_batch: int = 1,
                  max_batch: int = 8):
@@ -79,7 +81,6 @@ class ReliableEndpoint:
             raise ValueError("require 1 <= min <= initial <= max <= 32")
         self.node = node
         self.on_message = on_message
-        self.max_attempts = int(max_attempts)
         self.min_batch = min_batch
         self.max_batch = max_batch
         #: Jitter stream, created on the *first timeout* only — clean
@@ -137,7 +138,7 @@ class ReliableEndpoint:
         last_deadline = 0.0
         deadlines: list[float] = []
         while pending:
-            if attempts >= self.max_attempts:
+            if attempts >= MAX_ATTEMPTS:
                 node.monitor.count("reliable.aborts")
                 raise ReliableTransferError(
                     dest=dest, attempts=attempts, pending=len(pending),

@@ -25,12 +25,15 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.node import SensorNode
     from repro.kernel.testbed import Testbed
 
-__all__ = ["Workstation", "Reply", "DEFAULT_RESPONSE_WINDOW"]
+__all__ = ["Workstation", "Reply", "DEFAULT_RESPONSE_WINDOW", "ATTACH_OFFSET"]
 
 #: The paper's fixed response window for one-hop management commands:
 #: "a response delay of 500 milliseconds ... intentionally longer than
 #: needed ... to allow nodes to add random waiting time".
 DEFAULT_RESPONSE_WINDOW = 0.5
+#: Where :meth:`Workstation.attach_near` puts the base station relative
+#: to the node it manages (metres): well inside one-hop range.
+ATTACH_OFFSET = (0.0, -8.0)
 
 
 class Reply:
@@ -59,7 +62,7 @@ class Workstation:
         # forwarded traffic.  It stands off the origin until the first
         # attach_near.
         self.node: "SensorNode" = testbed.add_node(
-            "workstation", (0.0, -10.0), neighbor_kwargs={"beaconing": False},
+            "workstation", (0.0, -10.0), beaconing=False,
         )
         self.endpoint = ReliableEndpoint(self.node, self._on_message)
         self._request_id = 0
@@ -68,13 +71,12 @@ class Workstation:
 
     # -- positioning ----------------------------------------------------------
 
-    def attach_near(self, ref: "int | str",
-                    offset: tuple[float, float] = (0.0, -8.0)) -> None:
+    def attach_near(self, ref: "int | str") -> None:
         """Move the base station next to a node (the site-visit step)."""
         target = self.testbed.node(ref)
         self.node.position = (
-            target.position[0] + offset[0],
-            target.position[1] + offset[1],
+            target.position[0] + ATTACH_OFFSET[0],
+            target.position[1] + ATTACH_OFFSET[1],
         )
 
     # -- request/reply -----------------------------------------------------------

@@ -571,7 +571,8 @@ class OnlineMonitor:
 
     ``testbed=None`` builds a detached monitor for synthetic-series
     tests: feed :meth:`observe_beacon` directly and :meth:`poll` with an
-    explicit ``now``.
+    explicit ``now``.  Only an attached monitor can :meth:`pause` and
+    :meth:`resume`.
 
     Memory is O(tracked links), each link O(1) (fixed ring buffers).
     """
@@ -623,10 +624,9 @@ class OnlineMonitor:
         """
         if not self._paused:
             self._paused = True
-            self._pause_idx = (len(self._monitor.packets)
-                               if self._monitor is not None else 0)
+            self._pause_idx = len(self._monitor.packets)
 
-    def resume(self, now: float | None = None) -> None:
+    def resume(self) -> None:
         """Unmask the detectors (see :meth:`pause`).
 
         If *no probe packet actually got on the air* during the masked
@@ -638,16 +638,10 @@ class OnlineMonitor:
         if not self._paused:
             return
         self._paused = False
-        if self._monitor is not None and not any(
-                r.kind in PROBE_PACKET_KINDS
-                for r in self._monitor.packets[self._pause_idx:]):
+        if not any(r.kind in PROBE_PACKET_KINDS
+                   for r in self._monitor.packets[self._pause_idx:]):
             return
-        if now is None:
-            if self.testbed is None:
-                raise ValueError("detached OnlineMonitor needs an "
-                                 "explicit now=")
-            now = self.testbed.env.now
-        self._anchor_floor = float(now)
+        self._anchor_floor = float(self.testbed.env.now)
 
     def _tap(self, packet: "Packet", batch: "FrameBatch",
              rows: "list[Row]") -> None:

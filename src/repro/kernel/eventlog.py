@@ -41,12 +41,9 @@ class KernelEvent:
 class EventLog:
     """Bounded ring of kernel events."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, *,
-                 tracer: "Tracer | None" = None, node_id: int | None = None):
-        if capacity < 1:
-            raise ValueError("event log capacity must be >= 1")
-        self.capacity = capacity
-        self._ring: deque[KernelEvent] = deque(maxlen=capacity)
+    def __init__(self, *, tracer: "Tracer | None" = None,
+                 node_id: int | None = None):
+        self._ring: deque[KernelEvent] = deque(maxlen=DEFAULT_CAPACITY)
         #: Events that fell off the back of the ring.
         self.dropped = 0
         #: Total events ever logged.
@@ -59,7 +56,7 @@ class EventLog:
 
     def log(self, time: float, code: str, detail: str = "") -> None:
         """Append one event (oldest entry evicted when full)."""
-        if len(self._ring) == self.capacity:
+        if len(self._ring) == DEFAULT_CAPACITY:
             self.dropped += 1
         self._ring.append(KernelEvent(time=time, code=code, detail=detail))
         self.logged += 1

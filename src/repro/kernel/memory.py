@@ -55,10 +55,7 @@ class InstalledImage:
 class MemoryModel:
     """Per-node flash/RAM ledger with budget enforcement."""
 
-    def __init__(self, flash_budget: int = FLASH_BUDGET_BYTES,
-                 ram_budget: int = RAM_BUDGET_BYTES):
-        self.flash_budget = flash_budget
-        self.ram_budget = ram_budget
+    def __init__(self) -> None:
         self._images: dict[str, InstalledImage] = {}
 
     # -- queries ------------------------------------------------------------
@@ -76,12 +73,12 @@ class MemoryModel:
     @property
     def flash_free(self) -> int:
         """Remaining flash budget."""
-        return self.flash_budget - self.flash_used
+        return FLASH_BUDGET_BYTES - self.flash_used
 
     @property
     def ram_free(self) -> int:
         """Remaining RAM budget."""
-        return self.ram_budget - self.ram_used
+        return RAM_BUDGET_BYTES - self.ram_used
 
     def installed(self) -> list[InstalledImage]:
         """Installed images, sorted by name."""

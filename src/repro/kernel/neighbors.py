@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 import typing as _t
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ProcessInterrupt
 from repro.net.packet import ANY_NODE, Packet
@@ -24,10 +24,14 @@ from repro.radio.medium import FrameBatch, Row
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.node import SensorNode
 
-__all__ = ["NeighborEntry", "NeighborTable", "DEFAULT_BEACON_INTERVAL"]
+__all__ = ["NeighborEntry", "NeighborTable", "DEFAULT_BEACON_INTERVAL",
+           "NEIGHBOR_CAPACITY"]
 
 #: Default beacon period (seconds); the `update` command retunes it.
 DEFAULT_BEACON_INTERVAL = 2.0
+#: Table rows a mote's RAM holds; a new neighbor past this evicts the
+#: longest-silent entry.
+NEIGHBOR_CAPACITY = 16
 #: A neighbor silent for this many beacon periods leaves the table.
 LIFETIME_FACTOR = 3.5
 #: Weight of the newest beacon in the LQI/RSSI moving averages.
@@ -73,13 +77,8 @@ class NeighborEntry:
 class NeighborTable:
     """Kernel neighbor service: beaconing, estimation, blacklist."""
 
-    def __init__(self, node: "SensorNode", *,
-                 capacity: int = 16,
-                 beaconing: bool = True):
-        if capacity < 1:
-            raise ValueError("neighbor table capacity must be >= 1")
+    def __init__(self, node: "SensorNode", *, beaconing: bool = True):
         self.node = node
-        self.capacity = capacity
         self._beacon_interval = DEFAULT_BEACON_INTERVAL
         self._entries: dict[int, NeighborEntry] = {}
         self._blacklist: set[int] = set()
@@ -283,7 +282,7 @@ class NeighborTable:
         """A first beacon from ``node_id``: a new entry, making room by
         expiring silent neighbors and then evicting the longest-silent."""
         self._expire()
-        if len(self._entries) >= self.capacity:
+        if len(self._entries) >= NEIGHBOR_CAPACITY:
             self._evict()
         self._entries[node_id] = NeighborEntry(
             node_id=node_id, name=name, position=position,

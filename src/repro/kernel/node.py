@@ -38,9 +38,7 @@ class SensorNode:
     """One mote: hardware model plus kernel services."""
 
     def __init__(self, testbed: "Testbed", node_id: int, name: str,
-                 position: tuple[float, float], *,
-                 power_level: int = 31, channel: int = 17,
-                 neighbor_kwargs: dict | None = None):
+                 position: tuple[float, float], *, beaconing: bool = True):
         self.testbed = testbed
         self.id = node_id
         self.name = name
@@ -48,10 +46,7 @@ class SensorNode:
         self.rng = testbed.rng
         self.monitor = testbed.monitor
 
-        self.xcvr = testbed.medium.attach(
-            node_id, position,
-            RadioConfig(power_level=power_level, channel=channel),
-        )
+        self.xcvr = testbed.medium.attach(node_id, position)
         self.mac = CsmaMac(
             self.env, testbed.medium, self.xcvr, self.rng, self.monitor
         )
@@ -72,7 +67,7 @@ class SensorNode:
         self.clock_rate = 1.0
         self._clock_base = 0.0
         self._clock_ref = 0.0
-        self.neighbors = NeighborTable(self, **(neighbor_kwargs or {}))
+        self.neighbors = NeighborTable(self, beaconing=beaconing)
         #: Installed routing protocols, keyed by port.
         self.protocols: dict[int, RoutingProtocol] = {}
         #: Installed services (ping, traceroute, controller, ...) by name.

@@ -15,16 +15,16 @@ import typing as _t
 
 from repro.errors import NoSuchSyscall
 
-__all__ = ["SyscallTable", "ParameterBuffer"]
+__all__ = ["SyscallTable", "ParameterBuffer", "PARAMETER_BUFFER_CHARS"]
+
+#: Size of the kernel's parameter buffer: a fixed slice of mote RAM.
+PARAMETER_BUFFER_CHARS = 64
 
 
 class ParameterBuffer:
     """The kernel-held buffer commands read their runtime parameters from."""
 
-    def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ValueError("buffer capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._content = "\0"
 
     def stage(self, parameters: str) -> None:
@@ -33,10 +33,10 @@ class ParameterBuffer:
         Raises :class:`ValueError` when the string exceeds the buffer —
         mote RAM is finite and the kernel cannot grow it.
         """
-        if len(parameters) > self.capacity:
+        if len(parameters) > PARAMETER_BUFFER_CHARS:
             raise ValueError(
                 f"parameter string of {len(parameters)} chars exceeds the "
-                f"{self.capacity}-char kernel buffer"
+                f"{PARAMETER_BUFFER_CHARS}-char kernel buffer"
             )
         self._content = parameters if parameters else "\0"
 

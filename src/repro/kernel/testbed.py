@@ -46,20 +46,13 @@ class Testbed:
     # -- population ----------------------------------------------------------
 
     def add_node(self, name: str, position: tuple[float, float], *,
-                 node_id: int | None = None, power_level: int = 31,
-                 channel: int = 17,
-                 neighbor_kwargs: dict | None = None) -> SensorNode:
-        """Create, register and attach one node."""
-        if node_id is None:
-            node_id = next(self._next_id)
-            while node_id in self._nodes:
-                node_id = next(self._next_id)
+                 beaconing: bool = True) -> SensorNode:
+        """Create, register and attach one node, numbered 1, 2, ... in
+        the order added.  ``beaconing=False`` makes a listener that never
+        advertises itself (the management workstation)."""
+        node_id = next(self._next_id)
         self.namespace.register(node_id, name)
-        node = SensorNode(
-            self, node_id, name, position,
-            power_level=power_level, channel=channel,
-            neighbor_kwargs=neighbor_kwargs,
-        )
+        node = SensorNode(self, node_id, name, position, beaconing=beaconing)
         self._nodes[node_id] = node
         return node
 

@@ -10,16 +10,17 @@ executables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 
 from repro.errors import KernelError, ProcessInterrupt
 from repro.sim.engine import Environment
 from repro.sim.process import Process, ProcessGenerator
 
-__all__ = ["ThreadInfo", "ThreadTable", "MAX_THREADS"]
+__all__ = ["ThreadInfo", "ThreadTable", "MAX_THREADS", "MAX_TID"]
 
 #: LiteOS-class kernels run a handful of threads on the ATmega128.
 MAX_THREADS = 8
+#: Largest thread id: ``ps`` and ``kill`` carry a tid in 16 bits.
+MAX_TID = 0xFFFF
 
 
 @dataclass
@@ -40,14 +41,10 @@ class ThreadInfo:
 class ThreadTable:
     """Bounded registry of a node's running threads."""
 
-    def __init__(self, env: Environment, node_id: int,
-                 max_threads: int = MAX_THREADS):
-        if max_threads < 1:
-            raise ValueError("max_threads must be >= 1")
+    def __init__(self, env: Environment, node_id: int):
         self.env = env
         self.node_id = node_id
-        self.max_threads = max_threads
-        self._tids = count(1)
+        self._last_tid = 0
         self._threads: dict[int, ThreadInfo] = {}
 
     def spawn(self, name: str, generator: ProcessGenerator) -> ThreadInfo:
@@ -57,12 +54,12 @@ class ThreadTable:
         the admission control a 4 KB-RAM mote actually enforces.
         """
         self._reap()
-        if len(self._threads) >= self.max_threads:
+        if len(self._threads) >= MAX_THREADS:
             raise KernelError(
                 f"node {self.node_id}: thread table full "
-                f"({self.max_threads} threads)"
+                f"({MAX_THREADS} threads)"
             )
-        tid = next(self._tids)
+        tid = self._next_tid()
         info = ThreadInfo(
             tid=tid, name=name,
             process=self.env.process(
@@ -73,10 +70,21 @@ class ThreadTable:
         self._threads[tid] = info
         return info
 
+    def _next_tid(self) -> int:
+        """The next free id in 1..:data:`MAX_TID`, wrapping after the
+        last one and skipping ids still held by a live thread."""
+        tid = self._last_tid
+        while True:
+            tid = tid % MAX_TID + 1
+            if tid not in self._threads:
+                self._last_tid = tid
+                return tid
+
     def alive(self) -> list[ThreadInfo]:
-        """Live threads, oldest first."""
+        """Live threads, oldest first (spawn order, which is id order
+        until the ids wrap)."""
         self._reap()
-        return sorted(self._threads.values(), key=lambda t: t.tid)
+        return list(self._threads.values())
 
     def find(self, name: str) -> ThreadInfo | None:
         """The oldest live thread with this name, if any."""

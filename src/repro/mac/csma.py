@@ -49,8 +49,6 @@ class CsmaMac:
         xcvr: Transceiver,
         rng: RngRegistry,
         monitor: Monitor,
-        *,
-        queue_capacity: int = 8,
     ) -> None:
         self.env = env
         self.medium = medium
@@ -58,8 +56,7 @@ class CsmaMac:
         self.monitor = monitor
         self.node_id = xcvr.node_id
         self.tracer = env.tracer
-        self.queue = TxQueue(env, capacity=queue_capacity,
-                             tracer=env.tracer, owner=self.node_id)
+        self.queue = TxQueue(env, tracer=env.tracer, owner=self.node_id)
         self._rng = rng.stream(f"mac.backoff.{self.node_id}")
         # Receiving is the radio's hardware address recognition: a
         # unicast frame for another node stops there, and corrupted

@@ -19,18 +19,20 @@ from repro.sim.events import Event
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import Tracer
 
-__all__ = ["TxQueue"]
+__all__ = ["TxQueue", "QUEUE_CAPACITY"]
+
+#: Frames a mote's transmit queue holds; the fault engine's
+#: ``queue_saturate`` lowers it through :meth:`TxQueue.set_capacity`.
+QUEUE_CAPACITY = 8
 
 
 class TxQueue:
     """FIFO of frames with event-based consumption and drop accounting."""
 
-    def __init__(self, env: Environment, capacity: int = 8, *,
+    def __init__(self, env: Environment, *,
                  tracer: "Tracer | None" = None, owner: int | None = None):
-        if capacity < 1:
-            raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.env = env
-        self.capacity = capacity
+        self.capacity = QUEUE_CAPACITY
         self._items: deque = deque()
         self._getters: deque[Event] = deque()
         #: Frames rejected because the queue was full.

@@ -174,7 +174,7 @@ def prometheus_line(name: str, labels: "_t.Mapping[str, object] | None",
 
 def metrics_to_prometheus(registry: "MetricsRegistry", *,
                           labels: "_t.Mapping[str, object] | None" = None,
-                          namespace: str = "") -> str:
+                          ) -> str:
     """Render the whole registry in Prometheus text format 0.0.4.
 
     * counters → ``# TYPE <name> counter`` + one sample;
@@ -185,16 +185,14 @@ def metrics_to_prometheus(registry: "MetricsRegistry", *,
       a percentile of nothing is not a sample.
 
     ``labels`` (e.g. ``{"fleet": "field", "node": 7}``) are attached to
-    every sample; ``namespace`` prefixes every metric name
-    (``namespace_name``).  Output is sorted by metric name, so equal
-    registries render byte-identically.  An empty registry renders as
-    the empty string.
+    every sample.  Output is sorted by metric name, so equal registries
+    render byte-identically.  An empty registry renders as the empty
+    string.
     """
-    prefix = f"{namespace}_" if namespace else ""
     lines: list[str] = []
 
     def emit(name: str, kind: str, value: float | int) -> None:
-        full = sanitize_metric_name(prefix + name)
+        full = sanitize_metric_name(name)
         lines.append(f"# TYPE {full} {kind}")
         lines.append(prometheus_line(full, labels, value))
 
@@ -213,17 +211,14 @@ def metrics_to_prometheus(registry: "MetricsRegistry", *,
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_prometheus(registry: "MetricsRegistry", path: str, *,
-                     labels: "_t.Mapping[str, object] | None" = None,
-                     namespace: str = "") -> int:
+def write_prometheus(registry: "MetricsRegistry", path: str) -> int:
     """Write the Prometheus rendering to ``path``.
 
     Returns the number of sample lines written (comment lines not
     counted) — the textfile-collector analogue of
     :func:`write_trace_jsonl`'s event count.
     """
-    text = metrics_to_prometheus(registry, labels=labels,
-                                 namespace=namespace)
+    text = metrics_to_prometheus(registry)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return sum(1 for line in text.splitlines()

@@ -15,7 +15,8 @@ import math
 
 from repro.sim.rng import RngRegistry
 
-__all__ = ["LQI_MIN", "LQI_MAX", "LqiModel", "lqi_from_sinr"]
+__all__ = ["LQI_MIN", "LQI_MAX", "LqiModel", "lqi_from_sinr",
+           "LQI_NOISE_SIGMA"]
 
 #: Correlator bounds the paper quotes: "around 110 indicates the highest
 #: quality while a value of 50 the lowest".
@@ -28,6 +29,8 @@ LQI_MAX = 110
 #: report the paper's 103-110 range.
 _MIDPOINT_DB = 0.0
 _SLOPE = 0.5
+#: Correlator noise of one reading (LQI units, one sigma).
+LQI_NOISE_SIGMA = 1.5
 
 
 def lqi_from_sinr(sinr_db: float) -> float:
@@ -39,17 +42,13 @@ def lqi_from_sinr(sinr_db: float) -> float:
 class LqiModel:
     """Produces noisy integer LQI values in [LQI_MIN, LQI_MAX]."""
 
-    def __init__(self, rng: RngRegistry, noise_sigma: float = 1.5):
-        if noise_sigma < 0:
-            raise ValueError("noise sigma must be non-negative")
-        self.noise_sigma = float(noise_sigma)
+    def __init__(self, rng: RngRegistry):
         self._rng = rng.stream("radio.lqi")
 
     def reading(self, sinr_db: float) -> int:
         """One measured LQI value for a frame received at ``sinr_db``."""
-        value = lqi_from_sinr(sinr_db)
-        if self.noise_sigma > 0:
-            value += float(self._rng.normal(0.0, self.noise_sigma))
+        value = lqi_from_sinr(sinr_db) + float(
+            self._rng.normal(0.0, LQI_NOISE_SIGMA))
         return int(min(LQI_MAX, max(LQI_MIN, round(value))))
 
     def readings(self, sinrs_db: list[float]) -> list[int]:
@@ -64,10 +63,7 @@ class LqiModel:
         n = len(sinrs_db)
         if n == 0:
             return []
-        if self.noise_sigma > 0:
-            noise = self._rng.normal(0.0, self.noise_sigma, size=n).tolist()
-        else:
-            noise = [0.0] * n  # x + 0.0 == x: no value moves
+        noise = self._rng.normal(0.0, LQI_NOISE_SIGMA, size=n).tolist()
         exp, lo, hi = math.exp, LQI_MIN, LQI_MAX
         span, k, mid = LQI_MAX - LQI_MIN, -_SLOPE, _MIDPOINT_DB
         return [lo if (v := round(lo + span * (1.0 / (1.0 + exp(k * (s - mid))))

@@ -241,24 +241,9 @@ class LogDistancePropagation:
 
         Stream-equivalent to ``count`` scalar draws (see
         :meth:`shadowing_row`); only meaningful when ``fading_sigma_db``
-        is positive — callers gate on that, as the scalar path does.
+        is positive — callers gate on that.
         """
         return self._fading_rng.normal(0.0, self.fading_sigma_db, size=count)
-
-    def sample_loss_db(self, src: int, dst: int, distance_m: float) -> float:
-        """Total loss for one packet on the directed link src→dst."""
-        loss = self.deterministic_loss_db(distance_m)
-        loss += self.link_shadowing_db(src, dst)
-        if self._penalties:
-            loss += self._penalties.get(link_key(src, dst), 0.0)
-        if self.fading_sigma_db > 0:
-            loss += float(self._fading_rng.normal(0.0, self.fading_sigma_db))
-        return float(loss)
-
-    def received_power_dbm(self, tx_power_dbm: float, src: int, dst: int,
-                           distance_m: float) -> float:
-        """Received power for one packet on src→dst at ``tx_power_dbm``."""
-        return tx_power_dbm - self.sample_loss_db(src, dst, distance_m)
 
     def mean_received_power_dbm(self, tx_power_dbm: float, src: int, dst: int,
                                 distance_m: float) -> float:

@@ -12,12 +12,15 @@ from __future__ import annotations
 from repro.radio.cc2420 import RSSI_OFFSET_DBM
 from repro.sim.rng import RngRegistry
 
-__all__ = ["RssiModel", "reading_to_dbm", "dbm_to_reading"]
+__all__ = ["RssiModel", "reading_to_dbm", "dbm_to_reading",
+           "RSSI_NOISE_SIGMA_DB"]
 
 #: Register value bounds (signed byte, further limited by the detector's
 #: useful dynamic range per the datasheet).
 _MIN_READING = -128
 _MAX_READING = 127
+#: Measurement noise of one reading (dB, one sigma).
+RSSI_NOISE_SIGMA_DB = 1.0
 
 
 def dbm_to_reading(power_dbm: float) -> int:
@@ -39,21 +42,17 @@ class RssiModel:
     """Produces noisy, quantised RSSI register readings.
 
     The eight-symbol average leaves ~1 dB of measurement noise on real
-    hardware; we model it as a Gaussian draw before quantisation.
+    hardware (:data:`RSSI_NOISE_SIGMA_DB`); we model it as a Gaussian
+    draw before quantisation.
     """
 
-    def __init__(self, rng: RngRegistry, noise_sigma_db: float = 1.0):
-        if noise_sigma_db < 0:
-            raise ValueError("noise sigma must be non-negative")
-        self.noise_sigma_db = float(noise_sigma_db)
+    def __init__(self, rng: RngRegistry):
         self._rng = rng.stream("radio.rssi")
 
     def reading(self, received_power_dbm: float) -> int:
         """One measured register value for a frame at this input power."""
-        noisy = received_power_dbm
-        if self.noise_sigma_db > 0:
-            noisy += float(self._rng.normal(0.0, self.noise_sigma_db))
-        return dbm_to_reading(noisy)
+        return dbm_to_reading(received_power_dbm + float(
+            self._rng.normal(0.0, RSSI_NOISE_SIGMA_DB)))
 
     def readings(self, received_powers_dbm: list[float]) -> list[int]:
         """Register values for many frames, one batched noise draw.
@@ -67,10 +66,7 @@ class RssiModel:
         n = len(received_powers_dbm)
         if n == 0:
             return []
-        if self.noise_sigma_db > 0:
-            noise = self._rng.normal(0.0, self.noise_sigma_db, size=n).tolist()
-        else:
-            noise = [0.0] * n  # p + 0.0 == p: no reading moves
+        noise = self._rng.normal(0.0, RSSI_NOISE_SIGMA_DB, size=n).tolist()
         lo, hi, offset = _MIN_READING, _MAX_READING, RSSI_OFFSET_DBM
         return [lo if (v := round(p + d - offset)) < lo else hi if v > hi else v
                 for p, d in zip(received_powers_dbm, noise)]

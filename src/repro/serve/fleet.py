@@ -30,7 +30,7 @@ from repro.core.deploy import deploy_liteview
 from repro.diag.findings import NewFindings
 from repro.diag.render import recommendation, traffic_light
 from repro.faults import FaultPlan, install_faults
-from repro.serve.health import MAX_WATCHLIST, HealthAssessor
+from repro.serve.health import HealthAssessor
 from repro.serve.hub import EventHub
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -247,8 +247,6 @@ def build_fleet(spec: str = "field", *, seed: int = 3,
                 name: str | None = None,
                 assess_every: float = 30.0,
                 warm_up: float = 15.0,
-                rounds: int = 3,
-                links: _t.Iterable[tuple[int, int]] | None = None,
                 fault_plan: "FaultPlan | str | None" = None,
                 mode: str = "active",
                 ) -> FleetSupervisor:
@@ -261,9 +259,10 @@ def build_fleet(spec: str = "field", *, seed: int = 3,
     pre-injures the world at construction (the chaos-demo path); live
     injuries arrive later via ``POST /fleets/<name>/faults``.
 
-    The auto-generated ``/health`` watchlist is clamped to
-    :data:`~repro.serve.health.MAX_WATCHLIST` links (an even-stride
-    subsample, which leaves the paper-scale fleets unclamped).
+    The ``/health`` watchlist is the nearest-neighbor link graph,
+    clamped to :data:`~repro.serve.health.MAX_WATCHLIST` links (an
+    even-stride subsample, which leaves the paper-scale fleets
+    unclamped).
 
     ``mode`` selects how assessments gather evidence
     (:data:`~repro.serve.health.ASSESSMENT_MODES`): ``passive``
@@ -275,8 +274,7 @@ def build_fleet(spec: str = "field", *, seed: int = 3,
 
     testbed = testbed_from_spec(spec, seed=seed)
     deployment = deploy_liteview(testbed, warm_up=warm_up)
-    assessor = HealthAssessor(deployment, links=links, rounds=rounds,
-                              max_links=MAX_WATCHLIST, mode=mode)
+    assessor = HealthAssessor(deployment, mode=mode)
     supervisor = FleetSupervisor(name or spec.replace(":", ""), deployment,
                                  assessor, assess_every=assess_every)
     if fault_plan is not None:

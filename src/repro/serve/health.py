@@ -8,8 +8,9 @@ each time the fleet supervisor reaches an assessment boundary, then
 renders the latest report as the traffic-light
 :func:`~repro.diag.render.health_view` payload ``/health`` serves.
 
-The watchlist defaults to the fleet's nearest-neighbor link graph
-(:func:`nearest_neighbor_links`): every node appears in at least one
+The watchlist is the fleet's nearest-neighbor link graph
+(:func:`nearest_neighbor_links`), clamped to :data:`MAX_WATCHLIST`
+links: every node of a paper-scale fleet appears in at least one
 probed link, the link count stays O(N), and an injected fault on any
 such link turns its light within one assessment period.
 
@@ -33,7 +34,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.testbed import Testbed
 
 __all__ = ["HealthAssessor", "nearest_neighbor_links", "MAX_WATCHLIST",
-           "ASSESSMENT_MODES"]
+           "ASSESSMENT_MODES", "WATCHLIST_ROUNDS"]
 
 #: How an assessment gathers its evidence: ``active`` probes the
 #: watchlist (the paper's workflow), ``passive`` only reads the online
@@ -41,14 +42,14 @@ __all__ = ["HealthAssessor", "nearest_neighbor_links", "MAX_WATCHLIST",
 #: merges, deduplicating by subject.
 ASSESSMENT_MODES = ("active", "passive", "hybrid")
 
-#: Default cap on the auto-generated watchlist (``build_fleet`` passes it
-#: as ``max_links``).  Nearest-neighbor watchlists grow O(N) with fleet
-#: size, and every watched link is probed ``rounds`` times per
-#: assessment — on the 1k-node city tier an unclamped list would spend
-#: minutes of simulated airtime per assessment.  128 keeps the paper-
-#: scale fleets (≤ 100 nodes) unclamped, so their served runs are
-#: unchanged.
+#: Cap on the watchlist.  Nearest-neighbor watchlists grow O(N) with
+#: fleet size, and every watched link is probed :data:`WATCHLIST_ROUNDS`
+#: times per assessment — on the 1k-node city tier an unclamped list
+#: would spend minutes of simulated airtime per assessment.  128 keeps
+#: the paper-scale fleets (≤ 100 nodes) unclamped.
 MAX_WATCHLIST = 128
+#: Probe rounds per watched link per assessment.
+WATCHLIST_ROUNDS = 3
 
 
 def fleet_members(testbed: "Testbed") -> list:
@@ -91,12 +92,12 @@ def nearest_neighbor_links(testbed: "Testbed"
 class HealthAssessor:
     """Runs one probe plan repeatedly and keeps the latest verdict.
 
-    ``links``/``rounds`` define the recurring plan;
-    :meth:`assess` executes it (advancing the simulation by the probe
-    traffic's own duration — assessment is *part of* the simulated
-    world, which is what keeps served runs reproducible), and
-    :meth:`health` renders the most recent report without touching the
-    sim at all.
+    The recurring plan probes the watchlist (see the module docstring)
+    :data:`WATCHLIST_ROUNDS` times per link; :meth:`assess` executes it
+    (advancing the simulation by the probe traffic's own duration —
+    assessment is *part of* the simulated world, which is what keeps
+    served runs reproducible), and :meth:`health` renders the most
+    recent report without touching the sim at all.
 
     ``mode`` selects the evidence source (:data:`ASSESSMENT_MODES`):
     ``passive`` assessments read the :class:`~repro.diag.online.
@@ -107,27 +108,22 @@ class HealthAssessor:
     not already name.
     """
 
-    def __init__(self, deployment, *,
-                 links: _t.Iterable[tuple[int, int]] | None = None,
-                 rounds: int = 3,
-                 max_links: int | None = None,
-                 mode: str = "active"):
+    def __init__(self, deployment, *, mode: str = "active"):
         if mode not in ASSESSMENT_MODES:
             raise ValueError(f"unknown assessment mode {mode!r} "
                              f"(one of {ASSESSMENT_MODES})")
         self.mode = mode
         self.deployment = deployment
         self.testbed = deployment.testbed
-        if links is None:
-            links = nearest_neighbor_links(self.testbed)
-        links = tuple(links)
-        if max_links is not None and 0 < max_links < len(links):
+        links = nearest_neighbor_links(self.testbed)
+        if len(links) > MAX_WATCHLIST:
             # Deterministic even-stride subsample of the sorted list:
             # the clamped watchlist stays geographically spread instead
             # of collapsing onto the lowest-id corner of the fleet.
-            step = len(links) / max_links
-            links = tuple(links[int(i * step)] for i in range(max_links))
-        self.plan = ProbePlan(links=links, rounds=rounds)
+            step = len(links) / MAX_WATCHLIST
+            links = tuple(links[int(i * step)]
+                          for i in range(MAX_WATCHLIST))
+        self.plan = ProbePlan(links=links, rounds=WATCHLIST_ROUNDS)
         self.engine = DiagnosisEngine(deployment)
         self.online: OnlineMonitor | None = None
         if mode != "active":

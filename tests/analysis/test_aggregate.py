@@ -27,19 +27,11 @@ def test_mean_ci_exact_known_counters():
     assert half == pytest.approx(T95[4] * s / math.sqrt(5), rel=1e-9)
 
 
-def test_mean_ci_confidence_level():
-    mean, half95 = mean_ci([1.0, 2.0, 3.0], confidence=0.95)
-    _, half99 = mean_ci([1.0, 2.0, 3.0], confidence=0.99)
-    assert half99 > half95
-
-
 def test_mean_ci_degenerate_cases():
     mean, half = mean_ci([4.0])
     assert mean == 4.0 and math.isnan(half)
     with pytest.raises(ValueError):
         mean_ci([])
-    with pytest.raises(ValueError):
-        mean_ci([1.0, 2.0], confidence=1.5)
 
 
 def test_aggregate_cells_groups_by_params():
@@ -93,7 +85,6 @@ def test_param_order_does_not_split_cells():
 
 def test_render_with_interval():
     agg = CellAggregate(params={}, metric="m", n=3, mean=2.0, std=1.0,
-                        ci_low=2.0 - 2.484, ci_high=2.0 + 2.484,
-                        confidence=0.95)
+                        ci_low=2.0 - 2.484, ci_high=2.0 + 2.484)
     text = agg.render()
     assert "±" in text and "n=3" in text and "95%" in text

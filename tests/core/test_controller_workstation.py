@@ -116,11 +116,11 @@ def test_unsupported_request_type(chain_deployment):
 
 def test_unreachable_node_times_out(chain_deployment):
     dep = chain_deployment(2)
-    dep.testbed.add_node("far", (9999.0, 0.0), node_id=77)
+    far = dep.testbed.add_node("far", (9999.0, 0.0))
     from repro.core.controller import install_controller
-    install_controller(dep.testbed.node(77))
+    install_controller(far)
     with pytest.raises(CommandTimeout):
-        dep.workstation.call(77, MsgType.GET_RADIO)
+        dep.workstation.call(far.id, MsgType.GET_RADIO)
 
 
 def test_response_backoff_randomizes_reply_time(chain_deployment):

@@ -132,9 +132,9 @@ def test_session_renders_prompts(chain_deployment):
 
 def test_command_on_out_of_range_node_reports_error(chain_deployment):
     dep = logged_in(chain_deployment, 3)
-    dep.testbed.add_node("far", (9999.0, 0.0), node_id=88)
+    far = dep.testbed.add_node("far", (9999.0, 0.0))
     from repro.core.controller import install_controller
-    install_controller(dep.testbed.node(88))
+    install_controller(far)
     dep.run("cd far")
     out = dep.run("power")
     assert out.startswith("error:")

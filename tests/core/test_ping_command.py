@@ -45,10 +45,10 @@ def test_multiple_rounds(chain_deployment):
 def test_ping_unreachable_target_times_out(chain_deployment):
     dep = chain_deployment(2)
     tb = dep.testbed
-    tb.add_node("ghost", (5000.0, 0.0), node_id=99)
+    ghost = tb.add_node("ghost", (5000.0, 0.0))
     from repro.core.commands.ping import install_ping
-    install_ping(tb.node(99))
-    result = run_ping(dep, 1, target=99, rounds=2, timeout=0.2)
+    install_ping(ghost)
+    result = run_ping(dep, 1, target=ghost.id, rounds=2)
     assert result.sent == 2
     assert result.received == 0
     assert result.lost == 2

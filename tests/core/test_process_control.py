@@ -33,11 +33,42 @@ def test_ps_shows_running_command_thread(chain_deployment):
     tb = dep.testbed
     service = dep.ping_services[1]
     tb.node(1).threads.spawn(
-        "ping", service.ping(2, rounds=50, timeout=0.5)
+        "ping", service.ping(2, rounds=50)
     )
     out = dep.run("ps")
     assert "ping" in out
     assert out.splitlines()[0].startswith("tid")
+
+
+def test_ps_and_kill_after_thread_ids_pass_sixteen_bits(chain_deployment):
+    """A long-lived node spawns a thread per served request and per
+    traceroute hop; once its ids pass 0xFFFF, ``ps`` still lists every
+    live thread and ``kill`` still reaches them."""
+    dep = chain_deployment(3)
+    dep.login("192.168.0.2")
+    tb = dep.testbed
+    threads = tb.node(2).threads
+
+    def finished():
+        return
+        yield
+
+    def idle():
+        yield tb.env.timeout(100.0)
+
+    for i in range(65530):
+        threads.spawn("short", finished())
+        if i % 7 == 6:
+            tb.env.run(until=tb.env.now + 1e-6)
+    tb.env.run(until=tb.env.now + 1e-6)
+    idlers = [threads.spawn("idle", idle()) for _ in range(7)]
+    rows = dep.run("ps").splitlines()[1:]
+    assert [row.split()[0] for row in rows] == [
+        "65531", "65532", "65533", "65534", "65535", "1", "2", "3"]
+    assert rows[-1].endswith("controller-request")
+    assert "killed" in dep.run(f"kill {idlers[-1].tid}")
+    tb.warm_up(1.0)
+    assert not idlers[-1].alive
 
 
 def test_kill_stops_a_command_thread(chain_deployment):
@@ -45,7 +76,7 @@ def test_kill_stops_a_command_thread(chain_deployment):
     tb = dep.testbed
     service = dep.ping_services[1]
     info = tb.node(1).threads.spawn(
-        "ping", service.ping(2, rounds=200, timeout=0.5)
+        "ping", service.ping(2, rounds=200)
     )
     out = dep.run(f"kill {info.tid}")
     assert "killed" in out
@@ -77,7 +108,7 @@ def test_killed_ping_reports_partial_result(chain_deployment):
     tb = dep.testbed
     service = dep.ping_services[1]
     info = tb.node(1).threads.spawn(
-        "ping", service.ping(2, rounds=100, timeout=0.5)
+        "ping", service.ping(2, rounds=100)
     )
     tb.warm_up(2.0)
     dep.run(f"kill {info.tid}")

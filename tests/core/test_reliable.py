@@ -6,24 +6,29 @@ from repro.core.reliable import (
     ACK_TIMEOUT,
     BACKOFF_CAP,
     CHUNK_BYTES,
+    MAX_ATTEMPTS,
     MAX_CHUNKS,
     ReliableEndpoint,
 )
 from repro.errors import ReliableTransferError
 from repro.kernel import Testbed
+from repro.mac.frame import FRAME_OVERHEAD_BYTES
+from repro.net.crc import CRC_BYTES
+from repro.net.packet import HEADER_BYTES
+from repro.radio.cc2420 import NOISE_FLOOR_DBM, power_level_to_dbm
+from repro.radio.modulation import snr_db_for_prr
 
 QUIET = {"shadowing_sigma_db": 0.0, "fading_sigma_db": 0.0}
 
 
-def make_pair(distance=10.0, seed=5, endpoint_kwargs=None, **prop):
+def make_pair(distance=10.0, seed=5, **prop):
     kwargs = dict(QUIET)
     kwargs.update(prop)
     tb = Testbed(seed=seed, propagation_kwargs=kwargs)
     a = tb.add_node("a", (0.0, 0.0))
     b = tb.add_node("b", (distance, 0.0))
     inbox_a, inbox_b = [], []
-    ep_a = ReliableEndpoint(a, lambda o, m: inbox_a.append((o, m)),
-                            **(endpoint_kwargs or {}))
+    ep_a = ReliableEndpoint(a, lambda o, m: inbox_a.append((o, m)))
     ep_b = ReliableEndpoint(b, lambda o, m: inbox_b.append((o, m)))
     return tb, (a, ep_a, inbox_a), (b, ep_b, inbox_b)
 
@@ -83,22 +88,28 @@ def test_send_to_unreachable_peer_fails_cleanly():
     with pytest.raises(ReliableTransferError) as excinfo:
         tb.env.run(until=proc)
     assert excinfo.value.dest == b.id
-    assert excinfo.value.attempts == ep_a.max_attempts
+    assert excinfo.value.attempts == MAX_ATTEMPTS
     assert excinfo.value.pending == excinfo.value.total == 1
     assert tb.monitor.counter("reliable.aborts") == 1
 
 
 def test_lossy_link_still_delivers():
-    """Retransmissions must push a large message through a gray link.
+    """Retransmissions push a full-size message through a gray link
+    within the retry budget.
 
-    The retry budget is raised above the default: a 93 m link aborts
-    within 10 consecutive stalls for a fair share of seeds (by design —
-    the budget is what bounds a dead-peer wait), and this test is about
-    eventual delivery, not the budget.
+    The link is placed where a full data chunk's PRR is 0.8, with no
+    shadowing or fading: each of the 32 chunks is lost one time in
+    five, so the transfer needs retransmissions, while an attempt
+    without progress is rare enough that ten in a row do not occur.
+    (A link whose chunks get through half the time can abort within
+    the budget, by design: the budget is what bounds a dead-peer wait.)
     """
-    tb, (a, ep_a, _), (b, _, inbox_b) = make_pair(
-        distance=93.0, seed=3, endpoint_kwargs={"max_attempts": 30})
-    payload = bytes(400)
+    chunk_frame = (FRAME_OVERHEAD_BYTES + HEADER_BYTES + 64 + CRC_BYTES)
+    rx_dbm = NOISE_FLOOR_DBM + snr_db_for_prr(0.8, chunk_frame)
+    distance = Testbed(propagation_kwargs=QUIET).propagation.range_for_budget_m(
+        power_level_to_dbm(31) - rx_dbm)
+    tb, (a, ep_a, _), (b, _, inbox_b) = make_pair(distance=distance, seed=3)
+    payload = bytes(MAX_CHUNKS * CHUNK_BYTES)
     assert deliver(tb, ep_a, b.id, payload)
     assert inbox_b == [(a.id, payload)]
     # The link was genuinely lossy: retransmissions happened.
@@ -115,13 +126,13 @@ def test_total_loss_mid_transfer_raises_within_budget():
     with pytest.raises(ReliableTransferError) as excinfo:
         tb.env.run(until=proc)
     err = excinfo.value
-    assert err.attempts == ep_a.max_attempts
+    assert err.attempts == MAX_ATTEMPTS
     assert 0 < err.pending <= err.total
     assert inbox_b == []  # never completed, never delivered
     # The wait is bounded: every attempt's deadline is capped, so the
     # whole abort happens within budget * (capped deadline) plus slack.
     worst = ACK_TIMEOUT + 0.003 * ep_a.max_batch
-    assert tb.env.now <= 0.01 + ep_a.max_attempts * worst * (
+    assert tb.env.now <= 0.01 + MAX_ATTEMPTS * worst * (
         BACKOFF_CAP * 1.25) + 1.0
 
 
@@ -136,7 +147,7 @@ def test_backoff_delays_monotone_and_capped():
     with pytest.raises(ReliableTransferError) as excinfo:
         tb.env.run(until=proc)
     delays = excinfo.value.backoff_delays
-    assert len(delays) == ep_a.max_attempts
+    assert len(delays) == MAX_ATTEMPTS
     base = ACK_TIMEOUT + 0.003  # single-chunk first batch
     assert delays[0] == pytest.approx(base)
     for earlier, later in zip(delays, delays[1:]):

@@ -47,6 +47,34 @@ def test_rtt_is_per_hop_not_cumulative(chain_deployment):
         assert hop.rtt_ms < 50
 
 
+def test_sessions_are_told_apart_by_origin(chain_deployment):
+    """Every node numbers its sessions from ``id << 8`` in one 16-bit
+    space, so node 1's 1025th round uses the session node 5's first
+    round used.  A node that carried node 5's traceroute on must still
+    carry node 1's."""
+    dep = chain_deployment(5, seed=3)
+    assert run_traceroute(dep, 5, 1).reached_target
+    # Stand in for node 1's first 1024 rounds: its next session is the
+    # one node 5 just used.
+    dep.traceroute_services[1]._session = 5 << 8
+    result = run_traceroute(dep, 1, 5)
+    assert result.reached_target
+    assert sorted(h.probed_node_id for h in result.hops) == [2, 3, 4, 5]
+
+
+def test_a_wrapped_session_traces_again(chain_deployment):
+    """After an origin's session counter wraps, a session it used long
+    ago is a new traceroute: the hops continue it again."""
+    dep = chain_deployment(5, seed=3)
+    service = dep.traceroute_services[1]
+    before = service._session
+    assert run_traceroute(dep, 1, 5).reached_target
+    service._session = before  # the counter came round to it again
+    result = run_traceroute(dep, 1, 5)
+    assert result.reached_target
+    assert sorted(h.probed_node_id for h in result.hops) == [2, 3, 4, 5]
+
+
 def test_arrival_times_grow_with_depth(chain_deployment):
     """Figure 5's qualitative shape: deeper hops' reports arrive later
     on the whole (report jitter allows local inversions)."""
@@ -71,8 +99,8 @@ def test_report_arrival_carries_link_pairs(chain_deployment):
 def test_unreachable_target(chain_deployment):
     dep = chain_deployment(3)
     tb = dep.testbed
-    tb.add_node("island", (9000.0, 0.0), node_id=50)
-    result = run_traceroute(dep, 1, 50, timeout=1.0)
+    island = tb.add_node("island", (9000.0, 0.0))
+    result = run_traceroute(dep, 1, island.id)
     assert not result.reached_target
     assert result.lost == 1
 
@@ -83,7 +111,7 @@ def test_stuck_greedy_counts(chain_deployment):
     # Blacklist every next hop at node 1: the task is stuck immediately.
     tb.node(1).neighbors.blacklist(2)
     tb.node(1).neighbors.blacklist(3)
-    result = run_traceroute(dep, 1, 3, timeout=1.0)
+    result = run_traceroute(dep, 1, 3)
     assert not result.reached_target
     assert tb.monitor.counter("traceroute.stuck") >= 1
 

@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from repro.core.wire import REQUEST_LAYOUTS, MsgType
+from repro.core.workstation import ATTACH_OFFSET
 
 
 def test_group_call_waits_full_window(chain_deployment):
@@ -68,12 +69,12 @@ def test_controller_error_paths_report_status(chain_deployment):
 def test_run_ping_on_node_without_ping_service(chain_deployment):
     dep = chain_deployment(2)
     tb = dep.testbed
-    bare = tb.add_node("bare", (0.0, -30.0), node_id=40)
+    bare = tb.add_node("bare", (0.0, -30.0))
     from repro.core.controller import install_controller
     install_controller(bare)
-    dep.workstation.attach_near(40)
+    dep.workstation.attach_near(bare.id)
     body = struct.pack(">HBBB", 1, 1, 16, 0)
-    reply = dep.workstation.call(40, MsgType.RUN_PING, body,
+    reply = dep.workstation.call(bare.id, MsgType.RUN_PING, body,
                                  window=2.0, wait_full_window=False)
     assert not reply.ok
     assert b"not installed" in reply.body
@@ -97,7 +98,7 @@ def test_request_to_nonexistent_node_raises(chain_deployment):
 
 def test_attach_near_moves_base_station(chain_deployment):
     dep = chain_deployment(3)
-    dep.workstation.attach_near(3, offset=(1.0, -2.0))
+    dep.workstation.attach_near(3)
     target = dep.testbed.node(3).position
     assert dep.workstation.node.position == (
-        target[0] + 1.0, target[1] - 2.0)
+        target[0] + ATTACH_OFFSET[0], target[1] + ATTACH_OFFSET[1])

@@ -101,8 +101,7 @@ def test_traceroute_covers_what_ping_cannot(long_chain):
     result = None
     for _ in range(4):
         proc = testbed.env.process(
-            traces[1].traceroute(27, rounds=1, length=32, routing_port=10,
-                                 timeout=15.0)
+            traces[1].traceroute(27, rounds=1, length=32, routing_port=10)
         )
         result = testbed.env.run(until=proc)
         if result.reached_target:

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.kernel import EventLog, Testbed
+from repro.kernel.eventlog import DEFAULT_CAPACITY
 
 
 def test_log_and_recent_order():
-    log = EventLog(capacity=8)
+    log = EventLog()
     log.log(1.0, "a", "first")
     log.log(2.0, "b", "second")
     events = log.recent()
@@ -15,17 +16,18 @@ def test_log_and_recent_order():
 
 
 def test_ring_wraps_and_counts_drops():
-    log = EventLog(capacity=3)
-    for i in range(5):
+    log = EventLog()
+    for i in range(DEFAULT_CAPACITY + 2):
         log.log(float(i), f"e{i}")
-    assert len(log) == 3
+    assert len(log) == DEFAULT_CAPACITY
     assert log.dropped == 2
-    assert log.logged == 5
-    assert [e.code for e in log.recent()] == ["e2", "e3", "e4"]
+    assert log.logged == DEFAULT_CAPACITY + 2
+    assert [e.code for e in log.recent()] == [
+        f"e{i}" for i in range(2, DEFAULT_CAPACITY + 2)]
 
 
 def test_recent_limit():
-    log = EventLog(capacity=8)
+    log = EventLog()
     for i in range(5):
         log.log(float(i), f"e{i}")
     assert [e.code for e in log.recent(2)] == ["e3", "e4"]
@@ -34,36 +36,31 @@ def test_recent_limit():
 def test_recent_limit_zero_is_empty():
     """Regression: ``events[-0:]`` is the whole list, so limit=0 used to
     return the entire ring instead of nothing."""
-    log = EventLog(capacity=8)
+    log = EventLog()
     for i in range(5):
         log.log(float(i), f"e{i}")
     assert log.recent(0) == []
 
 
 def test_recent_negative_limit_raises():
-    log = EventLog(capacity=8)
+    log = EventLog()
     log.log(0.0, "x")
     with pytest.raises(ValueError):
         log.recent(-1)
 
 
 def test_recent_limit_beyond_length_returns_all():
-    log = EventLog(capacity=8)
+    log = EventLog()
     log.log(0.0, "x")
     assert [e.code for e in log.recent(100)] == ["x"]
 
 
 def test_clear_keeps_totals():
-    log = EventLog(capacity=4)
+    log = EventLog()
     log.log(0.0, "x")
     log.clear()
     assert len(log) == 0
     assert log.logged == 1
-
-
-def test_capacity_validation():
-    with pytest.raises(ValueError):
-        EventLog(capacity=0)
 
 
 def test_render():

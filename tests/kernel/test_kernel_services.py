@@ -9,13 +9,17 @@ from repro.errors import (
     NoSuchSyscall,
 )
 from repro.kernel import (
+    FLASH_BUDGET_BYTES,
+    MAX_THREADS,
+    RAM_BUDGET_BYTES,
     MemoryModel,
     Namespace,
     ParameterBuffer,
     SyscallTable,
     Testbed,
 )
-from repro.kernel.threads import ThreadTable
+from repro.kernel.syscalls import PARAMETER_BUFFER_CHARS
+from repro.kernel.threads import MAX_TID, ThreadTable
 from repro.sim import Environment
 
 
@@ -39,20 +43,54 @@ def test_spawn_and_list():
 
 def test_thread_limit_enforced():
     env = Environment()
-    table = ThreadTable(env, node_id=1, max_threads=2)
-    table.spawn("a", idle(env))
-    table.spawn("b", idle(env))
+    table = ThreadTable(env, node_id=1)
+    for i in range(MAX_THREADS):
+        table.spawn(f"t{i}", idle(env))
     with pytest.raises(KernelError):
-        table.spawn("c", idle(env))
+        table.spawn("one-too-many", idle(env))
 
 
 def test_finished_threads_free_slots():
     env = Environment()
-    table = ThreadTable(env, node_id=1, max_threads=1)
-    table.spawn("a", idle(env, 1.0))
+    table = ThreadTable(env, node_id=1)
+    for i in range(MAX_THREADS):
+        table.spawn(f"t{i}", idle(env, 1.0))
     env.run()
-    table.spawn("b", idle(env, 1.0))  # must not raise
+    for i in range(MAX_THREADS):
+        table.spawn(f"u{i}", idle(env, 1.0))  # must not raise
     env.run()
+
+
+def finished():
+    return
+    yield
+
+
+def cycle_threads(table, env, count):
+    """Spawn ``count`` threads that end at once, letting each batch
+    finish before the next."""
+    for i in range(count):
+        table.spawn("short", finished())
+        if i % 4 == 3:
+            env.run(until=env.now + 1e-3)
+    env.run(until=env.now + 1e-3)
+
+
+def test_thread_ids_wrap_within_sixteen_bits_skipping_live_ones():
+    """``ps`` and ``kill`` carry a tid in 16 bits: after id 0xFFFF the
+    ids start again at 1, stepping over ids that live threads hold, and
+    the listing stays oldest first."""
+    env = Environment()
+    table = ThreadTable(env, node_id=1)
+    keeper = table.spawn("keeper", idle(env, 1e9))
+    assert keeper.tid == 1
+    cycle_threads(table, env, MAX_TID - 2)   # ids 2..0xFFFE
+    last = table.spawn("last", idle(env, 1e9))
+    assert last.tid == MAX_TID
+    wrapped = table.spawn("wrapped", idle(env, 1e9))
+    assert wrapped.tid == 2                  # 1 is still the keeper's
+    assert [t.name for t in table.alive()] == ["keeper", "last", "wrapped"]
+    assert table.kill(last.tid) and table.kill(wrapped.tid)
 
 
 def test_kill_interrupts():
@@ -137,9 +175,10 @@ def test_clear_resets():
 
 
 def test_capacity_enforced():
-    buf = ParameterBuffer(capacity=8)
+    buf = ParameterBuffer()
+    buf.stage("a" * PARAMETER_BUFFER_CHARS)
     with pytest.raises(ValueError):
-        buf.stage("a" * 9)
+        buf.stage("a" * (PARAMETER_BUFFER_CHARS + 1))
 
 
 def test_empty_string_stage_is_empty():
@@ -173,15 +212,21 @@ def test_paper_footprints_fit_on_a_mote():
 
 
 def test_flash_budget_enforced():
-    mm = MemoryModel(flash_budget=1000, ram_budget=1000)
+    mm = MemoryModel()
+    mm.install("kernel", FLASH_BUDGET_BYTES - 1000, 0)
     with pytest.raises(MemoryBudgetExceeded):
         mm.install("big", 1001, 0)
+    mm.install("fits", 1000, 0)
+    assert mm.flash_free == 0
 
 
 def test_ram_budget_enforced():
-    mm = MemoryModel(flash_budget=10_000, ram_budget=100)
+    mm = MemoryModel()
+    mm.install("kernel", 0, RAM_BUDGET_BYTES - 100)
     with pytest.raises(MemoryBudgetExceeded):
-        mm.install("hungry", 10, 200)
+        mm.install("hungry", 10, 101)
+    mm.install("fits", 10, 100)
+    assert mm.ram_free == 0
 
 
 def test_duplicate_install_rejected():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.kernel import Testbed
+from repro.kernel.neighbors import NEIGHBOR_CAPACITY
 
 QUIET = {"shadowing_sigma_db": 0.0, "fading_sigma_db": 0.0}
 
@@ -109,21 +110,13 @@ def test_beacon_interval_validation():
 
 def test_capacity_evicts_oldest():
     tb = Testbed(seed=9, propagation_kwargs=QUIET)
-    center = tb.add_node("center", (0.0, 0.0),
-                         neighbor_kwargs={"capacity": 3})
-    for i in range(5):
+    center = tb.add_node("center", (0.0, 0.0))
+    for i in range(NEIGHBOR_CAPACITY + 2):
         tb.add_node(f"n{i}", (10.0 + i, 0.0))
     tb.warm_up(15.0)
     entries = center.neighbors.entries()
-    assert len(entries) <= 3
+    assert len(entries) <= NEIGHBOR_CAPACITY
     assert tb.monitor.counter("neighbors.evicted") >= 1
-
-
-def test_table_constructor_validation():
-    tb = small_testbed(1)
-    from repro.kernel.neighbors import NeighborTable
-    with pytest.raises(ValueError):
-        NeighborTable(tb.node(1), capacity=0)
 
 
 def test_prr_estimate_tracks_gap_losses():

@@ -21,13 +21,6 @@ def test_auto_ids_are_sequential():
     assert ids == [1, 2, 3]
 
 
-def test_explicit_node_id():
-    tb = Testbed(seed=1)
-    node = tb.add_node("n", (0, 0), node_id=42)
-    assert node.id == 42
-    assert tb.node(42) is node
-
-
 def test_unknown_lookup_raises():
     tb = Testbed(seed=1)
     with pytest.raises(NoSuchNode):
@@ -38,13 +31,6 @@ def test_contains_and_len():
     tb = Testbed(seed=1)
     tb.add_node("a", (0, 0))
     assert "a" in tb and len(tb) == 1
-
-
-def test_node_radio_settings_applied():
-    tb = Testbed(seed=1)
-    node = tb.add_node("a", (0, 0), power_level=10, channel=26)
-    assert node.radio.power_level == 10
-    assert node.radio.channel == 26
 
 
 def test_position_property_and_move():

@@ -1,6 +1,7 @@
 """Edge-case tests for the CSMA MAC."""
 
 from repro.mac import CsmaMac, Frame
+from repro.mac.queue import QUEUE_CAPACITY
 from repro.radio import RadioConfig
 
 
@@ -67,9 +68,11 @@ def test_cca_failure_after_max_backoffs(quiet_world):
 
 
 def test_queue_capacity_parameter(quiet_world):
+    """A burst one frame past the queue's bound loses a frame at once."""
     a = quiet_world.medium.attach(1, (0.0, 0.0), RadioConfig())
     mac = CsmaMac(quiet_world.env, quiet_world.medium, a,
-                  quiet_world.rng, quiet_world.monitor, queue_capacity=2)
+                  quiet_world.rng, quiet_world.monitor)
     results = [mac.send(Frame(src=1, dst=0xFFFF, payload=b"x"))
-               for _ in range(5)]
-    assert results.count(False) >= 2
+               for _ in range(QUEUE_CAPACITY + 1)]
+    assert results.count(False) == 1
+    assert quiet_world.monitor.counter("mac.queue_drops") == 1

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.mac import TxQueue
+from repro.mac.queue import QUEUE_CAPACITY
 from repro.sim import Environment
 
 
 def test_put_then_get_fifo():
     env = Environment()
-    q = TxQueue(env, capacity=4)
+    q = TxQueue(env)
     q.put("a")
     q.put("b")
     got = []
@@ -23,7 +24,7 @@ def test_put_then_get_fifo():
 
 def test_get_blocks_until_put():
     env = Environment()
-    q = TxQueue(env, capacity=4)
+    q = TxQueue(env)
     got = []
 
     def consumer():
@@ -42,17 +43,17 @@ def test_get_blocks_until_put():
 
 def test_overflow_counts_drop_and_returns_false():
     env = Environment()
-    q = TxQueue(env, capacity=2)
-    assert q.put(1) and q.put(2)
-    assert not q.put(3)
+    q = TxQueue(env)
+    assert all(q.put(i) for i in range(QUEUE_CAPACITY))
+    assert not q.put("one too many")
     assert q.drops == 1
-    assert q.occupancy == 2
+    assert q.occupancy == QUEUE_CAPACITY
     assert q.is_full
 
 
 def test_occupancy_and_peak():
     env = Environment()
-    q = TxQueue(env, capacity=8)
+    q = TxQueue(env)
     for i in range(5):
         q.put(i)
     assert q.occupancy == 5
@@ -68,7 +69,8 @@ def test_occupancy_and_peak():
 
 def test_direct_handoff_to_waiting_getter():
     env = Environment()
-    q = TxQueue(env, capacity=1)
+    q = TxQueue(env)
+    q.set_capacity(1)
     got = []
 
     def consumer():
@@ -87,7 +89,7 @@ def test_direct_handoff_to_waiting_getter():
 
 def test_clear_returns_dropped_items():
     env = Environment()
-    q = TxQueue(env, capacity=4)
+    q = TxQueue(env)
     q.put("a")
     q.put("b")
     assert q.clear() == ["a", "b"]
@@ -96,18 +98,19 @@ def test_clear_returns_dropped_items():
 
 def test_snapshot_counters():
     env = Environment()
-    q = TxQueue(env, capacity=2)
-    q.put(1)
-    q.put(2)
-    q.put(3)
+    q = TxQueue(env)
+    for i in range(QUEUE_CAPACITY + 1):
+        q.put(i)
     snap = q.snapshot()
     assert snap == {
-        "occupancy": 2, "capacity": 2, "enqueued": 2,
-        "drops": 1, "peak_occupancy": 2,
+        "occupancy": QUEUE_CAPACITY, "capacity": QUEUE_CAPACITY,
+        "enqueued": QUEUE_CAPACITY, "drops": 1,
+        "peak_occupancy": QUEUE_CAPACITY,
     }
 
 
 def test_capacity_validation():
-    env = Environment()
+    q = TxQueue(Environment())
     with pytest.raises(ValueError):
-        TxQueue(env, capacity=0)
+        q.set_capacity(0)
+    assert q.capacity == QUEUE_CAPACITY

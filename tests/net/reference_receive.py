@@ -28,6 +28,7 @@ from repro.kernel.neighbors import (
     _BEACON_FMT,
     _BEACON_HEADER_BYTES,
     EWMA_ALPHA,
+    NEIGHBOR_CAPACITY,
     NeighborEntry,
     NeighborTable,
 )
@@ -129,7 +130,7 @@ def _update(table, node_id, name, position, seq, arrival) -> None:
     entry = table._entries.get(node_id)
     if entry is None:
         table._expire()
-        if len(table._entries) >= table.capacity:
+        if len(table._entries) >= NEIGHBOR_CAPACITY:
             table._evict()
         table._entries[node_id] = NeighborEntry(
             node_id=node_id, name=name, position=position,

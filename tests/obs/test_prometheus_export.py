@@ -109,13 +109,6 @@ def test_labels_applied_to_every_sample():
         assert '{fleet="field",node="3"}' in line, line
 
 
-def test_namespace_prefix():
-    registry = MetricsRegistry()
-    registry.counter("mac.tx").inc()
-    text = metrics_to_prometheus(registry, namespace="repro")
-    assert "repro_mac_tx 1" in text
-
-
 def test_output_is_sorted_and_deterministic():
     def build():
         registry = MetricsRegistry()

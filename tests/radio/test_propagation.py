@@ -71,21 +71,23 @@ def test_set_link_shadowing_overrides():
 
 
 def test_sample_loss_includes_fading_jitter():
+    """Every packet draws its own fading, scattered at the model's sigma."""
     model = make_model(fading_sigma_db=2.0)
-    draws = {model.sample_loss_db(1, 2, 10.0) for _ in range(10)}
-    assert len(draws) > 1
+    draws = model.fading_row(2000)
+    assert len(set(draws.tolist())) == len(draws)
+    assert draws.std() == pytest.approx(2.0, rel=0.1)
 
 
 def test_zero_fading_sample_is_deterministic():
     model = make_model(fading_sigma_db=0.0)
-    draws = {model.sample_loss_db(1, 2, 10.0) for _ in range(5)}
-    assert len(draws) == 1
+    mean = model.mean_received_power_dbm(0.0, 1, 2, 10.0)
+    assert {mean - f for f in model.fading_row(5).tolist()} == {mean}
 
 
 def test_received_power_decreases_with_lower_tx_power():
     model = make_model(fading_sigma_db=0.0)
-    high = model.received_power_dbm(0.0, 1, 2, 10.0)
-    low = model.received_power_dbm(-10.0, 1, 2, 10.0)
+    high = model.mean_received_power_dbm(0.0, 1, 2, 10.0)
+    low = model.mean_received_power_dbm(-10.0, 1, 2, 10.0)
     assert high - low == pytest.approx(10.0)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve import MAX_WATCHLIST, HealthAssessor, build_fleet
+from repro.serve import MAX_WATCHLIST, build_fleet
 from repro.serve.health import nearest_neighbor_links
 
 
@@ -24,18 +24,25 @@ def test_unknown_spec_message_names_city():
 
 
 def test_watchlist_clamp_is_deterministic_even_stride():
-    fleet = build_fleet("chain:8", seed=7, warm_up=5.0)
-    deployment = fleet.deployment
-    full = nearest_neighbor_links(fleet.testbed)
+    small = build_fleet("chain:8", seed=7, warm_up=5.0)
+    full = nearest_neighbor_links(small.testbed)
     # The workstation does not beacon, so it is no fleet member.
-    assert deployment.workstation.node.id not in {n for l in full for n in l}
-    assert len(full) > 3
-    clamped = HealthAssessor(deployment, max_links=3)
-    assert len(clamped.watched_links) == 3
-    # A subsample of the full sorted list, in order, spread by stride.
-    assert set(clamped.watched_links) <= set(full)
-    assert list(clamped.watched_links) == sorted(clamped.watched_links)
-    assert clamped.watched_links[0] == full[0]
-    # Unclamped and over-sized caps leave the list alone.
-    assert HealthAssessor(deployment).watched_links == full
-    assert HealthAssessor(deployment, max_links=999).watched_links == full
+    assert small.deployment.workstation.node.id not in {
+        n for l in full for n in l}
+    # Under the cap the watchlist is the whole nearest-neighbor list.
+    assert small.assessor.watched_links == full
+
+    city = build_fleet("city:300", seed=7, warm_up=0.0)
+    full = nearest_neighbor_links(city.testbed)
+    assert len(full) > MAX_WATCHLIST
+    watched = city.assessor.watched_links
+    assert len(watched) == MAX_WATCHLIST
+    # A subsample of the full sorted list, in order, spread by an even
+    # stride from its first link to its last stride.
+    picks = [full.index(link) for link in watched]
+    step = len(full) / MAX_WATCHLIST
+    assert picks[0] == 0 and picks == sorted(set(picks))
+    assert all(b - a <= step + 1 for a, b in zip(picks, picks[1:]))
+    assert picks[-1] >= len(full) - step - 1
+    assert build_fleet("city:300", seed=7, warm_up=0.0
+                       ).assessor.watched_links == watched
